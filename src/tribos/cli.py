@@ -290,6 +290,9 @@ def run(config: RunConfig) -> int:
     try:
         s0 = symbols.find_s0(1e-14).s0
         _RUNNERS[config.command](config, s0)
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass: catch it first
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,7 @@ of eigenvalues of the discretized operator as the spectral parameter mu sweeps.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -24,6 +25,9 @@ import numpy as np
 GRID_KINDS = ("log-uniform", "gauss-legendre-on-log")
 
 _GL_POINTS_PER_PANEL = 16
+# Eigen-solves allowed per crossing refinement.  Brent needs about 5 at
+# refine_rel = 1e-8; bisecting the widest double bracket needs about 60.
+_MAX_REFINE_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,17 @@ def _thread_count() -> int:
     return os.cpu_count() or 1
 
 
+@functools.lru_cache(maxsize=None)
+def _panel_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss-Legendre nodes and weights on [-1, 1], read-only because
+    every grid shares them.  Panel sizes stay within 8..23 nodes (see
+    build_grid), so the cache stays small."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def build_grid(p_min: float, p_max: float, n: int,
                kind: str = "gauss-legendre-on-log") -> RadialGrid:
     """Build a quadrature grid on [p_min, p_max] with n nodes.
@@ -109,7 +124,7 @@ def build_grid(p_min: float, p_max: float, n: int,
         edges = np.linspace(a, b, k + 1)
         ps, ws = [], []
         for i, m in enumerate(sizes):
-            x, gw = np.polynomial.legendre.leggauss(m)
+            x, gw = _panel_rule(m)
             half = 0.5 * (edges[i + 1] - edges[i])
             t = half * x + 0.5 * (edges[i + 1] + edges[i])
             ps.append(np.exp(t))
@@ -231,9 +246,53 @@ def smallest_eigenvalue(op: DiscretizedOperator) -> float:
     return float(np.linalg.eigvalsh(op.matrix)[0])
 
 
-def _negative_count(grid: RadialGrid, mu: float, delta: float) -> tuple[int, float]:
+def _negative_count(grid: RadialGrid, mu: float, delta: float) -> tuple[int, np.ndarray]:
+    """Number of negative eigenvalues at mu, and the ascending spectrum."""
     ev = np.linalg.eigvalsh(assemble(grid, ModelParams(mu=mu, delta=delta)).matrix)
-    return int(np.sum(ev < 0.0)), float(ev[0])
+    return int(np.sum(ev < 0.0)), ev
+
+
+def _brent_crossing(f, a: float, fa: float, b: float, fb: float, width: float) -> float:
+    """Sign change of an increasing f on [a, b], f(a) < 0 <= f(b), by Brent's
+    method (inverse quadratic interpolation, secant, bisection safeguard).
+
+    Iterates until the bracket [x with f(x) < 0, x with f(x) >= 0] is at most
+    width wide and returns its midpoint.  Steps are at least width/2 long, so
+    once the iterate is that close to the root the next step closes the
+    bracket.  Raises RuntimeError after _MAX_REFINE_STEPS evaluations of f.
+    """
+    delta = 0.5 * width
+    # cur: best iterate; blk: the other end of the bracket; pre: previous
+    # iterate.  The first pass sees the sign change and sets blk = a.
+    xpre, fpre, xcur, fcur = a, fa, b, fb
+    for _ in range(_MAX_REFINE_STEPS):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, fpre = xcur, fcur
+            xcur, fcur = xblk, fblk
+            xblk, fblk = xpre, fpre
+        sbis = 0.5 * (xblk - xcur)
+        if abs(sbis) <= delta:
+            return 0.5 * (xcur + xblk)
+        interpolated = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            interpolated = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        if interpolated:
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(xcur)
+    raise RuntimeError(f"crossing refinement did not converge in {_MAX_REFINE_STEPS} steps")
 
 
 @dataclass(frozen=True)
@@ -253,9 +312,14 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
 
     The operator is monotone increasing in mu, so each bound state of the
     cutoff problem shows up as a unit decrement of the negative-eigenvalue
-    count between consecutive sweep points; each decrement is refined by
-    bisection in mu to the requested relative accuracy.
+    count between consecutive sweep points.  Each decrement is refined by
+    Brent's method on that level's eigenvalue as a function of log mu, until
+    the sign-change bracket is at most refine_rel wide (relative); the
+    reported crossing, the bracket's geometric midpoint, lies within
+    refine_rel of the discrete operator's singular mu.
     """
+    if not 0.0 < refine_rel < 1.0:
+        raise ValueError(f"refine_rel must lie in (0, 1), got {refine_rel}")
     if not (0.0 < mu_lo < mu_hi):
         raise ValueError("need 0 < mu_lo < mu_hi")
     if n_mu < 2:
@@ -268,24 +332,21 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     else:
         sweep = [_negative_count(grid, float(m), delta) for m in mus]
     counts = [c for c, _ in sweep]
-
-    def bisect(lo: float, hi: float, level: int) -> float:
-        # nu(mu) >= level to the left of the level-th crossing
-        while hi / lo - 1.0 > refine_rel:
-            mid = math.sqrt(lo * hi)
-            if _negative_count(grid, mid, delta)[0] >= level:
-                lo = mid
-            else:
-                hi = mid
-        return math.sqrt(lo * hi)
+    width = math.log1p(refine_rel)
 
     crossings = []
     for i in range(n_mu - 1):
         if counts[i + 1] > counts[i]:
             raise RuntimeError("negative-eigenvalue count increased with mu")
         for level in range(counts[i + 1] + 1, counts[i] + 1):
-            crossings.append(bisect(float(mus[i]), float(mus[i + 1]), level))
-    return SpectralScan(mus=mus, smallest=np.array([e for _, e in sweep]),
+            # the level-th eigenvalue is < 0 at mus[i] and >= 0 at mus[i + 1]
+            k = level - 1
+            t = _brent_crossing(
+                lambda t: float(_negative_count(grid, math.exp(t), delta)[1][k]),
+                math.log(mus[i]), float(sweep[i][1][k]),
+                math.log(mus[i + 1]), float(sweep[i + 1][1][k]), width)
+            crossings.append(math.exp(t))
+    return SpectralScan(mus=mus, smallest=np.array([ev[0] for _, ev in sweep]),
                         negative_counts=np.array(counts), crossings=sorted(crossings))
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from tribos.cli import RunConfig, main, run
@@ -167,3 +168,27 @@ def test_exit_codes():
                  "--n-mu", "5", "--grid", "64"]) == 2  # mu_lo >= mu_hi
     assert main(["ladder", "--format", "json"]) == 2  # schema mismatch
     assert run(RunConfig(command="delta0")) == 0
+
+
+_SMALL_LADDER_SCAN = ["scan", "--delta", "0", "--mu-lo", "1e-4", "--mu-hi", "1e4",
+                      "--n-mu", "3", "--grid", "250"]
+
+
+def test_scan_linalg_error_exits_3(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    assert main(_SMALL_LADDER_SCAN) == 3
+
+
+def test_scan_with_crossings_byte_identical(tmp_path, monkeypatch):
+    outputs = []
+    for i, threads in enumerate(("4", "4", "1")):
+        monkeypatch.setenv("TRIBOS_THREADS", threads)
+        out = tmp_path / f"scan{i}.csv"
+        assert main(_SMALL_LADDER_SCAN + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    _, rows = read_rows(tmp_path / "scan0.csv")
+    assert sum(len(r[3].split(";")) for r in rows if r[3]) == 3
+    assert outputs[0] == outputs[1] == outputs[2]

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from tribos import stm
 from tribos.ladder import sample_charge_density, xi_mu
 from tribos.stm import (ModelParams, assemble, build_grid, closed_form_residual,
                         coulomb_kernel, coulomb_row_integral, default_grid, residual,
@@ -228,3 +229,121 @@ def test_scan_finds_known_crossing():
         counts_lo = int(np.sum(np.linalg.eigvalsh(lo.matrix) < 0.0))
         counts_hi = int(np.sum(np.linalg.eigvalsh(hi.matrix) < 0.0))
         assert counts_lo == counts_hi + 1
+
+
+def _uncached_gl_grid(p_min, p_max, n):
+    # reference: the panel loop with a fresh leggauss call per panel
+    a, b = math.log(p_min), math.log(p_max)
+    k = max(1, round(n / 16))
+    sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
+    edges = np.linspace(a, b, k + 1)
+    ps, ws = [], []
+    for i, m in enumerate(sizes):
+        x, gw = np.polynomial.legendre.leggauss(m)
+        half = 0.5 * (edges[i + 1] - edges[i])
+        t = half * x + 0.5 * (edges[i + 1] + edges[i])
+        ps.append(np.exp(t))
+        ws.append(half * gw * np.exp(t))
+    return np.concatenate(ps), np.concatenate(ws)
+
+
+def test_build_grid_caches_panel_rule(monkeypatch):
+    cases = [(1e-4, 1e4, 1000), (1e-3, 50.0, 160), (1.0, math.e, 16), (1e-2, 1e2, 23)]
+    references = [_uncached_gl_grid(*args) for args in cases]
+    stm._panel_rule.cache_clear()
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda m: calls.append(m) or leggauss(m))
+    for args, (ref_nodes, ref_weights) in zip(cases, references):
+        g = build_grid(*args)
+        assert np.array_equal(g.nodes, ref_nodes)
+        assert np.array_equal(g.weights, ref_weights)
+    # one leggauss call per distinct panel size, not one per panel
+    assert sorted(calls) == sorted(set(calls))
+    x, w = stm._panel_rule(16)
+    assert not x.flags.writeable and not w.flags.writeable
+
+
+# p in [1e-4, 1e4] on 250 nodes has three crossings in [1e-4, 1e4]; with
+# n_mu = 3 the second sweep bracket holds two of them (levels 2 and 3).
+_LADDER_GRID = (1e-4, 1e4, 250)
+
+
+def _bisect_crossing(grid, lo, hi, level, refine_rel):
+    # plain bisection on the negative-eigenvalue count, the reference
+    while hi / lo - 1.0 > refine_rel:
+        mid = math.sqrt(lo * hi)
+        ev = np.linalg.eigvalsh(assemble(grid, ModelParams(mu=mid)).matrix)
+        if np.sum(ev < 0.0) >= level:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(lo * hi)
+
+
+@pytest.mark.parametrize("n_mu", [3, 9])
+def test_scan_refinement_matches_bisection(n_mu):
+    grid = build_grid(*_LADDER_GRID)
+    refine_rel = 1e-8
+    result = scan_spectrum(grid, 0.0, 1e-4, 1e4, n_mu, refine_rel)
+    counts = result.negative_counts
+    reference = sorted(
+        _bisect_crossing(grid, result.mus[i], result.mus[i + 1], level, refine_rel)
+        for i in range(n_mu - 1) for level in range(counts[i + 1] + 1, counts[i] + 1))
+    assert len(result.crossings) == 3
+    for c, ref in zip(result.crossings, reference):
+        assert abs(c / ref - 1.0) <= 2.0 * refine_rel
+
+
+def test_scan_crossing_brackets_level_sign_change():
+    grid = build_grid(*_LADDER_GRID)
+    refine_rel = 1e-8
+    result = scan_spectrum(grid, 0.0, 1e-4, 1e4, 3, refine_rel)
+    # counts 4 -> 3 -> 1: the crossings, ascending, are those of levels 4, 3, 2
+    assert list(result.negative_counts) == [4, 3, 1]
+    for c, level in zip(result.crossings, (4, 3, 2)):
+        below = np.linalg.eigvalsh(assemble(grid, ModelParams(mu=c * (1 - refine_rel))).matrix)
+        above = np.linalg.eigvalsh(assemble(grid, ModelParams(mu=c * (1 + refine_rel))).matrix)
+        assert below[level - 1] < 0.0 <= above[level - 1]
+
+
+def test_scan_refinement_solve_budget(monkeypatch):
+    grid = build_grid(*_LADDER_GRID)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    n_mu = 9
+    result = scan_spectrum(grid, 0.0, 1e-4, 1e4, n_mu)
+    assert len(result.crossings) == 3
+    assert len(calls) <= n_mu + 8 * len(result.crossings)
+
+
+@pytest.mark.parametrize("refine_rel", [0.0, -1.0, math.nan, math.inf, 1.0])
+def test_scan_rejects_bad_refine_rel(refine_rel):
+    grid = default_grid(1.0, 64)
+    with pytest.raises(ValueError):
+        scan_spectrum(grid, 0.0, 1e-2, 1e2, 3, refine_rel=refine_rel)
+    with pytest.raises(ValueError):
+        scan_bound_states(grid, 0.0, 1e-2, 1e2, 3, refine_rel=refine_rel)
+
+
+def test_scan_unreachable_refine_rel_raises():
+    # a bracket narrower than the spacing of doubles cannot be reached
+    grid = build_grid(*_LADDER_GRID)
+    with pytest.raises(RuntimeError):
+        scan_spectrum(grid, 0.0, 1e-4, 1e4, 3, refine_rel=1e-300)
+
+
+def test_brent_crossing_on_known_root():
+    evals = []
+
+    def f(t):
+        evals.append(t)
+        return math.exp(t) - 3.0
+
+    width = 1e-12
+    t = stm._brent_crossing(f, 0.0, f(0.0), 5.0, f(5.0), width)
+    assert abs(t - math.log(3.0)) <= width
+    assert f(t - width) < 0.0 < f(t + width)
+    assert len(evals) <= 2 + 15
