@@ -43,6 +43,12 @@ _PARAMS: dict[str, dict[str, tuple[type, object]]] = {
                "tol": (float, 1e-9)},
 }
 
+# The Thomas sampler gives up after this many rejected draws in a row.  No
+# point is farther than 2 sqrt(3) from a coincidence set, so h >= sqrt(3)/6
+# rejects every draw; an h accepting one draw in 100 gives up with
+# probability 0.99^10000 < 1e-43.
+_THOMAS_MAX_MISSES = 10000
+
 _FORMATS = {"s0": "json", "delta0": "json", "residual": "json",
             "ladder": "csv", "symbol": "csv", "scan": "csv",
             "thomas": "csv", "oracle": "csv"}
@@ -70,6 +76,8 @@ class RunConfig:
                 clean[key] = typ(raw)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"parameter {key!r}: {exc}") from exc
+            if typ is float and not math.isfinite(clean[key]):
+                raise ValueError(f"parameter {key!r} must be finite, got {raw!r}")
         for key, (_, default) in spec.items():
             if key not in clean:
                 if default is None:
@@ -153,7 +161,10 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"values must be finite, got {text!r}")
+    return values
 
 
 def _run_s0(config: RunConfig, s0: float) -> None:
@@ -229,18 +240,27 @@ def _run_residual(config: RunConfig, s0: float) -> None:
 
 def _run_thomas(config: RunConfig, s0: float) -> None:
     p = config.parameters
+    if not p["eta"] > 0.0:
+        raise ValueError("eta must be positive")
     rng = np.random.default_rng(p["seed"])
     rows = []
     count = 0
+    misses = 0  # consecutive rejected draws
     while count < p["n_points"]:
+        if misses == _THOMAS_MAX_MISSES:
+            raise ValueError(
+                f"h = {p['h']} too large: {misses} draws in a row found no point "
+                f"of [-2, 2]^3 x [-2, 2]^3 farther than 12 h from a coincidence set")
         s1 = rng.uniform(-2.0, 2.0, size=3)
         s2 = rng.uniform(-2.0, 2.0, size=3)
+        misses += 1
         try:
             pt = thomas.ThomasPoint(s1=s1, s2=s2, eta=p["eta"])
         except ValueError:
             continue
         if pt.min_separation() <= 12.0 * p["h"]:
             continue
+        misses = 0
         psi = thomas.thomas_psi(pt)
         res = thomas.pde_residual(pt, p["h"])
         bc_est = thomas.boundary_coefficient(s2, p["eta"], p["eps"])

@@ -22,6 +22,7 @@ interpolated).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,20 @@ def acot(beta: float) -> float:
 
 
 def mu_n(beta: float, n: int, s0: float) -> float:
-    """The n-th ladder eigenvalue parameter mu_n(beta)."""
+    """The n-th ladder eigenvalue parameter mu_n(beta).
+
+    Raises ValueError when mu_n is not a normal positive double: about
+    |n| > 113 levels lie outside that range.
+    """
     if not s0 > 0.0:
         raise ValueError("s0 must be positive")
-    return 3.0 * math.exp(-2.0 * acot(beta) / s0) * math.exp(2.0 * math.pi * n / s0)
+    try:
+        mu = 3.0 * math.exp(-2.0 * acot(beta) / s0) * math.exp(2.0 * math.pi * n / s0)
+    except OverflowError:
+        mu = math.inf
+    if not sys.float_info.min <= mu < math.inf:
+        raise ValueError(f"level n = {n} is out of range: mu_n = {mu} is not a normal double")
+    return mu
 
 
 def build_ladder(beta: float, n_lo: int, n_hi: int, s0: float) -> BoundStateLadder:

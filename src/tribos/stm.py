@@ -14,6 +14,7 @@ of eigenvalues of the discretized operator as the spectral parameter mu sweeps.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -60,6 +61,9 @@ class ModelParams:
     ell: float = math.inf
 
     def __post_init__(self) -> None:
+        for name in ("mu", "delta", "alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.mu > 0.0:
             raise ValueError("mu must be positive")
         if self.delta < 0.0:
@@ -86,6 +90,49 @@ def _thread_count() -> int:
 
 
 @functools.lru_cache(maxsize=None)
+def _openblas_thread_controls():
+    """(get, set) of OpenBLAS's thread count, looked up in the LAPACK module
+    numpy links (symbol names of the scipy-openblas wheels first, then of a
+    plain OpenBLAS), or None when none is found."""
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
+                           ("openblas_", "64_"), ("openblas_", "")):
+        get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Run the body with OpenBLAS on one thread; the previous count is restored
+    on exit, also when the body raises.  Does nothing without OpenBLAS.
+
+    The count is process-wide: scans running concurrently in one process
+    restore each other's settings.
+    """
+    controls = _openblas_thread_controls()
+    if controls is None:
+        yield
+        return
+    get, put = controls
+    previous = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(previous)
+
+
+@functools.lru_cache(maxsize=None)
 def _panel_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     """m-point Gauss-Legendre nodes and weights on [-1, 1], read-only because
     every grid shares them.  Panel sizes stay within 8..23 nodes (see
@@ -104,8 +151,8 @@ def build_grid(p_min: float, p_max: float, n: int,
     proportional to 1/p); "gauss-legendre-on-log" packs 16-point
     Gauss-Legendre panels uniformly in log p.
     """
-    if not (0.0 < p_min < p_max):
-        raise ValueError(f"need 0 < p_min < p_max, got ({p_min}, {p_max})")
+    if not (0.0 < p_min < p_max < math.inf):
+        raise ValueError(f"need 0 < p_min < p_max < inf, got ({p_min}, {p_max})")
     if n < 8:
         raise ValueError("n must be at least 8")
     if kind not in GRID_KINDS:
@@ -191,32 +238,54 @@ def coulomb_row_integral(p, a: float, b: float, delta: float):
     return out if out.ndim else float(out)
 
 
-def _kernel_matrix(p: np.ndarray, w: np.ndarray,
-                   params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _coulomb_part(p: np.ndarray, w: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The mu-independent Coulomb part of the Nystrom operator for delta != 0.
+
+    Returns (C, diag_extra): C[i, j] = coulomb_kernel(p_i, p_j, delta) with
+    the singular diagonal zeroed, and the singularity-subtraction correction
+    c(p) - C @ w, where c(p) is the closed-form row integral of the kernel.
+    """
+    C = np.add.outer(p, p)
+    gap = np.subtract.outer(p, p)
+    np.abs(gap, out=gap)
+    with np.errstate(divide="ignore"):
+        C /= gap
+    np.log(C, out=C)
+    C *= delta / math.pi
+    np.fill_diagonal(C, 0.0)
+    return C, coulomb_row_integral(p, p[0], p[-1], delta) - C @ w
+
+
+def _kernel_matrix(p: np.ndarray, w: np.ndarray, params: ModelParams,
+                   coulomb: tuple[np.ndarray, np.ndarray] | None = None,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kernel matrix and diagonal pieces of the Nystrom operator.
 
     Returns (K, diag_kernel, diag_extra): K is the full kernel matrix with
     the Coulomb diagonal zeroed, diag_kernel the TMS kernel on the diagonal,
-    and diag_extra the singularity-subtraction correction
-    c(p) - sum_j w_j C(p, p_j) (zero when delta = 0), where c(p) is the
-    closed-form row integral of the Coulomb kernel.
+    and diag_extra the singularity-subtraction correction (zero when
+    delta = 0).  coulomb is _coulomb_part(p, w, params.delta), built here
+    when not given.
     """
-    P = p[:, None]
-    Q = p[None, :]
-    s = P * P + Q * Q + params.mu
-    K = -(2.0 / math.pi) * np.log((s + P * Q) / (s - P * Q))
-    diag_kernel = np.diag(K).copy()
+    pp = p * p
+    s = np.add.outer(pp, pp)
+    s += params.mu
+    pq = np.multiply.outer(p, p)
+    K = s + pq
+    s -= pq
+    K /= s
+    np.log(K, out=K)
+    K *= -2.0 / math.pi
+    diag_kernel = K.diagonal().copy()
     diag_extra = np.zeros_like(p)
     if params.delta != 0.0:
-        with np.errstate(divide="ignore"):
-            C = (params.delta / math.pi) * np.log((P + Q) / np.abs(P - Q))
-        np.fill_diagonal(C, 0.0)
-        diag_extra = coulomb_row_integral(p, p[0], p[-1], params.delta) - C @ w
-        K = K + C
+        C, diag_extra = coulomb if coulomb is not None else _coulomb_part(p, w, params.delta)
+        K += C
     return K, diag_kernel, diag_extra
 
 
-def assemble(grid: RadialGrid, params: ModelParams) -> DiscretizedOperator:
+def assemble(grid: RadialGrid, params: ModelParams,
+             coulomb: tuple[np.ndarray, np.ndarray] | None = None) -> DiscretizedOperator:
     """Assemble the symmetric Nystrom matrix of the radial operator.
 
     The operator acts on phi(p) = p xihat(p).  The diagonal term is
@@ -227,15 +296,16 @@ def assemble(grid: RadialGrid, params: ModelParams) -> DiscretizedOperator:
                                + phi(p) int C(p,q) dq,
 
     with the plain row integral in closed form.  Symmetry is exact by
-    construction (similarity by sqrt(weights)).
+    construction (similarity by sqrt(weights)).  coulomb, the mu-independent
+    _coulomb_part of this grid and params.delta, is built when not given.
     """
     if not math.isinf(params.ell):
         raise ValueError("only ell = +inf is supported in assembly")
     p = grid.nodes
     w = grid.weights
-    K, diag_kernel, diag_extra = _kernel_matrix(p, w, params)
+    M, diag_kernel, diag_extra = _kernel_matrix(p, w, params, coulomb)
     sw = np.sqrt(w)
-    M = np.outer(sw, sw) * K  # exactly symmetric: both factors are
+    M *= np.outer(sw, sw)  # exactly symmetric: both factors are
     d = np.sqrt(0.75 * p * p + params.mu) + params.alpha
     np.fill_diagonal(M, d + w * diag_kernel + diag_extra)
     return DiscretizedOperator(matrix=M, params=params, grid=grid)
@@ -244,12 +314,6 @@ def assemble(grid: RadialGrid, params: ModelParams) -> DiscretizedOperator:
 def smallest_eigenvalue(op: DiscretizedOperator) -> float:
     """Smallest eigenvalue of the assembled symmetric matrix."""
     return float(np.linalg.eigvalsh(op.matrix)[0])
-
-
-def _negative_count(grid: RadialGrid, mu: float, delta: float) -> tuple[int, np.ndarray]:
-    """Number of negative eigenvalues at mu, and the ascending spectrum."""
-    ev = np.linalg.eigvalsh(assemble(grid, ModelParams(mu=mu, delta=delta)).matrix)
-    return int(np.sum(ev < 0.0)), ev
 
 
 def _brent_crossing(f, a: float, fa: float, b: float, fb: float, width: float) -> float:
@@ -317,6 +381,11 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     the sign-change bracket is at most refine_rel wide (relative); the
     reported crossing, the bracket's geometric midpoint, lies within
     refine_rel of the discrete operator's singular mu.
+
+    The sweep solves, then the refinement chains (one task per crossing),
+    run on one pool of TRIBOS_THREADS threads (default: the CPU count), each
+    solve with single-threaded BLAS, so the pool size is the total thread
+    count and the result does not depend on it or on OPENBLAS_NUM_THREADS.
     """
     if not 0.0 < refine_rel < 1.0:
         raise ValueError(f"refine_rel must lie in (0, 1), got {refine_rel}")
@@ -325,28 +394,35 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     if n_mu < 2:
         raise ValueError("n_mu must be at least 2")
     mus = np.geomspace(mu_lo, mu_hi, n_mu)
-    workers = min(_thread_count(), n_mu)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sweep = list(pool.map(lambda m: _negative_count(grid, float(m), delta), mus))
-    else:
-        sweep = [_negative_count(grid, float(m), delta) for m in mus]
-    counts = [c for c, _ in sweep]
     width = math.log1p(refine_rel)
+    workers = min(_thread_count(), n_mu)
+    with _single_threaded_blas():
+        coulomb = _coulomb_part(grid.nodes, grid.weights, delta) if delta != 0.0 else None
 
-    crossings = []
-    for i in range(n_mu - 1):
-        if counts[i + 1] > counts[i]:
-            raise RuntimeError("negative-eigenvalue count increased with mu")
-        for level in range(counts[i + 1] + 1, counts[i] + 1):
-            # the level-th eigenvalue is < 0 at mus[i] and >= 0 at mus[i + 1]
-            k = level - 1
-            t = _brent_crossing(
-                lambda t: float(_negative_count(grid, math.exp(t), delta)[1][k]),
-                math.log(mus[i]), float(sweep[i][1][k]),
-                math.log(mus[i + 1]), float(sweep[i + 1][1][k]), width)
-            crossings.append(math.exp(t))
-    return SpectralScan(mus=mus, smallest=np.array([ev[0] for _, ev in sweep]),
+        def spectrum(mu: float) -> np.ndarray:
+            params = ModelParams(mu=mu, delta=delta)
+            return np.linalg.eigvalsh(assemble(grid, params, coulomb).matrix)
+
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            sweep = list(pool.map(lambda m: spectrum(float(m)), mus))
+            counts = [int(np.sum(ev < 0.0)) for ev in sweep]
+            if any(hi > lo for lo, hi in zip(counts, counts[1:])):
+                raise RuntimeError("negative-eigenvalue count increased with mu")
+
+            def refine(i: int, k: int) -> float:
+                # the k-th eigenvalue is < 0 at mus[i] and >= 0 at mus[i + 1]
+                return math.exp(_brent_crossing(
+                    lambda t: float(spectrum(math.exp(t))[k]),
+                    math.log(mus[i]), float(sweep[i][k]),
+                    math.log(mus[i + 1]), float(sweep[i + 1][k]), width))
+
+            chains = [pool.submit(refine, i, level - 1) for i in range(n_mu - 1)
+                      for level in range(counts[i + 1] + 1, counts[i] + 1)]
+            crossings = [chain.result() for chain in chains]
+        finally:
+            pool.shutdown(cancel_futures=True)  # after a failure, drop queued chains
+    return SpectralScan(mus=mus, smallest=np.array([ev[0] for ev in sweep]),
                         negative_counts=np.array(counts), crossings=sorted(crossings))
 
 

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,3 +196,36 @@ def test_scan_with_crossings_byte_identical(tmp_path, monkeypatch):
     _, rows = read_rows(tmp_path / "scan0.csv")
     assert sum(len(r[3].split(";")) for r in rows if r[3]) == 3
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--delta", "nan"],
+    ["scan", "--delta", "1", "--p-max", "inf"],
+    ["oracle", "--tol", "nan"],
+    ["oracle", "--s", "nan,1"],
+    ["ladder", "--n=0..2000"],
+    ["ladder", "--n=-2000..0"],
+    ["thomas", "--h", "10"],
+    ["thomas", "--eta", "-1"],
+])
+def test_invalid_inputs_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_scan_output_independent_of_thread_variables(tmp_path):
+    # OpenBLAS reads OPENBLAS_NUM_THREADS when it loads: one process per setting
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = set()
+    for threads in ("1", "4"):
+        for blas in (None, "1"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            env["TRIBOS_THREADS"] = threads
+            if blas is not None:
+                env["OPENBLAS_NUM_THREADS"] = blas
+            out = tmp_path / f"scan-{threads}-{blas}.csv"
+            subprocess.run([sys.executable, "-m", "tribos.cli", *_SMALL_LADDER_SCAN,
+                            "--out", str(out)], env=env, check=True, timeout=120)
+            outputs.add(out.read_bytes())
+    assert len(outputs) == 1

@@ -347,3 +347,102 @@ def test_brent_crossing_on_known_root():
     assert abs(t - math.log(3.0)) <= width
     assert f(t - width) < 0.0 < f(t + width)
     assert len(evals) <= 2 + 15
+
+
+def _reference_assembly(grid, params):
+    # the out-of-place formulas, the reference for the in-place kernel build
+    p, w = grid.nodes, grid.weights
+    P, Q = p[:, None], p[None, :]
+    s = P * P + Q * Q + params.mu
+    K = -(2.0 / math.pi) * np.log((s + P * Q) / (s - P * Q))
+    diag_kernel = np.diag(K).copy()
+    diag_extra = np.zeros_like(p)
+    if params.delta != 0.0:
+        with np.errstate(divide="ignore"):
+            C = (params.delta / math.pi) * np.log((P + Q) / np.abs(P - Q))
+        np.fill_diagonal(C, 0.0)
+        diag_extra = coulomb_row_integral(p, p[0], p[-1], params.delta) - C @ w
+        K = K + C
+    sw = np.sqrt(w)
+    M = np.outer(sw, sw) * K
+    d = np.sqrt(0.75 * p * p + params.mu) + params.alpha
+    np.fill_diagonal(M, d + w * diag_kernel + diag_extra)
+    return M
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.37, 1.0])
+def test_assemble_with_precomputed_coulomb_part_is_bit_identical(delta):
+    grid = build_grid(1e-4, 1e4, 300)
+    coulomb = stm._coulomb_part(grid.nodes, grid.weights, delta) if delta else None
+    for mu in (1e-3, 0.7, 1e3):
+        params = ModelParams(mu=mu, delta=delta, alpha=0.25)
+        built = assemble(grid, params).matrix
+        assert np.array_equal(built, _reference_assembly(grid, params))
+        assert np.array_equal(assemble(grid, params, coulomb).matrix, built)
+
+
+def _blas_controls():
+    controls = stm._openblas_thread_controls()
+    if controls is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    return controls
+
+
+def _assert_same_scan(a, b):
+    assert np.array_equal(a.mus, b.mus)
+    assert np.array_equal(a.smallest, b.smallest)
+    assert np.array_equal(a.negative_counts, b.negative_counts)
+    assert a.crossings == b.crossings
+
+
+def test_scan_independent_of_blas_and_pool_threads(monkeypatch):
+    get, put = _blas_controls()
+    grid = build_grid(*_LADDER_GRID)
+    previous = get()
+    results = []
+    try:
+        for blas in (1, 2):
+            for threads in ("1", "4"):
+                put(blas)
+                monkeypatch.setenv("TRIBOS_THREADS", threads)
+                results.append((scan_spectrum(grid, 0.0, 1e-4, 1e4, 3),
+                                scan_spectrum(grid, 1.0, 1e-2, 1e2, 3)))
+    finally:
+        put(previous)
+    assert len(results[0][0].crossings) == 3
+    for ladder, positive in results[1:]:
+        _assert_same_scan(ladder, results[0][0])
+        _assert_same_scan(positive, results[0][1])
+
+
+def test_scan_solves_single_threaded_and_restores_blas_threads(monkeypatch):
+    get, put = _blas_controls()
+    grid = build_grid(*_LADDER_GRID)
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(get()) or eigvalsh(a))
+    previous = get()
+    try:
+        put(2)
+        scan_spectrum(grid, 0.0, 1e-4, 1e4, 3)
+        assert get() == 2
+        with pytest.raises(RuntimeError):
+            scan_spectrum(grid, 0.0, 1e-4, 1e4, 3, refine_rel=1e-300)
+        assert get() == 2
+    finally:
+        put(previous)
+    assert seen and set(seen) == {1}
+
+
+@pytest.mark.parametrize("field", ["mu", "delta", "alpha"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_model_params_rejects_non_finite(field, value):
+    with pytest.raises(ValueError):
+        ModelParams(**{"mu": 1.0, field: value})
+
+
+@pytest.mark.parametrize("bounds", [(1e-4, math.inf), (math.nan, 1.0), (1e-4, math.nan),
+                                    (math.inf, math.inf)])
+def test_build_grid_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError):
+        build_grid(*bounds, 16)
