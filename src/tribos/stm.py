@@ -29,6 +29,7 @@ _GL_POINTS_PER_PANEL = 16
 # Eigen-solves allowed per crossing refinement.  Brent needs about 5 at
 # refine_rel = 1e-8; bisecting the widest double bracket needs about 60.
 _MAX_REFINE_STEPS = 100
+_ROW_BLOCK = 64  # kernel rows per residual block; block starts are multiples of it
 
 
 @dataclass(frozen=True)
@@ -238,48 +239,51 @@ def coulomb_row_integral(p, a: float, b: float, delta: float):
     return out if out.ndim else float(out)
 
 
-def _coulomb_part(p: np.ndarray, w: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The mu-independent Coulomb part of the Nystrom operator for delta != 0.
+def _coulomb_part(p: np.ndarray, w: np.ndarray, delta: float, lo: int = 0,
+                  hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Rows lo:hi (default: all) of the mu-independent Coulomb part, delta != 0.
 
-    Returns (C, diag_extra): C[i, j] = coulomb_kernel(p_i, p_j, delta) with
-    the singular diagonal zeroed, and the singularity-subtraction correction
-    c(p) - C @ w, where c(p) is the closed-form row integral of the kernel.
+    Returns (C, diag_extra): C[i, j] = coulomb_kernel(p_{lo+i}, p_j, delta)
+    with the singular entries j = lo + i zeroed, and the singularity-subtraction
+    correction c(p) - C @ w, c(p) the closed-form row integral of the kernel.
     """
-    C = np.add.outer(p, p)
-    gap = np.subtract.outer(p, p)
+    rows = p[lo:hi]
+    C = np.add.outer(rows, p)
+    gap = np.subtract.outer(rows, p)
     np.abs(gap, out=gap)
     with np.errstate(divide="ignore"):
         C /= gap
     np.log(C, out=C)
     C *= delta / math.pi
-    np.fill_diagonal(C, 0.0)
-    return C, coulomb_row_integral(p, p[0], p[-1], delta) - C @ w
+    np.fill_diagonal(C[:, lo:], 0.0)
+    return C, coulomb_row_integral(rows, p[0], p[-1], delta) - C @ w
 
 
 def _kernel_matrix(p: np.ndarray, w: np.ndarray, params: ModelParams,
                    coulomb: tuple[np.ndarray, np.ndarray] | None = None,
+                   lo: int = 0, hi: int | None = None,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kernel matrix and diagonal pieces of the Nystrom operator.
+    """Kernel rows lo:hi (default: all) and diagonal pieces of the Nystrom operator.
 
-    Returns (K, diag_kernel, diag_extra): K is the full kernel matrix with
-    the Coulomb diagonal zeroed, diag_kernel the TMS kernel on the diagonal,
-    and diag_extra the singularity-subtraction correction (zero when
-    delta = 0).  coulomb is _coulomb_part(p, w, params.delta), built here
-    when not given.
+    Returns (K, diag_kernel, diag_extra): K holds the kernel rows against all
+    nodes with the Coulomb diagonal (j = lo + i) zeroed, diag_kernel the TMS
+    kernel on that diagonal, and diag_extra the singularity-subtraction
+    correction (zero when delta = 0).  coulomb is _coulomb_part(p, w,
+    params.delta, lo, hi), built here when not given.
     """
     pp = p * p
-    s = np.add.outer(pp, pp)
+    s = np.add.outer(pp[lo:hi], pp)
     s += params.mu
-    pq = np.multiply.outer(p, p)
+    pq = np.multiply.outer(p[lo:hi], p)
     K = s + pq
     s -= pq
     K /= s
     np.log(K, out=K)
     K *= -2.0 / math.pi
-    diag_kernel = K.diagonal().copy()
-    diag_extra = np.zeros_like(p)
+    diag_kernel = K.diagonal(lo).copy()
+    diag_extra = np.zeros(K.shape[0])
     if params.delta != 0.0:
-        C, diag_extra = coulomb if coulomb is not None else _coulomb_part(p, w, params.delta)
+        C, diag_extra = coulomb or _coulomb_part(p, w, params.delta, lo, hi)
         K += C
     return K, diag_kernel, diag_extra
 
@@ -440,33 +444,40 @@ def residual(xi, params: ModelParams, eval_lo: float | None = None,
     residual rows are evaluated only at interior nodes, p in
     [eval_lo, eval_hi]; the defaults trim two decades at the low end and
     seven at the high end, where hard truncation of the half-line integral
-    pollutes the rows (the kernel decays only like 1/q).  Normalization is
-    the L2 norm of the diagonal term over the same nodes; zero samples give
-    residual 0.
+    pollutes the rows (the kernel decays only like 1/q).  Only those rows
+    are built, _ROW_BLOCK at a time, so the extra memory is O(_ROW_BLOCK n).
+    Normalization is the L2 norm of the diagonal term over the same nodes;
+    zero samples give residual 0, non-finite ones raise ValueError.
     """
     grid = xi.grid
     p = grid.nodes
     values = np.asarray(xi.values, dtype=float)
-    if values.shape != p.shape:
-        raise ValueError("charge-density samples do not match the grid")
+    if values.shape != p.shape or not np.all(np.isfinite(values)):
+        raise ValueError("charge-density samples must be finite and match the grid")
     if not math.isclose(xi.mu, params.mu, rel_tol=1e-12):
         raise ValueError(f"mu mismatch: samples at {xi.mu}, params at {params.mu}")
     if eval_lo is None:
         eval_lo = 100.0 * grid.p_min
     if eval_hi is None:
         eval_hi = 1e-7 * grid.p_max
+    window = np.flatnonzero((p >= eval_lo) & (p <= eval_hi))
+    if window.size == 0:
+        raise ValueError("interior evaluation window contains no nodes")
     w = grid.weights
     phi = p * values
-    K, _, diag_extra = _kernel_matrix(p, w, params)
+    wphi = w * phi
     d = np.sqrt(0.75 * p * p + params.mu) + params.alpha
-    r = d * phi + K @ (w * phi) + diag_extra * phi
-    mask = (p >= eval_lo) & (p <= eval_hi)
-    if not np.any(mask):
-        raise ValueError("interior evaluation window contains no nodes")
-    scale = float(np.linalg.norm((d * phi)[mask]))
+    scale = float(np.linalg.norm((d * phi)[window]))
     if scale == 0.0:
         return 0.0
-    return float(np.linalg.norm(r[mask]) / scale)
+    r = np.empty_like(phi)
+    # Block starts are multiples of _ROW_BLOCK (the last block is clipped at n),
+    # so BLAS forms each row bit for bit as in the full matrix product.
+    for lo in range(window[0] - window[0] % _ROW_BLOCK, window[-1] + 1, _ROW_BLOCK):
+        hi = lo + _ROW_BLOCK
+        K, _, diag_extra = _kernel_matrix(p, w, params, lo=lo, hi=hi)
+        r[lo:hi] = d[lo:hi] * phi[lo:hi] + K @ wphi + diag_extra * phi[lo:hi]
+    return float(np.linalg.norm(r[window]) / scale)
 
 
 def closed_form_residual(mu: float, n: int = 2000, delta: float = 0.0,

@@ -140,8 +140,8 @@ def certify_positivity(delta: float, s_max: float, n: int) -> SymbolScan:
     empty bracket list together with min_value > 0; a negative minimum for
     smaller delta is a valid report, not an error.
     """
-    if not s_max > 0.0:
-        raise ValueError("s_max must be positive")
+    if not (math.isfinite(delta) and 0.0 < s_max < math.inf):
+        raise ValueError(f"need a finite delta and 0 < s_max < inf, got {delta}, {s_max}")
     if n < 2:
         raise ValueError("n must be at least 2")
     step = s_max / (n - 1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -186,6 +187,53 @@ def test_residual_regularized_is_bounded_away_from_zero(s0):
     on = residual(xi, ModelParams(mu=mu), eval_lo=1e-4, eval_hi=1e3)
     assert off > 1e3 * on
     assert off > 0.01
+
+
+def _dense_residual(xi, params, eval_lo, eval_hi):
+    # the full-matrix product, the reference for the row-blocked residual
+    p, w = xi.grid.nodes, xi.grid.weights
+    phi = p * xi.values
+    K, _, diag_extra = stm._kernel_matrix(p, w, params)
+    d = np.sqrt(0.75 * p * p + params.mu) + params.alpha
+    r = d * phi + K @ (w * phi) + diag_extra * phi
+    mask = (p >= eval_lo) & (p <= eval_hi)
+    return float(np.linalg.norm(r[mask]) / np.linalg.norm((d * phi)[mask]))
+
+
+@pytest.mark.parametrize("n, delta, window", [
+    (2000, 0.0, (1e-4, 1e3)),  # rows 249..1125
+    (2000, 0.37, (1e-4, 1e3)),
+    # rows 161..999: the first row and n are not multiples of the block
+    # size, and the last block is clipped at n
+    (1000, 1.0, (3e-4, 1e10)),
+])
+def test_residual_matches_dense_product(s0, n, delta, window):
+    grid = build_grid(1e-6, 1e10, n)
+    xi = sample_charge_density(grid, 1.0, s0)
+    params = ModelParams(mu=1.0, delta=delta, alpha=0.1)
+    assert residual(xi, params, *window) == _dense_residual(xi, params, *window)
+
+
+def test_residual_memory_is_linear_in_n():
+    closed_form_residual(1.0, n=500)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        closed_form_residual(1.0, n=4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6  # the dense n x n kernel alone is 128 MB
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_residual_rejects_non_finite_samples(s0, bad):
+    grid = build_grid(1e-6, 1e10, 200)
+    xi = sample_charge_density(grid, 1.0, s0)
+    values = xi.values.copy()
+    values[-1] = bad  # outside the evaluation window, but every column counts
+    with pytest.raises(ValueError):
+        residual(type(xi)(grid=grid, values=values, mu=1.0), ModelParams(mu=1.0),
+                 eval_lo=1e-4, eval_hi=1e3)
 
 
 def test_scan_validation():

@@ -142,6 +142,18 @@ def test_certify_positivity_validation():
         certify_positivity(1.0, 50.0, 1)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_certify_positivity_rejects_non_finite_delta(delta):
+    with pytest.raises(ValueError):
+        certify_positivity(delta, 50.0, 100)
+
+
+@pytest.mark.parametrize("s_max", [math.inf, math.nan])
+def test_certify_positivity_rejects_non_finite_s_max(s_max):
+    with pytest.raises(ValueError):
+        certify_positivity(1.0, s_max, 100)
+
+
 def test_gamma_delta_conversion():
     rng = np.random.default_rng(17)
     for x in rng.uniform(-5.0, 5.0, size=20):
