@@ -17,11 +17,10 @@ from .oracle import (QuadratureBudgetError, TransformCheck, check_transforms,
 from .specfun import Accuracy, k0, sinh_ratio, tanh_over_s
 from .stm import (DiscretizedOperator, ModelParams, RadialGrid, SpectralScan, assemble,
                   build_grid, closed_form_residual, coulomb_kernel, coulomb_row_integral,
-                  default_grid, residual, scan_bound_states, scan_spectrum,
-                  smallest_eigenvalue, tms_kernel)
-from .symbols import (EfimovConstant, SymbolScan, certify_positivity, delta0,
+                  residual, scan_bound_states, scan_spectrum, smallest_eigenvalue, tms_kernel)
+from .symbols import (EfimovConstant, SymbolScan, certify_positivity, default_s0, delta0,
                       delta_bound, delta_to_gamma, eval_g, eval_reg_symbol, find_s0,
-                      gamma_bound, gamma_to_delta)
+                      gamma_bound, gamma_to_delta, symbol_samples)
 from .thomas import ThomasPoint, boundary_coefficient, pde_residual, thomas_psi
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -2,8 +2,8 @@
 
 Output is CSV or JSON with a metadata header (tool version, canonical
 config echo, config hash, the s0 value in use); identical configs produce
-byte-identical output.  Exit codes: 0 success, 2 invalid configuration,
-3 numerical non-convergence.
+byte-identical output.  Exit codes: 0 success, 2 invalid configuration or
+out of memory, 3 numerical non-convergence or overflow.
 """
 
 from __future__ import annotations
@@ -131,11 +131,13 @@ def _write_atomic(path: str | None, text: str) -> None:
         raise
 
 
-def emit_csv(config: RunConfig, s0: float, columns: list[str], rows: list[tuple]) -> None:
+def emit_csv(config: RunConfig, s0: float, columns: list[str], rows: list[tuple],
+             notes: tuple[str, ...] = ()) -> None:
+    """Write the metadata header, a "# note" line per note, then the table."""
     for row in rows:
         if len(row) != len(columns):
             raise ValueError("row does not match the column schema")
-    lines = _meta_lines(config, s0)
+    lines = _meta_lines(config, s0) + [f"# {note}" for note in notes]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
@@ -199,20 +201,14 @@ def _run_ladder(config: RunConfig, s0: float) -> None:
 def _run_symbol(config: RunConfig, s0: float) -> None:
     p = config.parameters
     scan = symbols.certify_positivity(p["delta"], p["s_max"], p["n"])
-    rows = []
-    brackets = {lo for lo, _ in scan.sign_changes}
-    step = p["s_max"] / (p["n"] - 1)
-    for i in range(p["n"]):
-        s = i * step
-        rows.append((s, symbols.eval_g(s), symbols.eval_reg_symbol(s, p["delta"]),
-                     1 if s in brackets else 0))
-    config_extra = (f"min_value={_fmt(scan.min_value)} argmin={_fmt(scan.argmin)} "
-                    f"n_sign_changes={len(scan.sign_changes)}")
-    lines = _meta_lines(config, s0) + [f"# scan: {config_extra}"]
-    lines.append(",".join(["s", "g", "reg_symbol", "sign_change_bracket"]))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    _write_atomic(config.output_path, "\n".join(lines) + "\n")
+    s = symbols.symbol_samples(p["s_max"], p["n"])
+    bracket = np.zeros(s.size, dtype=int)
+    bracket[np.searchsorted(s, [lo for lo, _ in scan.sign_changes])] = 1
+    rows = list(zip(s.tolist(), symbols.eval_g(s).tolist(),
+                    symbols.eval_reg_symbol(s, p["delta"]).tolist(), bracket.tolist()))
+    emit_csv(config, s0, ["s", "g", "reg_symbol", "sign_change_bracket"], rows,
+             notes=(f"scan: min_value={_fmt(scan.min_value)} argmin={_fmt(scan.argmin)} "
+                    f"n_sign_changes={len(scan.sign_changes)}",))
 
 
 def _run_scan(config: RunConfig, s0: float) -> None:
@@ -242,6 +238,8 @@ def _run_thomas(config: RunConfig, s0: float) -> None:
     p = config.parameters
     if not p["eta"] > 0.0:
         raise ValueError("eta must be positive")
+    if not p["n_points"] > 0:
+        raise ValueError("n_points must be positive")
     rng = np.random.default_rng(p["seed"])
     rows = []
     count = 0
@@ -308,7 +306,7 @@ _RUNNERS = {"s0": _run_s0, "delta0": _run_delta0, "ladder": _run_ladder,
 def run(config: RunConfig) -> int:
     """Execute a validated config; returns the process exit code."""
     try:
-        s0 = symbols.find_s0(1e-14).s0
+        s0 = symbols.default_s0()
         _RUNNERS[config.command](config, s0)
     except np.linalg.LinAlgError as exc:  # a ValueError subclass: catch it first
         print(f"error: {exc}", file=sys.stderr)
@@ -316,7 +314,10 @@ def run(config: RunConfig) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (oracle_mod.QuadratureBudgetError, RuntimeError) as exc:
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc!r}", file=sys.stderr)
+        return 2
+    except (oracle_mod.QuadratureBudgetError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

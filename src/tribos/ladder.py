@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stm import RadialGrid
+from .symbols import default_s0
 
 SQRT3 = math.sqrt(3.0)
 
@@ -43,9 +43,9 @@ class BoundStateLadder:
 
 @dataclass(frozen=True)
 class ChargeDensity:
-    """Samples of xihat on a radial grid at spectral parameter mu."""
+    """Samples of xihat on a stm.RadialGrid at spectral parameter mu."""
 
-    grid: RadialGrid
+    grid: object
     values: np.ndarray
     mu: float
 
@@ -80,7 +80,7 @@ def build_ladder(beta: float, n_lo: int, n_hi: int, s0: float) -> BoundStateLadd
     """Ladder entries for n in [n_lo, n_hi], sorted by n."""
     if n_lo > n_hi:
         raise ValueError("need n_lo <= n_hi")
-    entries = [(n, mu_n(beta, n, s0), -mu_n(beta, n, s0)) for n in range(n_lo, n_hi + 1)]
+    entries = [(n, mu := mu_n(beta, n, s0), -mu) for n in range(n_lo, n_hi + 1)]
     return BoundStateLadder(beta=beta, s0=s0, entries=entries)
 
 
@@ -151,10 +151,8 @@ def xi_from_theta(theta_fn, p, mu: float):
     return out if out.ndim else float(out)
 
 
-def sample_charge_density(grid: RadialGrid, mu: float, s0: float | None = None) -> ChargeDensity:
-    """Sample the closed-form density on a grid (s0 located on demand)."""
+def sample_charge_density(grid, mu: float, s0: float | None = None) -> ChargeDensity:
+    """Sample the closed-form density on a grid (default: default_s0())."""
     if s0 is None:
-        from .symbols import find_s0
-
-        s0 = find_s0(1e-14).s0
+        s0 = default_s0()
     return ChargeDensity(grid=grid, values=xi_mu(grid.nodes, mu, s0), mu=mu)

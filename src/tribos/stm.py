@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ladder import sample_charge_density
+
 GRID_KINDS = ("log-uniform", "gauss-legendre-on-log")
 
 _GL_POINTS_PER_PANEL = 16
@@ -51,15 +53,13 @@ class ModelParams:
     """Physical parameters of the radial operator at fixed spectral point.
 
     alpha is the inverse scattering length (0 = unitary two-body resonance),
-    delta the three-body regularization strength, ell its range (only
-    ell = +inf is supported by the spectral scans) and mu > 0 the spectral
-    parameter, E = -mu.
+    delta the strength of the infinite-range three-body regularization and
+    mu > 0 the spectral parameter, E = -mu.
     """
 
     mu: float
     delta: float = 0.0
     alpha: float = 0.0
-    ell: float = math.inf
 
     def __post_init__(self) -> None:
         for name in ("mu", "delta", "alpha"):
@@ -76,8 +76,6 @@ class DiscretizedOperator:
     """Dense symmetric matrix representing the radial operator."""
 
     matrix: np.ndarray
-    params: ModelParams
-    grid: RadialGrid
 
 
 def _thread_count() -> int:
@@ -180,12 +178,6 @@ def build_grid(p_min: float, p_max: float, n: int,
         p = np.concatenate(ps)
         w = np.concatenate(ws)
     return RadialGrid(nodes=p, weights=w, kind=kind, p_min=p_min, p_max=p_max)
-
-
-def default_grid(mu: float, n: int = 1000) -> RadialGrid:
-    """Default Gauss-Legendre-on-log grid, p in [1e-4, 1e4] * sqrt(mu)."""
-    root = math.sqrt(mu)
-    return build_grid(1e-4 * root, 1e4 * root, n)
 
 
 def tms_kernel(p, q, mu: float):
@@ -303,8 +295,6 @@ def assemble(grid: RadialGrid, params: ModelParams,
     construction (similarity by sqrt(weights)).  coulomb, the mu-independent
     _coulomb_part of this grid and params.delta, is built when not given.
     """
-    if not math.isinf(params.ell):
-        raise ValueError("only ell = +inf is supported in assembly")
     p = grid.nodes
     w = grid.weights
     M, diag_kernel, diag_extra = _kernel_matrix(p, w, params, coulomb)
@@ -312,7 +302,7 @@ def assemble(grid: RadialGrid, params: ModelParams,
     M *= np.outer(sw, sw)  # exactly symmetric: both factors are
     d = np.sqrt(0.75 * p * p + params.mu) + params.alpha
     np.fill_diagonal(M, d + w * diag_kernel + diag_extra)
-    return DiscretizedOperator(matrix=M, params=params, grid=grid)
+    return DiscretizedOperator(matrix=M)
 
 
 def smallest_eigenvalue(op: DiscretizedOperator) -> float:
@@ -489,13 +479,11 @@ def closed_form_residual(mu: float, n: int = 2000, delta: float = 0.0,
     with n keeps the measurement truncation-limited rather than
     quadrature-limited.
     """
-    from .ladder import sample_charge_density
-
+    params = ModelParams(mu=mu, delta=delta)
     root = math.sqrt(mu)
     total_decades = n / nodes_per_decade
     p_min = 1e-6 * root
     p_max = p_min * 10.0 ** total_decades
     grid = build_grid(p_min, p_max, n)
     xi = sample_charge_density(grid, mu, s0=s0)
-    return residual(xi, ModelParams(mu=mu, delta=delta),
-                    eval_lo=1e-4 * root, eval_hi=1e3 * root)
+    return residual(xi, params, eval_lo=1e-4 * root, eval_hi=1e3 * root)

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .specfun import sinh_ratio, tanh_over_s
 
 SQRT3 = math.sqrt(3.0)
@@ -132,6 +134,16 @@ def find_s0(tol: float = 1e-12, bracket: tuple[float, float] | None = None) -> E
     return EfimovConstant(s0=s0, residual=residual, tol=tol)
 
 
+def default_s0() -> float:
+    """The s0 used wherever no other is given: find_s0 at tol 1e-14."""
+    return find_s0(1e-14).s0
+
+
+def symbol_samples(s_max: float, n: int) -> np.ndarray:
+    """The scan points s_i = i s_max/(n - 1), i = 0..n-1, of certify_positivity."""
+    return np.arange(n) * (s_max / (n - 1))
+
+
 def certify_positivity(delta: float, s_max: float, n: int) -> SymbolScan:
     """Scan the regularized symbol on [0, s_max] and report its sign structure.
 
@@ -144,18 +156,10 @@ def certify_positivity(delta: float, s_max: float, n: int) -> SymbolScan:
         raise ValueError(f"need a finite delta and 0 < s_max < inf, got {delta}, {s_max}")
     if n < 2:
         raise ValueError("n must be at least 2")
-    step = s_max / (n - 1)
-    s_prev = 0.0
-    v_prev = eval_reg_symbol(0.0, delta)
-    min_value, argmin = v_prev, 0.0
-    sign_changes: list[tuple[float, float]] = []
-    for i in range(1, n):
-        s = i * step
-        v = eval_reg_symbol(s, delta)
-        if v < min_value:
-            min_value, argmin = v, s
-        if v_prev * v < 0.0:
-            sign_changes.append((s_prev, s))
-        s_prev, v_prev = s, v
-    return SymbolScan(s_max=s_max, n_points=n, min_value=min_value,
-                      argmin=argmin, sign_changes=sign_changes)
+    s = symbol_samples(s_max, n)
+    v = eval_reg_symbol(s, delta)
+    i = int(np.argmin(v))
+    # signs, not values: a product of values can overflow or underflow
+    lo = np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0.0)
+    return SymbolScan(s_max=s_max, n_points=n, min_value=float(v[i]), argmin=float(s[i]),
+                      sign_changes=list(zip(s[lo].tolist(), s[lo + 1].tolist())))

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,7 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tribos import cli
 from tribos.cli import RunConfig, main, run
 
 
@@ -121,19 +126,44 @@ def test_symbol_command(tmp_path):
     assert all(float(r[2]) > 0.0 for r in rows)
 
 
+def _symbol_reference(s, delta):
+    # g and the regularized symbol in scalar math, sinh_ratio in its exponential form
+    if s == 0.0:
+        ratio, tanh_ratio = math.pi / 6.0, 0.5 * math.pi
+    else:
+        x = math.pi * s / 3.0
+        ratio = math.exp(-x) * -math.expm1(-x) / (s * (1.0 + math.exp(-3.0 * x)))
+        tanh_ratio = math.tanh(0.5 * math.pi * s) / s
+    return (1.0 - (8.0 / math.sqrt(3.0)) * ratio,
+            1.0 + (2.0 / math.sqrt(3.0)) * (delta * tanh_ratio - 4.0 * ratio))
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.5])
+def test_symbol_table_matches_math_reference(tmp_path, delta):
+    out = tmp_path / "symbol.csv"
+    assert main(["symbol", "--delta", str(delta), "--s-max", "50", "--n", "5000",
+                 "--out", str(out)]) == 0
+    tol = 4.0 * sys.float_info.epsilon  # numpy's exp/tanh against libm's
+    _, rows = read_rows(out)
+    s = [i * (50.0 / 4999) for i in range(5000)]
+    assert [float(r[0]) for r in rows] == s
+    for (_, g, reg, _), s_i in zip(rows, s):
+        g_ref, reg_ref = _symbol_reference(s_i, delta)
+        assert abs(float(g) - g_ref) <= tol and abs(float(reg) - reg_ref) <= tol
+    reg = [float(r[2]) for r in rows]
+    flags = [int(r[3]) for r in rows]
+    assert flags == [int(a * b < 0.0) for a, b in zip(reg, reg[1:])] + [0]
+    scan = dict(item.split("=") for item in read_meta(out)["scan"].split())
+    assert int(scan["n_sign_changes"]) == sum(flags) == int(delta == 0.5)
+    assert float(scan["min_value"]) == min(reg)
+    assert float(scan["argmin"]) == s[reg.index(min(reg))]
+
+
 def test_residual_command(tmp_path):
     out = tmp_path / "residual.json"
     assert main(["residual", "--mu", "1.0", "--n", "2000", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["result"]["residual"] <= 1e-6
-
-
-def test_thomas_command_header_only_when_empty(tmp_path):
-    out = tmp_path / "thomas.csv"
-    assert main(["thomas", "--n-points", "0", "--out", str(out)]) == 0
-    header, rows = read_rows(out)
-    assert rows == []
-    assert header[0] == "s1x"
 
 
 def test_thomas_command_rows(tmp_path):
@@ -207,9 +237,31 @@ def test_scan_with_crossings_byte_identical(tmp_path, monkeypatch):
     ["ladder", "--n=-2000..0"],
     ["thomas", "--h", "10"],
     ["thomas", "--eta", "-1"],
+    ["thomas", "--n-points", "0"],
+    ["thomas", "--n-points", "-3"],
 ])
 def test_invalid_inputs_exit_2(argv, capsys):
     assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_residual_negative_mu_message(capsys):
+    assert main(["residual", "--mu", "-1"]) == 2
+    assert capsys.readouterr().err == "error: mu must be positive\n"
+
+
+def test_memory_error_exits_2(monkeypatch, capsys):
+    def fail(config, s0):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._RUNNERS, "delta0", fail)
+    assert main(["delta0"]) == 2
+    assert capsys.readouterr().err.startswith("error: out of memory")
+
+
+def test_oracle_overflow_exits_3(capsys):
+    # cosh overflows in the odd-extension kernels for x beyond about 315
+    assert main(["oracle", "--s", "1", "--x", "1e300"]) == 3
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -229,3 +281,42 @@ def test_scan_output_independent_of_thread_variables(tmp_path):
                             "--out", str(out)], env=env, check=True, timeout=120)
             outputs.add(out.read_bytes())
     assert len(outputs) == 1
+
+
+# The input contract: whatever the parameters (nan, inf, negative, zero,
+# reversed ranges), main returns 0, 2 or 3 without raising, and a run that
+# succeeds gives the same bytes when repeated.  Sizes are bounded so that each
+# run is short: symbol --n <= 5000, oracle --s/--x at most two values each,
+# ladder levels |n| <= 150.
+_FLOATS = st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "1e-300",
+                                     "-1e-300", "5e-324", "1e300", "-1e308"]),
+                    st.floats(-50.0, 50.0).map(repr))
+_ARGV = st.one_of(
+    st.builds(lambda tol: ["s0", f"--tol={tol}"], _FLOATS),
+    st.just(["delta0"]),
+    st.builds(lambda beta, lo, hi, tol: ["ladder", f"--beta={beta}", f"--n={lo}..{hi}",
+                                         f"--tol={tol}"],
+              _FLOATS, st.integers(-150, 150), st.integers(-150, 150), _FLOATS),
+    st.builds(lambda delta, s_max, n: ["symbol", f"--delta={delta}", f"--s-max={s_max}",
+                                       f"--n={n}"],
+              _FLOATS, _FLOATS, st.integers(-2, 5000)),
+    st.builds(lambda s, x, tol: ["oracle", "--s=" + ",".join(s), "--x=" + ",".join(x),
+                                 f"--tol={tol}"],
+              st.lists(_FLOATS, max_size=2), st.lists(_FLOATS, max_size=2), _FLOATS),
+)
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_ARGV)
+def test_cli_input_contract(argv):
+    code, text = _main_output(argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert _main_output(argv) == (0, text)

@@ -114,8 +114,8 @@ def test_hyperbolic_ratio_taylor_seam():
 
 def test_accuracy_validation():
     acc = Accuracy()
-    assert acc.abs_tol <= 1e-6 and acc.rel_tol <= 1e-6
+    assert acc.abs_tol <= 1e-6
     with pytest.raises(ValueError):
         Accuracy(abs_tol=0.0)
     with pytest.raises(ValueError):
-        Accuracy(rel_tol=-1e-9)
+        Accuracy(abs_tol=-1e-9)

@@ -8,7 +8,7 @@ import pytest
 from tribos import stm
 from tribos.ladder import sample_charge_density, xi_mu
 from tribos.stm import (ModelParams, assemble, build_grid, closed_form_residual,
-                        coulomb_kernel, coulomb_row_integral, default_grid, residual,
+                        coulomb_kernel, coulomb_row_integral, residual,
                         scan_bound_states, scan_spectrum, smallest_eigenvalue,
                         tms_kernel)
 
@@ -111,14 +111,12 @@ def test_model_params_validation():
         ModelParams(mu=0.0)
     with pytest.raises(ValueError):
         ModelParams(mu=1.0, delta=-0.1)
-    with pytest.raises(ValueError):
-        assemble(default_grid(1.0, 64), ModelParams(mu=1.0, ell=5.0))
 
 
 def test_assemble_symmetry_and_diagonal():
     mu = 1.0
     for delta in (0.0, 1.0):
-        op = assemble(default_grid(mu, 400), ModelParams(mu=mu, delta=delta))
+        op = assemble(build_grid(1e-4, 1e4, 400), ModelParams(mu=mu, delta=delta))
         m = op.matrix
         assert np.max(np.abs(m - m.T)) <= 1e-12
         diag = np.diag(m)
@@ -142,10 +140,10 @@ def test_assemble_applied_to_closed_form_density(s0):
 
 def test_smallest_eigenvalue_shift_identity():
     mu = 2.0
-    op = assemble(default_grid(mu, 200), ModelParams(mu=mu))
+    root = math.sqrt(mu)
+    op = assemble(build_grid(1e-4 * root, 1e4 * root, 200), ModelParams(mu=mu))
     base = smallest_eigenvalue(op)
-    shifted = type(op)(matrix=op.matrix + 0.375 * np.eye(len(op.grid)),
-                       params=op.params, grid=op.grid)
+    shifted = type(op)(matrix=op.matrix + 0.375 * np.eye(len(op.matrix)))
     assert smallest_eigenvalue(shifted) == pytest.approx(base + 0.375, abs=1e-10)
     # deterministic
     assert smallest_eigenvalue(op) == base
@@ -165,7 +163,7 @@ def test_residual_of_closed_form_density():
 
 def test_residual_trivial_solution_and_errors(s0):
     mu = 1.0
-    grid = default_grid(mu, 200)
+    grid = build_grid(1e-4, 1e4, 200)
     xi = sample_charge_density(grid, mu, s0)
     zero = type(xi)(grid=grid, values=np.zeros(len(grid)), mu=mu)
     assert residual(zero, ModelParams(mu=mu), eval_lo=1e-2, eval_hi=1e2) == 0.0
@@ -237,7 +235,7 @@ def test_residual_rejects_non_finite_samples(s0, bad):
 
 
 def test_scan_validation():
-    grid = default_grid(1.0, 64)
+    grid = build_grid(1e-4, 1e4, 64)
     with pytest.raises(ValueError):
         scan_bound_states(grid, 0.0, 10.0, 1.0, 8)
     with pytest.raises(ValueError):
@@ -369,7 +367,7 @@ def test_scan_refinement_solve_budget(monkeypatch):
 
 @pytest.mark.parametrize("refine_rel", [0.0, -1.0, math.nan, math.inf, 1.0])
 def test_scan_rejects_bad_refine_rel(refine_rel):
-    grid = default_grid(1.0, 64)
+    grid = build_grid(1e-4, 1e4, 64)
     with pytest.raises(ValueError):
         scan_spectrum(grid, 0.0, 1e-2, 1e2, 3, refine_rel=refine_rel)
     with pytest.raises(ValueError):

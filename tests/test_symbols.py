@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tribos.specfun import sinh_ratio, tanh_over_s
 from tribos.symbols import (SQRT3, certify_positivity, delta0, delta_bound,
                             delta_to_gamma, eval_g, eval_reg_symbol, find_s0,
                             gamma_bound, gamma_to_delta)
@@ -133,6 +134,44 @@ def test_certify_positivity_below_threshold():
     assert scan.min_value < 0.0
     assert scan.argmin < 1.0  # negative region sits near s = 0
     assert len(scan.sign_changes) >= 1
+
+
+def _scan_reference(delta, s_max, n):
+    # scalar loop: the first minimum and every sign-change bracket
+    step = s_max / (n - 1)
+    s_prev, v_prev = 0.0, eval_reg_symbol(0.0, delta)
+    min_value, argmin, brackets = v_prev, 0.0, []
+    for i in range(1, n):
+        s = i * step
+        v = eval_reg_symbol(s, delta)
+        if v < min_value:
+            min_value, argmin = v, s
+        if v_prev * v < 0.0:
+            brackets.append((s_prev, s))
+        s_prev, v_prev = s, v
+    return min_value, argmin, brackets
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.5])
+def test_certify_positivity_matches_scalar_loop(delta):
+    scan = certify_positivity(delta, 50.0, 5000)
+    assert (scan.min_value, scan.argmin, scan.sign_changes) == _scan_reference(delta, 50.0, 5000)
+    assert type(scan.min_value) is float and type(scan.argmin) is float
+    assert len(scan.sign_changes) == int(delta < delta0())
+
+
+@pytest.mark.parametrize("f", [sinh_ratio, tanh_over_s, eval_g,
+                               lambda s: eval_reg_symbol(s, 0.5)],
+                         ids=["sinh_ratio", "tanh_over_s", "eval_g", "eval_reg_symbol"])
+def test_array_calls_match_scalar_calls(f):
+    s = np.concatenate([np.linspace(-60.0, 60.0, 1001),
+                        [0.0, 1e-7, 9.99e-7, 1.01e-6, 1e4, 1e300, math.inf]])
+    values = f(s)
+    scalars = [f(float(x)) for x in s]
+    assert all(type(v) is float for v in scalars)
+    assert type(f(np.float64(2.0))) is float
+    assert np.array_equal(values, scalars)
+    assert np.array_equal(f(s.reshape(-1, 7)), values.reshape(-1, 7))
 
 
 def test_certify_positivity_validation():
