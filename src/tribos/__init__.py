@@ -15,9 +15,9 @@ from .oracle import (QuadratureBudgetError, TransformCheck, check_transforms,
                      coth_transform_analytic, factorization_check, m_log_kernel,
                      m_transform_analytic, odd_extension_check)
 from .specfun import Accuracy, k0, sinh_ratio, tanh_over_s
-from .stm import (DiscretizedOperator, ModelParams, RadialGrid, SpectralScan, assemble,
-                  build_grid, closed_form_residual, coulomb_kernel, coulomb_row_integral,
-                  residual, scan_bound_states, scan_spectrum, smallest_eigenvalue, tms_kernel)
+from .stm import (ModelParams, RadialGrid, SpectralScan, assemble, build_grid,
+                  closed_form_residual, coulomb_kernel, coulomb_row_integral, residual,
+                  scan_bound_states, scan_spectrum, smallest_eigenvalue, tms_kernel)
 from .symbols import (EfimovConstant, SymbolScan, certify_positivity, default_s0, delta0,
                       delta_bound, delta_to_gamma, eval_g, eval_reg_symbol, find_s0,
                       gamma_bound, gamma_to_delta, symbol_samples)

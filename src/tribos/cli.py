@@ -308,7 +308,8 @@ def run(config: RunConfig) -> int:
     try:
         s0 = symbols.default_s0()
         _RUNNERS[config.command](config, s0)
-    except np.linalg.LinAlgError as exc:  # a ValueError subclass: catch it first
+    except (np.linalg.LinAlgError, RuntimeError, OverflowError) as exc:
+        # before ValueError, a base of LinAlgError; QuadratureBudgetError is a RuntimeError
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
@@ -317,9 +318,6 @@ def run(config: RunConfig) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc!r}", file=sys.stderr)
         return 2
-    except (oracle_mod.QuadratureBudgetError, RuntimeError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"error: {exc} (path: {config.output_path})", file=sys.stderr)
         return 1
@@ -359,10 +357,7 @@ def build_config(argv: list[str]) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     try:
         config = build_config(sys.argv[1:] if argv is None else argv)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return run(config)

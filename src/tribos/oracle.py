@@ -224,11 +224,9 @@ def odd_extension_check(theta, x: float, tail_cut: float = 80.0,
             return 0.0
         return coth_log_kernel(u)
 
-    pts = ([x - tail_cut] + _graded_breakpoints(0.0, x, toward=x)
-           + _graded_breakpoints(x, hi, toward=x)[1:])
     half_pts = _graded_breakpoints(0.0, x, toward=x) + _graded_breakpoints(x, hi, toward=x)[1:]
     half_l = integrate(lambda y: theta(y) * half_l_kernel(y), half_pts, acc=acc, budget=budget)
-    full_l = integrate(lambda y: theta_odd(y) * full_l_kernel(y), pts,
+    full_l = integrate(lambda y: theta_odd(y) * full_l_kernel(y), [x - tail_cut] + half_pts,
                        acc=acc, budget=budget)
     return max(abs(half_m - full_m), abs(half_l - full_l))
 

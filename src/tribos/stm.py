@@ -25,8 +25,6 @@ import numpy as np
 
 from .ladder import sample_charge_density
 
-GRID_KINDS = ("log-uniform", "gauss-legendre-on-log")
-
 _GL_POINTS_PER_PANEL = 16
 # Eigen-solves allowed per crossing refinement.  Brent needs about 5 at
 # refine_rel = 1e-8; bisecting the widest double bracket needs about 60.
@@ -40,7 +38,6 @@ class RadialGrid:
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
     p_min: float
     p_max: float
 
@@ -69,13 +66,6 @@ class ModelParams:
             raise ValueError("mu must be positive")
         if self.delta < 0.0:
             raise ValueError("delta must be nonnegative")
-
-
-@dataclass(frozen=True)
-class DiscretizedOperator:
-    """Dense symmetric matrix representing the radial operator."""
-
-    matrix: np.ndarray
 
 
 def _thread_count() -> int:
@@ -142,49 +132,34 @@ def _panel_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def build_grid(p_min: float, p_max: float, n: int,
-               kind: str = "gauss-legendre-on-log") -> RadialGrid:
-    """Build a quadrature grid on [p_min, p_max] with n nodes.
-
-    kind "log-uniform" is the trapezoid rule in log p (exact for integrands
-    proportional to 1/p); "gauss-legendre-on-log" packs 16-point
-    Gauss-Legendre panels uniformly in log p.
-    """
+def build_grid(p_min: float, p_max: float, n: int) -> RadialGrid:
+    """Build a quadrature grid on [p_min, p_max] with n nodes: Gauss-Legendre
+    panels of about 16 nodes, spaced uniformly in log p."""
     if not (0.0 < p_min < p_max < math.inf):
         raise ValueError(f"need 0 < p_min < p_max < inf, got ({p_min}, {p_max})")
     if n < 8:
         raise ValueError("n must be at least 8")
-    if kind not in GRID_KINDS:
-        raise ValueError(f"unknown grid kind {kind!r}")
     a, b = math.log(p_min), math.log(p_max)
-    if kind == "log-uniform":
-        t = np.linspace(a, b, n)
-        p = np.exp(t)
-        w = np.full(n, t[1] - t[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        w = w * p  # dq = q dlog q
-    else:
-        k = max(1, round(n / _GL_POINTS_PER_PANEL))
-        sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
-        edges = np.linspace(a, b, k + 1)
-        ps, ws = [], []
-        for i, m in enumerate(sizes):
-            x, gw = _panel_rule(m)
-            half = 0.5 * (edges[i + 1] - edges[i])
-            t = half * x + 0.5 * (edges[i + 1] + edges[i])
-            ps.append(np.exp(t))
-            ws.append(half * gw * np.exp(t))
-        p = np.concatenate(ps)
-        w = np.concatenate(ws)
-    return RadialGrid(nodes=p, weights=w, kind=kind, p_min=p_min, p_max=p_max)
+    k = max(1, round(n / _GL_POINTS_PER_PANEL))
+    sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
+    edges = np.linspace(a, b, k + 1)
+    ps, ws = [], []
+    for i, m in enumerate(sizes):
+        x, gw = _panel_rule(m)
+        half = 0.5 * (edges[i + 1] - edges[i])
+        t = half * x + 0.5 * (edges[i + 1] + edges[i])
+        ps.append(np.exp(t))
+        ws.append(half * gw * np.exp(t))
+    return RadialGrid(nodes=np.concatenate(ps), weights=np.concatenate(ws),
+                      p_min=p_min, p_max=p_max)
 
 
 def tms_kernel(p, q, mu: float):
     """Angular-averaged TMS kernel -(2/pi) log[(p^2+q^2+pq+mu)/(p^2+q^2-pq+mu)].
 
     Symmetric in (p, q), finite everywhere for mu > 0, O(q) as q -> 0.
-    Broadcasts over array arguments.
+    Broadcasts (a float for two scalars) and builds in place, three arrays
+    of the broadcast shape at the peak; _kernel_matrix builds with it too.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -192,9 +167,27 @@ def tms_kernel(p, q, mu: float):
         raise ValueError("tms_kernel requires p, q > 0")
     if not mu > 0.0:
         raise ValueError("tms_kernel requires mu > 0")
-    s = p * p + q * q + mu
-    out = -(2.0 / math.pi) * np.log((s + p * q) / (s - p * q))
-    return out if out.ndim else float(out)
+    s = np.atleast_1d(p * p + q * q)
+    s += mu
+    pq = p * q
+    out = s + pq
+    s -= pq
+    out /= s
+    np.log(out, out=out)
+    out *= -2.0 / math.pi
+    return float(out[0]) if p.ndim == q.ndim == 0 else out
+
+
+def _coulomb_log(p, q, delta: float) -> np.ndarray:
+    # (delta/pi) log[(p+q)/|p-q|], broadcast and built in place; infinite at p = q
+    out = np.atleast_1d(p + q)
+    gap = np.atleast_1d(p - q)
+    np.abs(gap, out=gap)
+    with np.errstate(divide="ignore"):
+        out /= gap
+    np.log(out, out=out)
+    out *= delta / math.pi
+    return out
 
 
 def coulomb_kernel(p, q, delta: float):
@@ -202,6 +195,7 @@ def coulomb_kernel(p, q, delta: float):
 
     Symmetric, positive, and log-divergent (integrably) on the diagonal;
     assembly never samples p = q directly, hence the coincident-node error.
+    Broadcasts (a float for two scalars).
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -209,17 +203,15 @@ def coulomb_kernel(p, q, delta: float):
         raise ValueError("coulomb_kernel requires p, q > 0")
     if np.any(p == q):
         raise ValueError("coulomb_kernel is singular at coincident nodes p = q")
-    out = (delta / math.pi) * np.log((p + q) / np.abs(p - q))
-    return out if out.ndim else float(out)
+    out = _coulomb_log(p, q, delta)
+    return float(out[0]) if p.ndim == q.ndim == 0 else out
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
     # x log x with the continuous extension 0 at x = 0.
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    mask = x > 0.0
-    out[mask] = x[mask] * np.log(x[mask])
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x > 0.0, x * np.log(x), 0.0)
 
 
 def coulomb_row_integral(p, a: float, b: float, delta: float):
@@ -240,13 +232,7 @@ def _coulomb_part(p: np.ndarray, w: np.ndarray, delta: float, lo: int = 0,
     correction c(p) - C @ w, c(p) the closed-form row integral of the kernel.
     """
     rows = p[lo:hi]
-    C = np.add.outer(rows, p)
-    gap = np.subtract.outer(rows, p)
-    np.abs(gap, out=gap)
-    with np.errstate(divide="ignore"):
-        C /= gap
-    np.log(C, out=C)
-    C *= delta / math.pi
+    C = _coulomb_log(rows[:, None], p, delta)
     np.fill_diagonal(C[:, lo:], 0.0)
     return C, coulomb_row_integral(rows, p[0], p[-1], delta) - C @ w
 
@@ -258,20 +244,13 @@ def _kernel_matrix(p: np.ndarray, w: np.ndarray, params: ModelParams,
     """Kernel rows lo:hi (default: all) and diagonal pieces of the Nystrom operator.
 
     Returns (K, diag_kernel, diag_extra): K holds the kernel rows against all
-    nodes with the Coulomb diagonal (j = lo + i) zeroed, diag_kernel the TMS
-    kernel on that diagonal, and diag_extra the singularity-subtraction
-    correction (zero when delta = 0).  coulomb is _coulomb_part(p, w,
-    params.delta, lo, hi), built here when not given.
+    nodes (tms_kernel plus the Coulomb part) with the Coulomb diagonal
+    (j = lo + i) zeroed, diag_kernel the TMS kernel on that diagonal, and
+    diag_extra the singularity-subtraction correction (zero when delta = 0).
+    coulomb is _coulomb_part(p, w, params.delta, lo, hi), built here when
+    not given.
     """
-    pp = p * p
-    s = np.add.outer(pp[lo:hi], pp)
-    s += params.mu
-    pq = np.multiply.outer(p[lo:hi], p)
-    K = s + pq
-    s -= pq
-    K /= s
-    np.log(K, out=K)
-    K *= -2.0 / math.pi
+    K = tms_kernel(p[lo:hi, None], p, params.mu)
     diag_kernel = K.diagonal(lo).copy()
     diag_extra = np.zeros(K.shape[0])
     if params.delta != 0.0:
@@ -281,8 +260,8 @@ def _kernel_matrix(p: np.ndarray, w: np.ndarray, params: ModelParams,
 
 
 def assemble(grid: RadialGrid, params: ModelParams,
-             coulomb: tuple[np.ndarray, np.ndarray] | None = None) -> DiscretizedOperator:
-    """Assemble the symmetric Nystrom matrix of the radial operator.
+             coulomb: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """The symmetric n x n Nystrom matrix of the radial operator, an ndarray.
 
     The operator acts on phi(p) = p xihat(p).  The diagonal term is
     sqrt(3 p^2/4 + mu) + alpha; the TMS kernel is quadratured directly and
@@ -295,19 +274,18 @@ def assemble(grid: RadialGrid, params: ModelParams,
     construction (similarity by sqrt(weights)).  coulomb, the mu-independent
     _coulomb_part of this grid and params.delta, is built when not given.
     """
-    p = grid.nodes
-    w = grid.weights
+    p, w = grid.nodes, grid.weights
     M, diag_kernel, diag_extra = _kernel_matrix(p, w, params, coulomb)
     sw = np.sqrt(w)
     M *= np.outer(sw, sw)  # exactly symmetric: both factors are
     d = np.sqrt(0.75 * p * p + params.mu) + params.alpha
     np.fill_diagonal(M, d + w * diag_kernel + diag_extra)
-    return DiscretizedOperator(matrix=M)
+    return M
 
 
-def smallest_eigenvalue(op: DiscretizedOperator) -> float:
-    """Smallest eigenvalue of the assembled symmetric matrix."""
-    return float(np.linalg.eigvalsh(op.matrix)[0])
+def smallest_eigenvalue(matrix: np.ndarray) -> float:
+    """Smallest eigenvalue of an assembled symmetric matrix."""
+    return float(np.linalg.eigvalsh(matrix)[0])
 
 
 def _brent_crossing(f, a: float, fa: float, b: float, fb: float, width: float) -> float:
@@ -341,7 +319,8 @@ def _brent_crossing(f, a: float, fa: float, b: float, fb: float, width: float) -
             else:  # inverse quadratic interpolation
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                den = dblk * dpre * (fblk - fpre)  # 0 if it underflows: bisect
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
             interpolated = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
         if interpolated:
             spre, scur = scur, stry
@@ -395,7 +374,7 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
 
         def spectrum(mu: float) -> np.ndarray:
             params = ModelParams(mu=mu, delta=delta)
-            return np.linalg.eigvalsh(assemble(grid, params, coulomb).matrix)
+            return np.linalg.eigvalsh(assemble(grid, params, coulomb))
 
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
@@ -437,7 +416,8 @@ def residual(xi, params: ModelParams, eval_lo: float | None = None,
     pollutes the rows (the kernel decays only like 1/q).  Only those rows
     are built, _ROW_BLOCK at a time, so the extra memory is O(_ROW_BLOCK n).
     Normalization is the L2 norm of the diagonal term over the same nodes;
-    zero samples give residual 0, non-finite ones raise ValueError.
+    zero samples give residual 0, non-finite ones raise ValueError, and a
+    residual that leaves double range raises OverflowError.
     """
     grid = xi.grid
     p = grid.nodes
@@ -446,10 +426,8 @@ def residual(xi, params: ModelParams, eval_lo: float | None = None,
         raise ValueError("charge-density samples must be finite and match the grid")
     if not math.isclose(xi.mu, params.mu, rel_tol=1e-12):
         raise ValueError(f"mu mismatch: samples at {xi.mu}, params at {params.mu}")
-    if eval_lo is None:
-        eval_lo = 100.0 * grid.p_min
-    if eval_hi is None:
-        eval_hi = 1e-7 * grid.p_max
+    eval_lo = 100.0 * grid.p_min if eval_lo is None else eval_lo
+    eval_hi = 1e-7 * grid.p_max if eval_hi is None else eval_hi
     window = np.flatnonzero((p >= eval_lo) & (p <= eval_hi))
     if window.size == 0:
         raise ValueError("interior evaluation window contains no nodes")
@@ -467,7 +445,10 @@ def residual(xi, params: ModelParams, eval_lo: float | None = None,
         hi = lo + _ROW_BLOCK
         K, _, diag_extra = _kernel_matrix(p, w, params, lo=lo, hi=hi)
         r[lo:hi] = d[lo:hi] * phi[lo:hi] + K @ wphi + diag_extra * phi[lo:hi]
-    return float(np.linalg.norm(r[window]) / scale)
+    value = float(np.linalg.norm(r[window]) / scale)
+    if not math.isfinite(value):
+        raise OverflowError(f"residual left double range: {value}")
+    return value
 
 
 def closed_form_residual(mu: float, n: int = 2000, delta: float = 0.0,
@@ -481,9 +462,8 @@ def closed_form_residual(mu: float, n: int = 2000, delta: float = 0.0,
     """
     params = ModelParams(mu=mu, delta=delta)
     root = math.sqrt(mu)
-    total_decades = n / nodes_per_decade
     p_min = 1e-6 * root
-    p_max = p_min * 10.0 ** total_decades
+    p_max = p_min * 10.0 ** (n / nodes_per_decade)
     grid = build_grid(p_min, p_max, n)
     xi = sample_charge_density(grid, mu, s0=s0)
     return residual(xi, params, eval_lo=1e-4 * root, eval_hi=1e3 * root)

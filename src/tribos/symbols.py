@@ -58,9 +58,11 @@ def eval_reg_symbol(s: float, delta: float) -> float:
 
     Even in s; reduces to eval_g at delta = 0.  The s = 0 limit,
     1 + (delta pi - 4 pi/3)/sqrt(3), is built in analytically, so the
-    threshold behaviour at delta0 is decided exactly.
+    threshold behaviour at delta0 is decided exactly.  Values beyond double
+    range come out infinite, without a warning.
     """
-    return 1.0 + (2.0 / SQRT3) * (delta * tanh_over_s(s) - 4.0 * sinh_ratio(s))
+    with np.errstate(over="ignore"):
+        return 1.0 + (2.0 / SQRT3) * (delta * tanh_over_s(s) - 4.0 * sinh_ratio(s))
 
 
 def delta0() -> float:

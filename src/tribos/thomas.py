@@ -94,10 +94,14 @@ def pde_residual(pt: ThomasPoint, h: float) -> float:
 
     Second-order stencils: three-point for each Laplacian axis, the
     four-point cross for the mixed gradient term.  Raises if the step is
-    larger than a tenth of the distance to the nearest degeneracy set.
+    larger than a tenth of the distance to the nearest degeneracy set, or
+    so small that rounding in the stencil, about 4 eps/(eta h)^2 relative
+    (eps = 2^-52), exceeds 1; near that limit rounding still dominates.
     """
     if not h > 0.0:
         raise ValueError("h must be positive")
+    if (pt.eta * h) ** 2 < 4.0 * math.ulp(1.0):
+        raise ValueError(f"step {h} too small: stencil rounding 4 eps/(eta h)^2 exceeds 1")
     if h > 0.1 * pt.min_separation():
         raise ValueError(
             f"step {h} too large: point is {pt.min_separation():.3g} from a coincidence set")

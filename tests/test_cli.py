@@ -239,6 +239,8 @@ def test_scan_with_crossings_byte_identical(tmp_path, monkeypatch):
     ["thomas", "--eta", "-1"],
     ["thomas", "--n-points", "0"],
     ["thomas", "--n-points", "-3"],
+    ["thomas", "--h", "1e-200"],
+    ["thomas", "--h", "1e-12"],
 ])
 def test_invalid_inputs_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -287,7 +289,8 @@ def test_scan_output_independent_of_thread_variables(tmp_path):
 # reversed ranges), main returns 0, 2 or 3 without raising, and a run that
 # succeeds gives the same bytes when repeated.  Sizes are bounded so that each
 # run is short: symbol --n <= 5000, oracle --s/--x at most two values each,
-# ladder levels |n| <= 150.
+# ladder levels |n| <= 150, scan --grid <= 64 and --n-mu <= 4, residual
+# --n <= 400, thomas --n-points <= 3.
 _FLOATS = st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "1e-300",
                                      "-1e-300", "5e-324", "1e300", "-1e308"]),
                     st.floats(-50.0, 50.0).map(repr))
@@ -303,6 +306,15 @@ _ARGV = st.one_of(
     st.builds(lambda s, x, tol: ["oracle", "--s=" + ",".join(s), "--x=" + ",".join(x),
                                  f"--tol={tol}"],
               st.lists(_FLOATS, max_size=2), st.lists(_FLOATS, max_size=2), _FLOATS),
+    st.builds(lambda delta, lo, hi, n_mu, grid, p_min, p_max: [
+        "scan", f"--delta={delta}", f"--mu-lo={lo}", f"--mu-hi={hi}", f"--n-mu={n_mu}",
+        f"--grid={grid}", f"--p-min={p_min}", f"--p-max={p_max}"],
+              _FLOATS, _FLOATS, _FLOATS, st.integers(-1, 4), st.integers(-2, 64),
+              _FLOATS, _FLOATS),
+    st.builds(lambda mu, n, delta: ["residual", f"--mu={mu}", f"--n={n}", f"--delta={delta}"],
+              _FLOATS, st.integers(-2, 400), _FLOATS),
+    st.builds(lambda n, h, seed: ["thomas", f"--n-points={n}", f"--h={h}", f"--seed={seed}"],
+              st.integers(-1, 3), _FLOATS, st.integers(0, 2**31 - 1)),
 )
 
 
@@ -313,10 +325,26 @@ def _main_output(argv):
     return code, out.getvalue()
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(_ARGV)
 def test_cli_input_contract(argv):
     code, text = _main_output(argv)
     assert code in (0, 2, 3)
     if code == 0:
         assert _main_output(argv) == (0, text)
+
+
+def test_scan_at_subnormal_scales_exits_cleanly():
+    # eigenvalues near 1e-125: the crossing refinement's interpolation
+    # denominator underflowed to 0 and the scan died with ZeroDivisionError
+    argv = ["scan", "--delta=0", "--mu-lo=5e-324", "--mu-hi=48.9", "--n-mu=3", "--grid=26",
+            "--p-min=5e-324", "--p-max=1.1e-124"]
+    assert _main_output(argv)[0] == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_residual_overflow_exits_3(capsys):
+    # the Coulomb part at delta = 1e300 overflows; the JSON held NaN before
+    assert main(["residual", "--mu=1e300", "--n=308", "--delta=1e300"]) == 3
+    assert capsys.readouterr().err.startswith("error: residual left double range")

@@ -14,10 +14,9 @@ from tribos.stm import (ModelParams, assemble, build_grid, closed_form_residual,
 
 
 def test_build_grid_log_exact_integrand():
-    # integrand 1/p is constant in log p: both rules are exact for it
-    for kind in ("log-uniform", "gauss-legendre-on-log"):
-        g = build_grid(1.0, math.e, 16, kind)
-        assert np.dot(g.weights, 1.0 / g.nodes) == pytest.approx(1.0, abs=1e-10)
+    # integrand 1/p is constant in log p: the rule is exact for it
+    g = build_grid(1.0, math.e, 16)
+    assert np.dot(g.weights, 1.0 / g.nodes) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_build_grid_exponential_integrand():
@@ -28,12 +27,10 @@ def test_build_grid_exponential_integrand():
 
 
 def test_build_grid_structure():
-    for kind in ("log-uniform", "gauss-legendre-on-log"):
-        g = build_grid(1e-3, 1e3, 100, kind)
-        assert np.all(np.diff(g.nodes) > 0.0)
-        assert np.all(g.weights > 0.0)
-        assert len(g) == 100
-        assert g.kind == kind
+    g = build_grid(1e-3, 1e3, 100)
+    assert np.all(np.diff(g.nodes) > 0.0)
+    assert np.all(g.weights > 0.0)
+    assert len(g) == 100
 
 
 def test_build_grid_validation():
@@ -43,8 +40,6 @@ def test_build_grid_validation():
         build_grid(0.0, 1.0, 100)
     with pytest.raises(ValueError):
         build_grid(1e-3, 1e3, 4)
-    with pytest.raises(ValueError):
-        build_grid(1e-3, 1e3, 100, "chebyshev")
 
 
 def test_tms_kernel_symmetry_and_values():
@@ -61,6 +56,13 @@ def test_tms_kernel_symmetry_and_values():
         tms_kernel(-1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         tms_kernel(1.0, 1.0, 0.0)
+    # a 2-D broadcast call equals the scalar calls, which return floats
+    p, q = rng.uniform(0.01, 100.0, size=5), rng.uniform(0.01, 100.0, size=7)
+    table = tms_kernel(p[:, None], q, 0.3)
+    assert table.shape == (5, 7)
+    for (i, k), value in np.ndenumerate(table):
+        scalar = tms_kernel(float(p[i]), float(q[k]), 0.3)
+        assert type(scalar) is float and scalar == value
 
 
 def test_coulomb_kernel_values_and_errors():
@@ -76,6 +78,15 @@ def test_coulomb_kernel_values_and_errors():
         coulomb_kernel(1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         coulomb_kernel(0.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        coulomb_kernel(np.array([2.0, 3.0]), np.array([[1.0], [3.0]]), 1.0)
+    # a 2-D broadcast call equals the scalar calls, which return floats
+    p, q = rng.uniform(0.01, 100.0, size=6), rng.uniform(0.01, 100.0, size=4)
+    table = coulomb_kernel(p[:, None], q, 0.7)
+    assert table.shape == (6, 4)
+    for (i, k), value in np.ndenumerate(table):
+        scalar = coulomb_kernel(float(p[i]), float(q[k]), 0.7)
+        assert type(scalar) is float and scalar == value
 
 
 def test_coulomb_kernel_integrable_singularity():
@@ -116,8 +127,7 @@ def test_model_params_validation():
 def test_assemble_symmetry_and_diagonal():
     mu = 1.0
     for delta in (0.0, 1.0):
-        op = assemble(build_grid(1e-4, 1e4, 400), ModelParams(mu=mu, delta=delta))
-        m = op.matrix
+        m = assemble(build_grid(1e-4, 1e4, 400), ModelParams(mu=mu, delta=delta))
         assert np.max(np.abs(m - m.T)) <= 1e-12
         diag = np.diag(m)
         assert np.all(diag > 0.0)
@@ -132,7 +142,7 @@ def test_assemble_applied_to_closed_form_density(s0):
     op = assemble(grid, ModelParams(mu=mu))
     p, w = grid.nodes, grid.weights
     phi = p * xi_mu(p, mu, s0)
-    r = op.matrix @ (np.sqrt(w) * phi) / np.sqrt(w)
+    r = op @ (np.sqrt(w) * phi) / np.sqrt(w)
     d = np.sqrt(0.75 * p * p + mu) * phi
     mask = (p >= 1e-4) & (p <= 1e3)
     assert np.max(np.abs(r[mask])) / np.max(np.abs(d[mask])) <= 1e-4
@@ -143,7 +153,7 @@ def test_smallest_eigenvalue_shift_identity():
     root = math.sqrt(mu)
     op = assemble(build_grid(1e-4 * root, 1e4 * root, 200), ModelParams(mu=mu))
     base = smallest_eigenvalue(op)
-    shifted = type(op)(matrix=op.matrix + 0.375 * np.eye(len(op.matrix)))
+    shifted = op + 0.375 * np.eye(len(op))
     assert smallest_eigenvalue(shifted) == pytest.approx(base + 0.375, abs=1e-10)
     # deterministic
     assert smallest_eigenvalue(op) == base
@@ -272,8 +282,8 @@ def test_scan_finds_known_crossing():
         lo = assemble(grid, ModelParams(mu=c * (1.0 - 1e-6)))
         hi = assemble(grid, ModelParams(mu=c * (1.0 + 1e-6)))
         assert smallest_eigenvalue(lo) != smallest_eigenvalue(hi)
-        counts_lo = int(np.sum(np.linalg.eigvalsh(lo.matrix) < 0.0))
-        counts_hi = int(np.sum(np.linalg.eigvalsh(hi.matrix) < 0.0))
+        counts_lo = int(np.sum(np.linalg.eigvalsh(lo) < 0.0))
+        counts_hi = int(np.sum(np.linalg.eigvalsh(hi) < 0.0))
         assert counts_lo == counts_hi + 1
 
 
@@ -320,7 +330,7 @@ def _bisect_crossing(grid, lo, hi, level, refine_rel):
     # plain bisection on the negative-eigenvalue count, the reference
     while hi / lo - 1.0 > refine_rel:
         mid = math.sqrt(lo * hi)
-        ev = np.linalg.eigvalsh(assemble(grid, ModelParams(mu=mid)).matrix)
+        ev = np.linalg.eigvalsh(assemble(grid, ModelParams(mu=mid)))
         if np.sum(ev < 0.0) >= level:
             lo = mid
         else:
@@ -349,8 +359,8 @@ def test_scan_crossing_brackets_level_sign_change():
     # counts 4 -> 3 -> 1: the crossings, ascending, are those of levels 4, 3, 2
     assert list(result.negative_counts) == [4, 3, 1]
     for c, level in zip(result.crossings, (4, 3, 2)):
-        below = np.linalg.eigvalsh(assemble(grid, ModelParams(mu=c * (1 - refine_rel))).matrix)
-        above = np.linalg.eigvalsh(assemble(grid, ModelParams(mu=c * (1 + refine_rel))).matrix)
+        below = np.linalg.eigvalsh(assemble(grid, ModelParams(mu=c * (1 - refine_rel))))
+        above = np.linalg.eigvalsh(assemble(grid, ModelParams(mu=c * (1 + refine_rel))))
         assert below[level - 1] < 0.0 <= above[level - 1]
 
 
@@ -395,6 +405,16 @@ def test_brent_crossing_on_known_root():
     assert len(evals) <= 2 + 15
 
 
+def test_brent_crossing_when_interpolation_underflows():
+    # f of order 1e-200: the inverse-quadratic denominator underflows to 0
+    def f(t):
+        return 1e-200 * (math.exp(t) - 3.0)
+
+    width = 1e-12
+    t = stm._brent_crossing(f, 0.0, f(0.0), 5.0, f(5.0), width)
+    assert abs(t - math.log(3.0)) <= width
+
+
 def _reference_assembly(grid, params):
     # the out-of-place formulas, the reference for the in-place kernel build
     p, w = grid.nodes, grid.weights
@@ -422,9 +442,9 @@ def test_assemble_with_precomputed_coulomb_part_is_bit_identical(delta):
     coulomb = stm._coulomb_part(grid.nodes, grid.weights, delta) if delta else None
     for mu in (1e-3, 0.7, 1e3):
         params = ModelParams(mu=mu, delta=delta, alpha=0.25)
-        built = assemble(grid, params).matrix
+        built = assemble(grid, params)
         assert np.array_equal(built, _reference_assembly(grid, params))
-        assert np.array_equal(assemble(grid, params, coulomb).matrix, built)
+        assert np.array_equal(assemble(grid, params, coulomb), built)
 
 
 def _blas_controls():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,3 +205,15 @@ def test_gamma_delta_conversion():
                                           rel=1e-15)
     # the two published thresholds differ; both are exposed
     assert delta_bound() > delta0()
+
+
+def test_reg_symbol_overflow_is_silent():
+    # delta * tanh(pi s/2)/s leaves double range: the values are the scalar
+    # path's, -inf included, and no RuntimeWarning is raised
+    s = np.linspace(0.0, 1.0, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = eval_reg_symbol(s, -1e308)
+        scalars = [eval_reg_symbol(float(x), -1e308) for x in s]
+    assert values.tolist() == scalars
+    assert values[0] == -math.inf and math.isfinite(values[-1])

@@ -71,6 +71,16 @@ def test_pde_residual_step_guard():
         pde_residual(pt, 0.0)
 
 
+@pytest.mark.parametrize("h", [1e-200, 1e-160, 1e-12, 1e-8])
+def test_pde_residual_rejects_steps_below_rounding(h):
+    # 4 eps/(eta h)^2 > 1: rounding swamps the stencil; h = 1e-200 divided
+    # by zero, and the other steps returned rounding noise as a residual
+    pt = ThomasPoint(s1=[0.9, -0.4, 0.3], s2=[-0.5, 0.8, 0.6], eta=1.0)
+    with pytest.raises(ValueError, match="too small"):
+        pde_residual(pt, h)
+    assert math.isfinite(pde_residual(pt, 1e-7))  # 4 eps/(eta h)^2 = 0.09
+
+
 def test_scaling_identity():
     # lambda^3 Psi(lambda s1, lambda s2; eta) = lambda Psi(s1, s2; lambda eta)
     rng = np.random.default_rng(53)
