@@ -15,6 +15,7 @@ of eigenvalues of the discretized operator as the spectral parameter mu sweeps.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import math
 import os
@@ -26,8 +27,10 @@ import numpy as np
 from .ladder import sample_charge_density
 
 _GL_POINTS_PER_PANEL = 16
-# Eigen-solves allowed per crossing refinement.  Brent needs about 5 at
-# refine_rel = 1e-8; bisecting the widest double bracket needs about 60.
+# Level evaluations (one assembly and one LDL^T factorization each) allowed
+# per crossing refinement.  Brent needs about 5 at refine_rel = 1e-8, 8-10 in
+# a sweep bracket holding two crossings; bisecting the widest double bracket
+# needs about 60.
 _MAX_REFINE_STEPS = 100
 _ROW_BLOCK = 64  # kernel rows per residual block; block starts are multiples of it
 
@@ -79,15 +82,22 @@ def _thread_count() -> int:
 
 
 @functools.lru_cache(maxsize=None)
+def _lapack_library():
+    """numpy's LAPACK module opened with ctypes, or None; the BLAS and LAPACK
+    symbols it links resolve through it."""
+    try:
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+
+
+@functools.lru_cache(maxsize=None)
 def _openblas_thread_controls():
     """(get, set) of OpenBLAS's thread count, looked up in the LAPACK module
     numpy links (symbol names of the scipy-openblas wheels first, then of a
     plain OpenBLAS), or None when none is found."""
-    import ctypes
-
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError):
+    lib = _lapack_library()
+    if lib is None:
         return None
     for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
                            ("openblas_", "64_"), ("openblas_", "")):
@@ -186,7 +196,8 @@ def _coulomb_log(p, q, delta: float) -> np.ndarray:
     with np.errstate(divide="ignore"):
         out /= gap
     np.log(out, out=out)
-    out *= delta / math.pi
+    with np.errstate(invalid="ignore"):  # inf * 0 on the diagonal when delta / pi underflows
+        out *= delta / math.pi
     return out
 
 
@@ -288,6 +299,92 @@ def smallest_eigenvalue(matrix: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(matrix)[0])
 
 
+@functools.lru_cache(maxsize=None)
+def _dsytrf():
+    """(LAPACK dsytrf, its integer type) from numpy's LAPACK module: the ILP64
+    names first, then the LP64 one; None when none resolves (as on MKL or
+    Accelerate builds of numpy)."""
+    lib = _lapack_library()
+    if lib is None:
+        return None
+    for name, integer in (("scipy_dsytrf_64_", ctypes.c_int64), ("dsytrf_64_", ctypes.c_int64),
+                          ("dsytrf_", ctypes.c_int32)):
+        routine = getattr(lib, name, None)
+        if routine is not None:
+            # uplo, n, a, lda, ipiv, work, lwork, info, hidden length of uplo
+            size = ctypes.POINTER(integer)
+            routine.argtypes = [ctypes.c_char_p, size, ctypes.c_void_p, size, ctypes.c_void_p,
+                                ctypes.c_void_p, size, size, ctypes.c_size_t]
+            routine.restype = None
+            return routine, integer
+    return None
+
+
+def _inertia_logdet(matrix: np.ndarray) -> tuple[int, float]:
+    """(number of negative eigenvalues, log|det|) of a symmetric matrix.
+
+    Factors the matrix in place (a C-contiguous float array is overwritten)
+    by Bunch-Kaufman LDL^T and counts the negative eigenvalues of its 1x1 and
+    2x2 pivot blocks, which by Sylvester's law of inertia are the matrix's.
+    A zero pivot (an exactly singular matrix) counts as nonnegative and gives
+    log|det| = -inf; a non-finite matrix or factor raises LinAlgError.
+    Without a dsytrf in numpy's LAPACK both come from eigvalsh.
+    """
+    lapack = _dsytrf()
+    if lapack is None:
+        ev = np.linalg.eigvalsh(matrix)
+        if not np.all(np.isfinite(ev)):
+            raise np.linalg.LinAlgError("non-finite eigenvalues")
+        with np.errstate(divide="ignore"):
+            return int(np.count_nonzero(ev < 0.0)), float(np.sum(np.log(np.abs(ev))))
+    dsytrf, integer = lapack
+    a = np.require(matrix, dtype=float, requirements="CW")
+    size = a.shape[0]
+    if a.shape != (size, size):
+        raise ValueError(f"need a square matrix, got shape {a.shape}")
+    ipiv = np.empty(size, dtype=np.dtype(integer))
+    n, info = integer(size), integer(0)
+
+    def factor(work: np.ndarray, lwork: int) -> None:
+        # A symmetric C-order array is its own Fortran-order array, so 'L'
+        # (the Fortran lower triangle) works on the C upper triangle.
+        dsytrf(b"L", ctypes.byref(n), a.ctypes.data, ctypes.byref(n), ipiv.ctypes.data,
+               work.ctypes.data, ctypes.byref(integer(lwork)), ctypes.byref(info), 1)
+
+    query = np.zeros(1)
+    factor(query, -1)  # workspace query
+    lwork = max(1, int(query[0]))
+    factor(np.empty(lwork), lwork)
+    if not np.all(np.isfinite(a)):
+        raise np.linalg.LinAlgError("non-finite matrix or LDL^T factor")
+    # ipiv < 0 marks the rows of 2x2 pivot blocks; runs of them pair up from
+    # their first row.
+    two = ipiv < 0
+    index = np.arange(size)
+    run = np.maximum.accumulate(np.where(two, 0, index + 1))
+    first = np.flatnonzero(two & ((index - run) % 2 == 0))
+    diag = a.diagonal()
+    single = diag[~two]
+    # block [[x, y], [y, z]] scaled by its largest entry (nonzero: y is the
+    # pivot column's maximum); its Fortran (k+1, k) entry is C [k, k+1]
+    x, y, z = diag[first], a.diagonal(1)[first], diag[first + 1]
+    scale = np.maximum(np.maximum(np.abs(x), np.abs(z)), np.abs(y))
+    x, y, z = x / scale, y / scale, z / scale
+    det, trace = x * z - y * y, x + z
+    count = (np.count_nonzero(single < 0.0) + np.count_nonzero((det < 0.0) | (trace < 0.0))
+             + np.count_nonzero((det > 0.0) & (trace < 0.0)))
+    with np.errstate(divide="ignore"):
+        logdet = np.sum(np.log(np.abs(single))) + np.sum(2.0 * np.log(scale) + np.log(np.abs(det)))
+    return int(count), float(logdet)
+
+
+def _level_value(count: int, k: int, log_size: float) -> float:
+    """exp(log_size), negative when count > k, clamped into [5e-324, 1e300]
+    in size so that it neither rounds to -0.0 nor overflows."""
+    size = min(max(math.exp(min(log_size, 700.0)), 5e-324), 1e300)
+    return -size if count > k else size
+
+
 def _brent_crossing(f, a: float, fa: float, b: float, fb: float, width: float) -> float:
     """Sign change of an increasing f on [a, b], f(a) < 0 <= f(b), by Brent's
     method (inverse quadratic interpolation, secant, bisection safeguard).
@@ -349,16 +446,20 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
 
     The operator is monotone increasing in mu, so each bound state of the
     cutoff problem shows up as a unit decrement of the negative-eigenvalue
-    count between consecutive sweep points.  Each decrement is refined by
-    Brent's method on that level's eigenvalue as a function of log mu, until
-    the sign-change bracket is at most refine_rel wide (relative); the
-    reported crossing, the bracket's geometric midpoint, lies within
-    refine_rel of the discrete operator's singular mu.
+    count between consecutive sweep points.  Each decrement, level k, is
+    refined by Brent's method in log mu until the sign-change bracket of the
+    k-th eigenvalue is at most refine_rel wide (relative); the reported
+    crossing, the bracket's geometric midpoint, lies within refine_rel of
+    the discrete operator's singular mu.  Each sweep point takes one full
+    eigen-solve (the smallest eigenvalue is reported); each Brent step takes
+    one LDL^T factorization, whose inertia gives the sign of the k-th
+    eigenvalue and whose determinant, which vanishes with it, the size.
 
     The sweep solves, then the refinement chains (one task per crossing),
     run on one pool of TRIBOS_THREADS threads (default: the CPU count), each
-    solve with single-threaded BLAS, so the pool size is the total thread
-    count and the result does not depend on it or on OPENBLAS_NUM_THREADS.
+    solve and factorization with single-threaded BLAS, so the pool size is
+    the total thread count and the result does not depend on it or on
+    OPENBLAS_NUM_THREADS.
     """
     if not 0.0 < refine_rel < 1.0:
         raise ValueError(f"refine_rel must lie in (0, 1), got {refine_rel}")
@@ -369,8 +470,9 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     mus = np.geomspace(mu_lo, mu_hi, n_mu)
     width = math.log1p(refine_rel)
     workers = min(_thread_count(), n_mu)
+    p = grid.nodes
     with _single_threaded_blas():
-        coulomb = _coulomb_part(grid.nodes, grid.weights, delta) if delta != 0.0 else None
+        coulomb = _coulomb_part(p, grid.weights, delta) if delta != 0.0 else None
 
         def spectrum(mu: float) -> np.ndarray:
             params = ModelParams(mu=mu, delta=delta)
@@ -383,12 +485,30 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
             if any(hi > lo for lo, hi in zip(counts, counts[1:])):
                 raise RuntimeError("negative-eigenvalue count increased with mu")
 
+            def log_size(mu: float, logdet: float) -> float:
+                # log(|det| / prod_j d_j): the diagonal's growth divided out
+                return logdet - float(np.sum(np.log(np.sqrt(0.75 * p * p + mu))))
+
             def refine(i: int, k: int) -> float:
-                # the k-th eigenvalue is < 0 at mus[i] and >= 0 at mus[i + 1]
-                return math.exp(_brent_crossing(
-                    lambda t: float(spectrum(math.exp(t))[k]),
-                    math.log(mus[i]), float(sweep[i][k]),
-                    math.log(mus[i + 1]), float(sweep[i + 1][k]), width))
+                # The k-th eigenvalue is < 0 at mus[i] and >= 0 at mus[i + 1].
+                # Brent runs on its sign times |det| / prod_j d_j / R, from one
+                # LDL^T factorization per step; R scales the larger end to 1.
+                # The ends come from the sweep spectra.
+                with np.errstate(divide="ignore"):
+                    ends = [log_size(mus[j], float(np.sum(np.log(np.abs(sweep[j])))))
+                            for j in (i, i + 1)]
+                log_r = max(ends) if math.isfinite(max(ends)) else 0.0
+
+                def f(t: float) -> float:
+                    mu = math.exp(t)
+                    count, logdet = _inertia_logdet(
+                        assemble(grid, ModelParams(mu=mu, delta=delta), coulomb))
+                    return _level_value(count, k, log_size(mu, logdet) - log_r)
+
+                fa, fb = (_level_value(counts[j], k, end - log_r)
+                          for j, end in zip((i, i + 1), ends))
+                return math.exp(_brent_crossing(f, math.log(mus[i]), fa,
+                                                math.log(mus[i + 1]), fb, width))
 
             chains = [pool.submit(refine, i, level - 1) for i in range(n_mu - 1)
                       for level in range(counts[i + 1] + 1, counts[i] + 1)]

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +332,7 @@ def test_cli_input_contract(argv):
     code, text = _main_output(argv)
     assert code in (0, 2, 3)
     if code == 0:
+        assert "nan" not in text.lower()  # no NaN passed off as a result
         assert _main_output(argv) == (0, text)
 
 
@@ -340,6 +342,15 @@ def test_scan_at_subnormal_scales_exits_cleanly():
     argv = ["scan", "--delta=0", "--mu-lo=5e-324", "--mu-hi=48.9", "--n-mu=3", "--grid=26",
             "--p-min=5e-324", "--p-max=1.1e-124"]
     assert _main_output(argv)[0] == 0
+
+
+def test_residual_at_subnormal_delta_is_silent():
+    # delta / pi underflows to 0, and the infinite Coulomb diagonal gave inf * 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = _main_output(["residual", "--mu=8.87", "--n=283", "--delta=5e-324"])
+    assert code == 0
+    assert math.isfinite(json.loads(text)["result"]["residual"])
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

@@ -365,14 +365,19 @@ def test_scan_crossing_brackets_level_sign_change():
 
 
 def test_scan_refinement_solve_budget(monkeypatch):
+    # one eigen-solve per sweep point; the refinement factorizes only
     grid = build_grid(*_LADDER_GRID)
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    solves, factorizations = [], []
+    eigvalsh, inertia_logdet = np.linalg.eigvalsh, stm._inertia_logdet
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or eigvalsh(a))
+    monkeypatch.setattr(stm, "_inertia_logdet",
+                        lambda a: factorizations.append(1) or inertia_logdet(a))
     n_mu = 9
     result = scan_spectrum(grid, 0.0, 1e-4, 1e4, n_mu)
     assert len(result.crossings) == 3
-    assert len(calls) <= n_mu + 8 * len(result.crossings)
+    # without a dsytrf each factorization is an eigvalsh
+    assert len(solves) == n_mu + (len(factorizations) if stm._dsytrf() is None else 0)
+    assert 0 < len(factorizations) <= 8 * len(result.crossings)
 
 
 @pytest.mark.parametrize("refine_rel", [0.0, -1.0, math.nan, math.inf, 1.0])
@@ -413,6 +418,60 @@ def test_brent_crossing_when_interpolation_underflows():
     width = 1e-12
     t = stm._brent_crossing(f, 0.0, f(0.0), 5.0, f(5.0), width)
     assert abs(t - math.log(3.0)) <= width
+
+
+def _symmetric(n, seed, zero_block=0):
+    # a zero leading block makes the first pivots 2x2 blocks
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    a += a.T
+    a[:zero_block, :zero_block] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("n", [7, 8, 61, 200])
+@pytest.mark.parametrize("zero_block", [0, 1, 3, "diagonal"])
+def test_inertia_logdet_matches_eigvalsh(n, zero_block):
+    for seed in range(3):
+        if zero_block == "diagonal":
+            a = _symmetric(n, seed)
+            np.fill_diagonal(a, 0.0)
+        else:
+            a = _symmetric(n, seed, zero_block)
+        ev = np.linalg.eigvalsh(a)
+        count, logdet = stm._inertia_logdet(a.copy())
+        assert count == np.count_nonzero(ev < 0.0)
+        assert logdet == pytest.approx(np.sum(np.log(np.abs(ev))), rel=1e-10)
+
+
+def test_inertia_logdet_of_singular_and_nan_matrices():
+    a = _symmetric(40, 5, zero_block=4)
+    a[17, :] = a[:, 17] = 0.0  # a zero pivot
+    ev = np.linalg.eigvalsh(a)
+    count, logdet = stm._inertia_logdet(a.copy())
+    assert count == np.count_nonzero(ev < -1e-12)
+    assert logdet == -math.inf
+    a[3, 29] = a[29, 3] = math.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        stm._inertia_logdet(a)
+
+
+def test_scan_without_dsytrf_takes_inertia_from_eigvalsh(monkeypatch):
+    grid = build_grid(*_LADDER_GRID)
+    refine_rel = 1e-8
+    factored = scan_spectrum(grid, 0.0, 1e-4, 1e4, 9, refine_rel)
+    monkeypatch.setattr(stm, "_dsytrf", lambda: None)
+    solved = scan_spectrum(grid, 0.0, 1e-4, 1e4, 9, refine_rel)
+    assert len(factored.crossings) == len(solved.crossings) == 3
+    for a, b in zip(factored.crossings, solved.crossings):
+        assert abs(a / b - 1.0) <= 2.0 * refine_rel
+
+
+def test_level_value_keeps_its_sign_when_it_underflows():
+    below = stm._level_value(3, 2, -1e6)
+    assert isinstance(below, float) and below < 0.0
+    assert stm._level_value(2, 2, -1e6) > 0.0
+    assert stm._level_value(3, 2, math.inf) == -1e300
+    assert stm._level_value(3, 2, -math.inf) < 0.0
 
 
 def _reference_assembly(grid, params):
@@ -484,9 +543,11 @@ def test_scan_independent_of_blas_and_pool_threads(monkeypatch):
 def test_scan_solves_single_threaded_and_restores_blas_threads(monkeypatch):
     get, put = _blas_controls()
     grid = build_grid(*_LADDER_GRID)
-    seen = []
-    eigvalsh = np.linalg.eigvalsh
+    seen, factored = [], []
+    eigvalsh, inertia_logdet = np.linalg.eigvalsh, stm._inertia_logdet
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(get()) or eigvalsh(a))
+    monkeypatch.setattr(stm, "_inertia_logdet",
+                        lambda a: factored.append(get()) or inertia_logdet(a))
     previous = get()
     try:
         put(2)
@@ -498,6 +559,7 @@ def test_scan_solves_single_threaded_and_restores_blas_threads(monkeypatch):
     finally:
         put(previous)
     assert seen and set(seen) == {1}
+    assert factored and set(factored) == {1}
 
 
 @pytest.mark.parametrize("field", ["mu", "delta", "alpha"])
