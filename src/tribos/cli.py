@@ -100,10 +100,14 @@ class RunConfig:
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
 
 
+def _spec(cls: type) -> str:
+    # "%.17g" % x is format(x, ".17g") for floats (np.float64 included);
+    # "%s" % (x,) is str(x)
+    return "%.17g" if issubclass(cls, float) else "%s"
+
+
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
+    return _spec(type(x)) % (x,)
 
 
 def _meta_lines(config: RunConfig, s0: float) -> list[str]:
@@ -133,14 +137,22 @@ def _write_atomic(path: str | None, text: str) -> None:
 
 def emit_csv(config: RunConfig, s0: float, columns: list[str], rows: list[tuple],
              notes: tuple[str, ...] = ()) -> None:
-    """Write the metadata header, a "# note" line per note, then the table."""
-    for row in rows:
-        if len(row) != len(columns):
-            raise ValueError("row does not match the column schema")
+    """Write the metadata header, a "# note" line per note, then the table.
+
+    Each row is formatted as _fmt formats its values, by one %-template per
+    row type signature.
+    """
     lines = _meta_lines(config, s0) + [f"# {note}" for note in notes]
     lines.append(",".join(columns))
+    templates: dict[tuple[type, ...], str] = {}
     for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+        signature = tuple(map(type, row))
+        template = templates.get(signature)
+        if template is None:
+            if len(signature) != len(columns):
+                raise ValueError("row does not match the column schema")
+            template = templates[signature] = ",".join(map(_spec, signature))
+        lines.append(template % row)
     _write_atomic(config.output_path, "\n".join(lines) + "\n")
 
 

@@ -160,6 +160,42 @@ def test_symbol_table_matches_math_reference(tmp_path, delta):
     assert float(scan["argmin"]) == s[reg.index(min(reg))]
 
 
+def _reference_csv_row(row):
+    # the per-value formatting emit_csv replaced
+    return ",".join(format(x, ".17g") if isinstance(x, float) else str(x) for x in row)
+
+
+_CELLS = st.one_of(
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([-0.0, math.inf, -math.inf, np.float64(-0.0), 2**53 + 1, -(2**70),
+                     True, False, np.int64(-(2**63)), "", "pass", "0.5;2", "%s %%"]),
+    st.integers(), st.integers(-(2**63), 2**63 - 1).map(np.int64), st.text(max_size=5))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6).flatmap(lambda width: st.lists(st.tuples(*[_CELLS] * width),
+                                                         max_size=12)))
+def test_emit_csv_matches_per_value_formatting(rows):
+    # the cell types change from row to row, as in the scan crossing column
+    # ("" or "a;b") and the oracle rows
+    config = RunConfig(command="ladder")
+    columns = [f"c{i}" for i in range(len(rows[0]) if rows else 1)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.emit_csv(config, 1.0, columns, rows)
+    expected = cli._meta_lines(config, 1.0) + [",".join(columns)]
+    assert out.getvalue() == "\n".join(expected + [_reference_csv_row(r) for r in rows]) + "\n"
+    assert all(",".join(map(cli._fmt, r)) == _reference_csv_row(r) for r in rows)
+
+
+@pytest.mark.parametrize("rows", [[(1.0,)], [(1.0, 2), (1.0,)], [(1.0, 2), ("x", 2, 3)]])
+def test_emit_csv_rejects_rows_off_the_schema(rows):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(ValueError, match="column schema"):
+        cli.emit_csv(RunConfig(command="ladder"), 1.0, ["a", "b"], rows)
+    assert out.getvalue() == ""
+
+
 def test_residual_command(tmp_path):
     out = tmp_path / "residual.json"
     assert main(["residual", "--mu", "1.0", "--n", "2000", "--out", str(out)]) == 0
@@ -242,6 +278,7 @@ def test_scan_with_crossings_byte_identical(tmp_path, monkeypatch):
     ["thomas", "--n-points", "-3"],
     ["thomas", "--h", "1e-200"],
     ["thomas", "--h", "1e-12"],
+    ["thomas", "--h", "3e-8"],
 ])
 def test_invalid_inputs_exit_2(argv, capsys):
     assert main(argv) == 2

@@ -71,14 +71,17 @@ def test_pde_residual_step_guard():
         pde_residual(pt, 0.0)
 
 
-@pytest.mark.parametrize("h", [1e-200, 1e-160, 1e-12, 1e-8])
+@pytest.mark.parametrize("h", [1e-200, 1e-160, 1e-12, 1e-8, 1e-7])
 def test_pde_residual_rejects_steps_below_rounding(h):
-    # 4 eps/(eta h)^2 > 1: rounding swamps the stencil; h = 1e-200 divided
+    # 512 eps/(eta h)^2 > 1: rounding swamps the stencil; h = 1e-200 divided
     # by zero, and the other steps returned rounding noise as a residual
     pt = ThomasPoint(s1=[0.9, -0.4, 0.3], s2=[-0.5, 0.8, 0.6], eta=1.0)
     with pytest.raises(ValueError, match="too small"):
         pde_residual(pt, h)
-    assert math.isfinite(pde_residual(pt, 1e-7))  # 4 eps/(eta h)^2 = 0.09
+    h_min = math.sqrt(512.0 * math.ulp(1.0))  # 3.4e-7
+    assert math.isfinite(pde_residual(pt, 1.01 * h_min))
+    assert math.isfinite(pde_residual(ThomasPoint(s1=pt.s1, s2=pt.s2, eta=2.5),
+                                      1.01 * h_min / 2.5))
 
 
 def test_scaling_identity():
@@ -142,3 +145,74 @@ def test_boundary_coefficient_decays_at_large_separation():
 def test_boundary_coefficient_validation():
     with pytest.raises(ValueError):
         boundary_coefficient(np.array([1.0, 0.0, 0.0]), 1.0, 0.0)
+
+
+# The formulas as written before the unvalidated core: np.linalg.norm and a
+# validated ThomasPoint for every stencil and boundary point.
+def _ref_psi(s1, s2, eta):
+    pt = ThomasPoint(s1=s1, s2=s2, eta=eta)
+    a1 = float(np.linalg.norm(pt.s1))
+    a2 = float(np.linalg.norm(pt.s2))
+    s_sq = a1 * a1 + a2 * a2 - float(np.dot(pt.s1, pt.s2))
+    xi1 = SQRT3 * a1 / float(np.linalg.norm(pt.s1 - 2.0 * pt.s2))
+    xi2 = SQRT3 * a2 / float(np.linalg.norm(pt.s2 - 2.0 * pt.s1))
+    term = lambda xi: math.atan(1.0 / xi) * (1.0 + xi * xi) / xi  # noqa: E731
+    return k0(eta * math.sqrt(s_sq)) / s_sq * (term(xi1) + term(xi2))
+
+
+def _ref_min_separation(s1, s2):
+    return min(float(np.linalg.norm(s1)), float(np.linalg.norm(s2)),
+               float(np.linalg.norm(s1 - 2.0 * s2)) / math.sqrt(5.0),
+               float(np.linalg.norm(s2 - 2.0 * s1)) / math.sqrt(5.0))
+
+
+def _ref_pde_residual(s1, s2, eta, h):
+    f0 = _ref_psi(s1, s2, eta)
+    lap = 0.0
+    mix = 0.0
+    for i in range(3):
+        e = np.zeros(3)
+        e[i] = h
+        lap += _ref_psi(s1 + e, s2, eta) - 2.0 * f0 + _ref_psi(s1 - e, s2, eta)
+        lap += _ref_psi(s1, s2 + e, eta) - 2.0 * f0 + _ref_psi(s1, s2 - e, eta)
+        mix += (_ref_psi(s1 + e, s2 + e, eta) - _ref_psi(s1 + e, s2 - e, eta)
+                - _ref_psi(s1 - e, s2 + e, eta) + _ref_psi(s1 - e, s2 - e, eta))
+    lhs = (4.0 / 3.0) * (lap / (h * h) + mix / (4.0 * h * h))
+    return abs(lhs - eta * eta * f0) / (eta * eta * abs(f0))
+
+
+def _ref_boundary_coefficient(s2, eta, eps):
+    total = 0.0
+    for i in range(3):
+        for sign in (1.0, -1.0):
+            s1 = np.zeros(3)
+            s1[i] = sign * eps
+            total += eps * _ref_psi(s1, s2, eta)
+    return total / 6.0
+
+
+def test_psi_stencil_and_boundary_bits_match_reference():
+    # 100 points anywhere and 100 scaled to just outside the CLI sampler's
+    # 12 h cut (min_separation is homogeneous of degree 1 in (s1, s2))
+    rng = np.random.default_rng(61)
+    for k in range(200):
+        pt = random_admissible_point(rng, eta=float(rng.choice([0.5, 1.0, 2.5])), min_sep=0.0)
+        h = float(rng.choice([1e-3, 1e-4]))
+        if k % 2:
+            lam = rng.uniform(12.0, 13.0) * h / pt.min_separation()
+            pt = ThomasPoint(s1=lam * pt.s1, s2=lam * pt.s2, eta=pt.eta)
+        s1, s2, eta = pt.s1, pt.s2, pt.eta
+        assert pt.min_separation() == _ref_min_separation(s1, s2)
+        assert thomas_psi(pt) == _ref_psi(s1, s2, eta)
+        if h <= 0.1 * pt.min_separation():
+            assert pde_residual(pt, h) == _ref_pde_residual(s1, s2, eta, h)
+        assert boundary_coefficient(s2, eta, 1e-3) == _ref_boundary_coefficient(s2, eta, 1e-3)
+
+
+def test_boundary_coefficient_rejects_degenerate_boundary_points():
+    eps = 1e-3
+    for s2 in [np.zeros(3)] + [sign * 0.5 * eps * np.eye(3)[i]
+                               for i in range(3) for sign in (1.0, -1.0)]:
+        # s2 = 0, or a boundary point s1 = +-eps e_i landing on s1 = 2 s2
+        with pytest.raises(ValueError, match="degeneracy"):
+            boundary_coefficient(s2, 1.0, eps)
