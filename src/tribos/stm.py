@@ -32,7 +32,11 @@ _GL_POINTS_PER_PANEL = 16
 # a sweep bracket holding two crossings; bisecting the widest double bracket
 # needs about 60.
 _MAX_REFINE_STEPS = 100
-_ROW_BLOCK = 64  # kernel rows per residual block; block starts are multiples of it
+# Kernel rows per block of assemble and residual; block starts are multiples
+# of it.  A block's three (32, n) arrays stay within a 2 MB L2 cache up to
+# n = 2700, and at n = 1000 assemble's two scratch blocks add 6 % to its
+# matrix (64 rows: 13 %).
+_ROW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -164,12 +168,26 @@ def build_grid(p_min: float, p_max: float, n: int) -> RadialGrid:
                       p_min=p_min, p_max=p_max)
 
 
+def _tms_log(p, q, mu: float, out: np.ndarray, s: np.ndarray, pq: np.ndarray) -> None:
+    # -(2/pi) log[(p^2+q^2+pq+mu)/(p^2+q^2-pq+mu)] of the broadcast p, q,
+    # built in out; s and pq are scratch of out's shape
+    np.add(p * p, q * q, out=s)
+    s += mu
+    np.multiply(p, q, out=pq)
+    np.add(s, pq, out=out)
+    s -= pq
+    out /= s
+    np.log(out, out=out)
+    out *= -2.0 / math.pi
+
+
 def tms_kernel(p, q, mu: float):
     """Angular-averaged TMS kernel -(2/pi) log[(p^2+q^2+pq+mu)/(p^2+q^2-pq+mu)].
 
     Symmetric in (p, q), finite everywhere for mu > 0, O(q) as q -> 0.
-    Broadcasts (a float for two scalars) and builds in place, three arrays
-    of the broadcast shape at the peak; _kernel_matrix builds with it too.
+    Broadcasts (a float for two scalars), three arrays of the broadcast
+    shape at the peak.  assemble and residual build their kernel rows with
+    the same in-place core, in blocks of _ROW_BLOCK rows.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -177,14 +195,8 @@ def tms_kernel(p, q, mu: float):
         raise ValueError("tms_kernel requires p, q > 0")
     if not mu > 0.0:
         raise ValueError("tms_kernel requires mu > 0")
-    s = np.atleast_1d(p * p + q * q)
-    s += mu
-    pq = p * q
-    out = s + pq
-    s -= pq
-    out /= s
-    np.log(out, out=out)
-    out *= -2.0 / math.pi
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape) or (1,))
+    _tms_log(p, q, mu, out, np.empty_like(out), np.empty_like(out))
     return float(out[0]) if p.ndim == q.ndim == 0 else out
 
 
@@ -248,26 +260,34 @@ def _coulomb_part(p: np.ndarray, w: np.ndarray, delta: float, lo: int = 0,
     return C, coulomb_row_integral(rows, p[0], p[-1], delta) - C @ w
 
 
-def _kernel_matrix(p: np.ndarray, w: np.ndarray, params: ModelParams,
-                   coulomb: tuple[np.ndarray, np.ndarray] | None = None,
-                   lo: int = 0, hi: int | None = None,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _kernel_rows(out: np.ndarray, s: np.ndarray, pq: np.ndarray, p: np.ndarray, mu: float,
+                 lo: int, C: np.ndarray | None) -> np.ndarray:
+    """Build kernel rows lo:lo + len(out) of the Nystrom operator in out.
+
+    out gets the kernel rows against all nodes: tms_kernel plus C, the rows'
+    Coulomb part (its diagonal j = lo + i zero), when given.  s and pq are
+    scratch of out's shape.  Returns the TMS kernel on that diagonal.
+    """
+    _tms_log(p[lo:lo + out.shape[0], None], p, mu, out, s, pq)
+    diag_kernel = out.diagonal(lo).copy()
+    if C is not None:
+        out += C
+    return diag_kernel
+
+
+def _kernel_matrix(p: np.ndarray, w: np.ndarray, params: ModelParams, lo: int = 0,
+                   hi: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kernel rows lo:hi (default: all) and diagonal pieces of the Nystrom operator.
 
-    Returns (K, diag_kernel, diag_extra): K holds the kernel rows against all
-    nodes (tms_kernel plus the Coulomb part) with the Coulomb diagonal
-    (j = lo + i) zeroed, diag_kernel the TMS kernel on that diagonal, and
-    diag_extra the singularity-subtraction correction (zero when delta = 0).
-    coulomb is _coulomb_part(p, w, params.delta, lo, hi), built here when
-    not given.
+    Returns (K, diag_kernel, diag_extra): K a new array of the kernel rows
+    and diag_kernel their TMS diagonal (see _kernel_rows), diag_extra the
+    singularity-subtraction correction (zero when delta = 0).
     """
-    K = tms_kernel(p[lo:hi, None], p, params.mu)
-    diag_kernel = K.diagonal(lo).copy()
-    diag_extra = np.zeros(K.shape[0])
-    if params.delta != 0.0:
-        C, diag_extra = coulomb or _coulomb_part(p, w, params.delta, lo, hi)
-        K += C
-    return K, diag_kernel, diag_extra
+    K = np.empty((p[lo:hi].size, p.size))
+    s, pq = np.empty((2, *K.shape))
+    C, diag_extra = (_coulomb_part(p, w, params.delta, lo, hi) if params.delta != 0.0
+                     else (None, np.zeros(K.shape[0])))
+    return K, _kernel_rows(K, s, pq, p, params.mu, lo, C), diag_extra
 
 
 def assemble(grid: RadialGrid, params: ModelParams,
@@ -284,11 +304,24 @@ def assemble(grid: RadialGrid, params: ModelParams,
     with the plain row integral in closed form.  Symmetry is exact by
     construction (similarity by sqrt(weights)).  coulomb, the mu-independent
     _coulomb_part of this grid and params.delta, is built when not given.
+    The matrix is built in place, _ROW_BLOCK rows at a time, so besides it
+    and the Coulomb part the only arrays are two (_ROW_BLOCK, n) scratch
+    blocks.
     """
     p, w = grid.nodes, grid.weights
-    M, diag_kernel, diag_extra = _kernel_matrix(p, w, params, coulomb)
+    n = p.size
+    C, diag_extra = ((coulomb or _coulomb_part(p, w, params.delta)) if params.delta != 0.0
+                     else (None, np.zeros(n)))
+    M = np.empty((n, n))
+    scratch = np.empty((2, min(_ROW_BLOCK, n), n))
     sw = np.sqrt(w)
-    M *= np.outer(sw, sw)  # exactly symmetric: both factors are
+    diag_kernel = np.empty(n)
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        s, pq = scratch[:, :hi - lo]
+        diag_kernel[lo:hi] = _kernel_rows(M[lo:hi], s, pq, p, params.mu, lo,
+                                          None if C is None else C[lo:hi])
+        M[lo:hi] *= np.multiply(sw[lo:hi, None], sw, out=s)  # sw_i sw_j: exactly symmetric
     d = np.sqrt(0.75 * p * p + params.mu) + params.alpha
     np.fill_diagonal(M, d + w * diag_kernel + diag_extra)
     return M
@@ -300,24 +333,81 @@ def smallest_eigenvalue(matrix: np.ndarray) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _dsytrf():
-    """(LAPACK dsytrf, its integer type) from numpy's LAPACK module: the ILP64
-    names first, then the LP64 one; None when none resolves (as on MKL or
-    Accelerate builds of numpy)."""
+def _lapack_routine(name: str, arguments: str):
+    """(LAPACK routine name, its integer type) from numpy's LAPACK module: the
+    ILP64 symbols first, then the LP64 one; None when none resolves (as on
+    MKL or Accelerate builds of numpy).  arguments spells the argument list,
+    a letter each: c a character, i an integer, a an array, h the hidden
+    length of a character argument."""
     lib = _lapack_library()
     if lib is None:
         return None
-    for name, integer in (("scipy_dsytrf_64_", ctypes.c_int64), ("dsytrf_64_", ctypes.c_int64),
-                          ("dsytrf_", ctypes.c_int32)):
-        routine = getattr(lib, name, None)
+    for symbol, integer in ((f"scipy_{name}_64_", ctypes.c_int64),
+                            (f"{name}_64_", ctypes.c_int64), (f"{name}_", ctypes.c_int32)):
+        routine = getattr(lib, symbol, None)
         if routine is not None:
-            # uplo, n, a, lda, ipiv, work, lwork, info, hidden length of uplo
-            size = ctypes.POINTER(integer)
-            routine.argtypes = [ctypes.c_char_p, size, ctypes.c_void_p, size, ctypes.c_void_p,
-                                ctypes.c_void_p, size, size, ctypes.c_size_t]
+            kinds = {"c": ctypes.c_char_p, "i": ctypes.POINTER(integer), "a": ctypes.c_void_p,
+                     "h": ctypes.c_size_t}
+            routine.argtypes = [kinds[kind] for kind in arguments]
             routine.restype = None
             return routine, integer
     return None
+
+
+def _dsytrf():
+    # uplo, n, a, lda, ipiv, work, lwork, info, hidden length of uplo
+    return _lapack_routine("dsytrf", "ciaiaaiih")
+
+
+def _dsyevd():
+    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, hidden
+    # lengths of jobz and uplo
+    return _lapack_routine("dsyevd", "cciaiaaiaiihh")
+
+
+def _square(matrix: np.ndarray) -> np.ndarray:
+    # the matrix itself when it is a writable C-contiguous float array,
+    # otherwise such a copy; LAPACK overwrites it
+    a = np.require(matrix, dtype=float, requirements="CW")
+    if a.shape != (a.shape[0],) * 2:
+        raise ValueError(f"need a square matrix, got shape {a.shape}")
+    return a
+
+
+def _eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of a symmetric matrix, computed in place.
+
+    Runs LAPACK dsyevd for eigenvalues only, the routine and workspace size
+    np.linalg.eigvalsh runs, but on the matrix itself (a C-contiguous float
+    array is overwritten) rather than on a Fortran-order copy.  A symmetric
+    C-order array is its own Fortran-order array, and 'L' reads the C upper
+    triangle, bit for bit the lower one eigvalsh reads when the matrix is
+    exactly symmetric (as assemble builds it): the spectrum is eigvalsh's.
+    A non-finite matrix or a failed convergence raises LinAlgError.  Without
+    a dsyevd in numpy's LAPACK this is eigvalsh.
+    """
+    lapack = _dsyevd()
+    if lapack is None:
+        return np.linalg.eigvalsh(matrix)
+    dsyevd, integer = lapack
+    a = _square(matrix)
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("non-finite matrix")
+    ev = np.empty(a.shape[0])
+    n, info = integer(a.shape[0]), integer(0)
+
+    def solve(work: np.ndarray, lwork: int, iwork: np.ndarray, liwork: int) -> None:
+        dsyevd(b"N", b"L", ctypes.byref(n), a.ctypes.data, ctypes.byref(n), ev.ctypes.data,
+               work.ctypes.data, ctypes.byref(integer(lwork)), iwork.ctypes.data,
+               ctypes.byref(integer(liwork)), ctypes.byref(info), 1, 1)
+
+    work, iwork = np.zeros(1), np.zeros(1, dtype=np.dtype(integer))
+    solve(work, -1, iwork, -1)  # workspace query
+    lwork, liwork = max(1, int(work[0])), max(1, int(iwork[0]))
+    solve(np.empty(lwork), lwork, np.empty(liwork, dtype=iwork.dtype), liwork)
+    if info.value != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return ev
 
 
 def _inertia_logdet(matrix: np.ndarray) -> tuple[int, float]:
@@ -338,10 +428,8 @@ def _inertia_logdet(matrix: np.ndarray) -> tuple[int, float]:
         with np.errstate(divide="ignore"):
             return int(np.count_nonzero(ev < 0.0)), float(np.sum(np.log(np.abs(ev))))
     dsytrf, integer = lapack
-    a = np.require(matrix, dtype=float, requirements="CW")
+    a = _square(matrix)
     size = a.shape[0]
-    if a.shape != (size, size):
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
     ipiv = np.empty(size, dtype=np.dtype(integer))
     n, info = integer(size), integer(0)
 
@@ -451,9 +539,13 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     k-th eigenvalue is at most refine_rel wide (relative); the reported
     crossing, the bracket's geometric midpoint, lies within refine_rel of
     the discrete operator's singular mu.  Each sweep point takes one full
-    eigen-solve (the smallest eigenvalue is reported); each Brent step takes
-    one LDL^T factorization, whose inertia gives the sign of the k-th
-    eigenvalue and whose determinant, which vanishes with it, the size.
+    eigen-solve (the smallest eigenvalue is reported), made in place on the
+    matrix just assembled, bit for bit eigvalsh's spectrum; each Brent step
+    takes one LDL^T factorization, also in place, whose inertia gives the
+    sign of the k-th eigenvalue and whose determinant, which vanishes with
+    it, the size.  So each pool thread holds one n x n matrix at a time,
+    besides the mu-independent Coulomb part (delta != 0) built once and
+    shared by all.
 
     The sweep solves, then the refinement chains (one task per crossing),
     run on one pool of TRIBOS_THREADS threads (default: the CPU count), each
@@ -476,7 +568,7 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
 
         def spectrum(mu: float) -> np.ndarray:
             params = ModelParams(mu=mu, delta=delta)
-            return np.linalg.eigvalsh(assemble(grid, params, coulomb))
+            return _eigenvalues(assemble(grid, params, coulomb))
 
         pool = ThreadPoolExecutor(max_workers=workers)
         try:

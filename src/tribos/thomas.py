@@ -53,7 +53,15 @@ class ThomasPoint:
             raise ValueError("s1 and s2 must be 3-vectors")
         if not self.eta > 0.0:
             raise ValueError("eta must be positive")
-        object.__setattr__(self, "_separation", _min_separation(self.s1, self.s2))
+        s1, s2 = self.s1, self.s2
+        with np.errstate(over="ignore", invalid="ignore"):
+            distances = (_norm(s1), _norm(s2),
+                         _norm(s1 - 2.0 * s2) / SQRT5, _norm(s2 - 2.0 * s1) / SQRT5)
+        if not all(math.isfinite(d) for d in distances):
+            # psi divides by these norms: |s1|^2 overflowing to inf gave xi2 = 0
+            raise ValueError("point too far out or not finite: a squared distance to a "
+                             "degenerate set leaves double range")
+        object.__setattr__(self, "_separation", min(distances))
         if self._separation == 0.0:
             raise ValueError("point lies on a coincidence/degeneracy set")
 
@@ -67,11 +75,6 @@ def _norm(v: np.ndarray) -> float:
     # the BLAS ddot and sqrt that np.linalg.norm runs on a contiguous
     # 3-vector, without its dispatch cost: the same bits
     return math.sqrt(float(v.dot(v)))
-
-
-def _min_separation(s1: np.ndarray, s2: np.ndarray) -> float:
-    return min(_norm(s1), _norm(s2),
-               _norm(s1 - 2.0 * s2) / SQRT5, _norm(s2 - 2.0 * s1) / SQRT5)
 
 
 def _pair_term(xi: float) -> float:

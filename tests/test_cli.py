@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tribos import cli
+from tribos import cli, stm
 from tribos.cli import RunConfig, main, run
 
 
@@ -249,7 +249,7 @@ def test_scan_linalg_error_exits_3(monkeypatch):
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(stm, "_eigenvalues", fail)
     assert main(_SMALL_LADDER_SCAN) == 3
 
 
@@ -279,6 +279,7 @@ def test_scan_with_crossings_byte_identical(tmp_path, monkeypatch):
     ["thomas", "--h", "1e-200"],
     ["thomas", "--h", "1e-12"],
     ["thomas", "--h", "3e-8"],
+    ["thomas", "--eps", "1e200", "--n-points", "2"],
 ])
 def test_invalid_inputs_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -351,8 +352,9 @@ _ARGV = st.one_of(
               _FLOATS, _FLOATS),
     st.builds(lambda mu, n, delta: ["residual", f"--mu={mu}", f"--n={n}", f"--delta={delta}"],
               _FLOATS, st.integers(-2, 400), _FLOATS),
-    st.builds(lambda n, h, seed: ["thomas", f"--n-points={n}", f"--h={h}", f"--seed={seed}"],
-              st.integers(-1, 3), _FLOATS, st.integers(0, 2**31 - 1)),
+    st.builds(lambda n, h, eps, seed: ["thomas", f"--n-points={n}", f"--h={h}", f"--eps={eps}",
+                                       f"--seed={seed}"],
+              st.integers(-1, 3), _FLOATS, _FLOATS, st.integers(0, 2**31 - 1)),
 )
 
 

@@ -368,15 +368,14 @@ def test_scan_refinement_solve_budget(monkeypatch):
     # one eigen-solve per sweep point; the refinement factorizes only
     grid = build_grid(*_LADDER_GRID)
     solves, factorizations = [], []
-    eigvalsh, inertia_logdet = np.linalg.eigvalsh, stm._inertia_logdet
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or eigvalsh(a))
+    eigenvalues, inertia_logdet = stm._eigenvalues, stm._inertia_logdet
+    monkeypatch.setattr(stm, "_eigenvalues", lambda a: solves.append(1) or eigenvalues(a))
     monkeypatch.setattr(stm, "_inertia_logdet",
                         lambda a: factorizations.append(1) or inertia_logdet(a))
     n_mu = 9
     result = scan_spectrum(grid, 0.0, 1e-4, 1e4, n_mu)
     assert len(result.crossings) == 3
-    # without a dsytrf each factorization is an eigvalsh
-    assert len(solves) == n_mu + (len(factorizations) if stm._dsytrf() is None else 0)
+    assert len(solves) == n_mu
     assert 0 < len(factorizations) <= 8 * len(result.crossings)
 
 
@@ -495,15 +494,85 @@ def _reference_assembly(grid, params):
     return M
 
 
-@pytest.mark.parametrize("delta", [0.0, 0.37, 1.0])
-def test_assemble_with_precomputed_coulomb_part_is_bit_identical(delta):
-    grid = build_grid(1e-4, 1e4, 300)
+def _assert_assembly_matches_reference(n, delta):
+    grid = build_grid(1e-4, 1e4, n)
     coulomb = stm._coulomb_part(grid.nodes, grid.weights, delta) if delta else None
     for mu in (1e-3, 0.7, 1e3):
         params = ModelParams(mu=mu, delta=delta, alpha=0.25)
         built = assemble(grid, params)
         assert np.array_equal(built, _reference_assembly(grid, params))
         assert np.array_equal(assemble(grid, params, coulomb), built)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.37, 1.0])
+def test_assemble_with_precomputed_coulomb_part_is_bit_identical(delta):
+    _assert_assembly_matches_reference(300, delta)
+
+
+# n below the row block, and between one and two blocks without being a multiple of it
+@pytest.mark.parametrize("n", [26, 61])
+@pytest.mark.parametrize("delta", [0.0, 0.37, 1.0])
+def test_assemble_is_bit_identical_across_row_blocks(n, delta):
+    _assert_assembly_matches_reference(n, delta)
+
+
+def _peak_bytes(fn):
+    # tracemalloc's peak over the call, which sees every numpy array allocated
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0])
+def test_assemble_holds_no_second_matrix(delta):
+    n = 1000
+    grid = build_grid(1e-4, 1e4, n)
+    coulomb = stm._coulomb_part(grid.nodes, grid.weights, delta) if delta else None
+    params = ModelParams(mu=0.7, delta=delta)
+    assemble(grid, params, coulomb)  # warm caches outside the measurement
+    assert _peak_bytes(lambda: assemble(grid, params, coulomb)) < 1.1 * n * n * 8
+
+
+def test_scan_holds_one_matrix_per_pool_thread(monkeypatch):
+    # two pool threads, each assembling and solving its own matrix, plus the
+    # shared Coulomb part: three n x n arrays (seven when assembly built
+    # three n x n temporaries)
+    n = 500
+    grid = build_grid(1e-4, 1e4, n)
+    monkeypatch.setenv("TRIBOS_THREADS", "2")
+    scan_spectrum(grid, 1.0, 1e-2, 1e2, 2)  # warm caches outside the measurement
+    assert _peak_bytes(lambda: scan_spectrum(grid, 1.0, 1e-2, 1e2, 6)) < 4 * n * n * 8
+
+
+@pytest.mark.parametrize("n", [26, 250, 1000])
+@pytest.mark.parametrize("delta", [0.0, 0.37, 1.0])
+def test_in_place_eigenvalues_equal_eigvalsh(n, delta):
+    grid = build_grid(1e-4, 1e4, n)
+    for mu in (1e-3, 0.7, 1e3):
+        matrix = assemble(grid, ModelParams(mu=mu, delta=delta))
+        expected = np.linalg.eigvalsh(matrix)
+        assert np.array_equal(stm._eigenvalues(matrix), expected)
+
+
+def test_in_place_eigenvalues_reject_non_finite_matrices():
+    a = _symmetric(30, 2)
+    a[4, 9] = a[9, 4] = math.inf
+    with pytest.raises(np.linalg.LinAlgError):
+        stm._eigenvalues(a)
+    a[4, 9] = a[9, 4] = math.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        stm._eigenvalues(a)
+
+
+def test_scan_without_dsyevd_is_identical(monkeypatch):
+    grid = build_grid(*_LADDER_GRID)
+    solved = [scan_spectrum(grid, 0.0, 1e-4, 1e4, 9), scan_spectrum(grid, 1.0, 1e-2, 1e2, 5)]
+    monkeypatch.setattr(stm, "_dsyevd", lambda: None)
+    _assert_same_scan(scan_spectrum(grid, 0.0, 1e-4, 1e4, 9), solved[0])
+    _assert_same_scan(scan_spectrum(grid, 1.0, 1e-2, 1e2, 5), solved[1])
 
 
 def _blas_controls():
@@ -544,8 +613,8 @@ def test_scan_solves_single_threaded_and_restores_blas_threads(monkeypatch):
     get, put = _blas_controls()
     grid = build_grid(*_LADDER_GRID)
     seen, factored = [], []
-    eigvalsh, inertia_logdet = np.linalg.eigvalsh, stm._inertia_logdet
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(get()) or eigvalsh(a))
+    eigenvalues, inertia_logdet = stm._eigenvalues, stm._inertia_logdet
+    monkeypatch.setattr(stm, "_eigenvalues", lambda a: seen.append(get()) or eigenvalues(a))
     monkeypatch.setattr(stm, "_inertia_logdet",
                         lambda a: factored.append(get()) or inertia_logdet(a))
     previous = get()

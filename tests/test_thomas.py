@@ -35,6 +35,10 @@ def test_point_validation():
         ThomasPoint(s1=[1.0, 0.0, 0.0], s2=[0.0, 1.0, 0.0], eta=0.0)
     with pytest.raises(ValueError):
         ThomasPoint(s1=[1.0, 0.0], s2=[0.0, 1.0, 0.0], eta=1.0)
+    for s1 in ([1e200, 0.0, 0.0], [0.0, 1.2e154, 0.0], [math.nan, 1.0, 0.0]):
+        # |s1|^2 or |s2 - 2 s1|^2 overflows (psi divided by zero), or is NaN
+        with pytest.raises(ValueError):
+            ThomasPoint(s1=s1, s2=[0.0, 0.0, 1.0], eta=1.0)
 
 
 def test_swap_symmetry_and_positivity():
@@ -145,6 +149,8 @@ def test_boundary_coefficient_decays_at_large_separation():
 def test_boundary_coefficient_validation():
     with pytest.raises(ValueError):
         boundary_coefficient(np.array([1.0, 0.0, 0.0]), 1.0, 0.0)
+    with pytest.raises(ValueError, match="double range"):
+        boundary_coefficient(np.array([1.0, 0.0, 0.0]), 1.0, 1e200)
 
 
 # The formulas as written before the unvalidated core: np.linalg.norm and a
