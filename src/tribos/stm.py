@@ -21,10 +21,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .ladder import sample_charge_density
+from .symbols import delta0
 
 _GL_POINTS_PER_PANEL = 16
 # Level evaluations (one assembly and one LDL^T factorization each) allowed
@@ -37,6 +39,12 @@ _MAX_REFINE_STEPS = 100
 # n = 2700, and at n = 1000 assemble's two scratch blocks add 6 % to its
 # matrix (64 rows: 13 %).
 _ROW_BLOCK = 32
+# Lanczos steps allowed per sweep point, and the Ritz residual, relative to
+# ||T||, at which it stops.  At delta = 0 and n = 1000 it stops after about
+# 37 steps (about 20 ms, a sixth of a full eigen-solve).
+_LANCZOS_STEPS = 100
+_LANCZOS_TOL = 1e-12
+_DELTA0 = delta0()
 
 
 @dataclass(frozen=True)
@@ -410,33 +418,30 @@ def _eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return ev
 
 
-def _inertia_logdet(matrix: np.ndarray) -> tuple[int, float]:
-    """(number of negative eigenvalues, log|det|) of a symmetric matrix.
+def _spectrum_inertia(ev: np.ndarray) -> tuple[int, float]:
+    """(number of negative eigenvalues, log|det|) of a matrix with spectrum ev."""
+    with np.errstate(divide="ignore"):
+        return int(np.count_nonzero(ev < 0.0)), float(np.sum(np.log(np.abs(ev))))
 
-    Factors the matrix in place (a C-contiguous float array is overwritten)
-    by Bunch-Kaufman LDL^T and counts the negative eigenvalues of its 1x1 and
-    2x2 pivot blocks, which by Sylvester's law of inertia are the matrix's.
-    A zero pivot (an exactly singular matrix) counts as nonnegative and gives
-    log|det| = -inf; a non-finite matrix or factor raises LinAlgError.
-    Without a dsytrf in numpy's LAPACK both come from eigvalsh.
+
+def _ldlt(matrix: np.ndarray, uplo: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Bunch-Kaufman LDL^T factorization of a symmetric matrix, in place.
+
+    A symmetric C-order array is its own Fortran-order array, so uplo b"L"
+    (the Fortran lower triangle) factors the C upper triangle and b"U" the C
+    lower one; dsytrf reads and writes only that triangle and the diagonal.
+    Returns (a, ipiv): the factored array (the matrix itself when it is a
+    writable C-contiguous float array) and dsytrf's pivot indices.  A
+    non-finite matrix or factor raises LinAlgError.  Needs _dsytrf().
     """
-    lapack = _dsytrf()
-    if lapack is None:
-        ev = np.linalg.eigvalsh(matrix)
-        if not np.all(np.isfinite(ev)):
-            raise np.linalg.LinAlgError("non-finite eigenvalues")
-        with np.errstate(divide="ignore"):
-            return int(np.count_nonzero(ev < 0.0)), float(np.sum(np.log(np.abs(ev))))
-    dsytrf, integer = lapack
+    dsytrf, integer = _dsytrf()
     a = _square(matrix)
     size = a.shape[0]
     ipiv = np.empty(size, dtype=np.dtype(integer))
     n, info = integer(size), integer(0)
 
     def factor(work: np.ndarray, lwork: int) -> None:
-        # A symmetric C-order array is its own Fortran-order array, so 'L'
-        # (the Fortran lower triangle) works on the C upper triangle.
-        dsytrf(b"L", ctypes.byref(n), a.ctypes.data, ctypes.byref(n), ipiv.ctypes.data,
+        dsytrf(uplo, ctypes.byref(n), a.ctypes.data, ctypes.byref(n), ipiv.ctypes.data,
                work.ctypes.data, ctypes.byref(integer(lwork)), ctypes.byref(info), 1)
 
     query = np.zeros(1)
@@ -445,6 +450,27 @@ def _inertia_logdet(matrix: np.ndarray) -> tuple[int, float]:
     factor(np.empty(lwork), lwork)
     if not np.all(np.isfinite(a)):
         raise np.linalg.LinAlgError("non-finite matrix or LDL^T factor")
+    return a, ipiv
+
+
+def _inertia_logdet(matrix: np.ndarray) -> tuple[int, float]:
+    """(number of negative eigenvalues, log|det|) of a symmetric matrix.
+
+    Factors the matrix in place (a C-contiguous float array has its C upper
+    triangle and diagonal overwritten; see _ldlt) by Bunch-Kaufman LDL^T and
+    counts the negative eigenvalues of its 1x1 and 2x2 pivot blocks, which by
+    Sylvester's law of inertia are the matrix's.  A zero pivot (an exactly
+    singular matrix) counts as nonnegative and gives log|det| = -inf; a
+    non-finite matrix or factor raises LinAlgError.  Without a dsytrf in
+    numpy's LAPACK both come from eigvalsh.
+    """
+    if _dsytrf() is None:
+        ev = np.linalg.eigvalsh(matrix)
+        if not np.all(np.isfinite(ev)):
+            raise np.linalg.LinAlgError("non-finite eigenvalues")
+        return _spectrum_inertia(ev)
+    a, ipiv = _ldlt(matrix, b"L")
+    size = a.shape[0]
     # ipiv < 0 marks the rows of 2x2 pivot blocks; runs of them pair up from
     # their first row.
     two = ipiv < 0
@@ -464,6 +490,126 @@ def _inertia_logdet(matrix: np.ndarray) -> tuple[int, float]:
     with np.errstate(divide="ignore"):
         logdet = np.sum(np.log(np.abs(single))) + np.sum(2.0 * np.log(scale) + np.log(np.abs(det)))
     return int(count), float(logdet)
+
+
+def _lanczos(matrix: np.ndarray) -> tuple[float, float] | None:
+    """(theta, r): the smallest Ritz value of a symmetric matrix and its
+    residual bound, or None.
+
+    Lanczos with full reorthogonalization (classical Gram-Schmidt, twice),
+    started from the normalized vector of ones, stops once
+    r = beta_j |s_j| <= _LANCZOS_TOL ||T_j||, s_j the last component of the
+    Ritz vector in the tridiagonal T_j.  Then some eigenvalue lies within r
+    of theta, and theta, a Rayleigh quotient, is at least the smallest one
+    (which one theta approximates is _certified_lower_bound's to check).
+    Gives up (None) after _LANCZOS_STEPS steps, or sooner when the Ritz
+    values predict that it cannot converge in the steps left: the residual
+    falls by about (sqrt(1 + g) - sqrt(g))^2 a step (Kaniel-Paige), g the gap
+    ratio (theta_1 - theta_0) / (theta_max - theta_1), so an eigenvalue close
+    to the next against the spread is slow (delta near or above delta0).
+    For n <= _LANCZOS_STEPS it runs on, as step n exhausts the space.
+    A non-finite matrix, or one whose vectors' squared norms overflow,
+    gives None.  The matrix is read, not written.
+    """
+    n = matrix.shape[0]
+    steps = min(_LANCZOS_STEPS, n)
+    basis = np.empty((steps + 1, n))  # rows are touched (and resident) one step at a time
+    basis[0] = 1.0 / math.sqrt(n)
+    alpha, beta = np.empty(steps), np.empty(steps)
+    w = np.empty(n)
+    for j in range(steps):
+        q = basis[:j + 1]
+        np.dot(matrix, basis[j], out=w)
+        h = q @ w
+        if not np.all(np.isfinite(h)):
+            return None
+        w -= h @ q
+        w -= (q @ w) @ q
+        with np.errstate(over="ignore"):  # ||w||^2 overflows for entries beyond about 1e154
+            alpha[j], beta[j] = h[j], np.linalg.norm(w)
+        if not math.isfinite(beta[j]):
+            return None
+        tridiagonal = np.diag(alpha[:j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+        ritz, vectors = np.linalg.eigh(tridiagonal)
+        theta, r = float(ritz[0]), float(beta[j] * abs(vectors[-1, 0]))
+        tol = _LANCZOS_TOL * max(abs(ritz[0]), abs(ritz[-1]))
+        if r <= tol:
+            return theta, r
+        if 2 <= j and steps < n and ritz[-1] > ritz[1]:
+            g = float((ritz[1] - ritz[0]) / (ritz[-1] - ritz[1]))
+            if r * (math.sqrt(1.0 + g) - math.sqrt(g)) ** (2 * (steps - 1 - j)) > tol:
+                return None
+        np.divide(w, beta[j], out=basis[j + 1])
+    return None
+
+
+def _certified_lower_bound(matrix: np.ndarray, theta: float, r: float) -> float | None:
+    """A proven lower bound, theta - 2 (r + c), on the smallest eigenvalue
+    of a symmetric matrix M given _lanczos's (theta, r), or None.
+
+    Factors A = fl(M - sI), s = theta - 2 r - c, by Bunch-Kaufman LDL^T.
+    When every pivot is 1x1 and positive, P A P^T + E = L D L^T is positive
+    definite.  A trailing entry collects at most n + 2 roundings, so
+    |E| <= g |L| D |L|^T with g = (n + 2) u / (1 - (n + 2) u), u the unit
+    roundoff, and by Cauchy-Schwarz (|L| D |L|^T)_ij <= sqrt(t_i t_j),
+    t_i = (L D L^T)_ii, so ||E||_2 <= g tr(A) / (1 - g).  With
+    c = 4 (n + 2) u (sum_i |M_ii - theta| + 2 n r) that and the rounding of
+    M_ii - s stay below c (for n up to about 1e7, without underflow), so M
+    has no eigenvalue below s - c.  If theta approximates the smallest
+    eigenvalue, that eigenvalue is at least theta - r, so A is positive
+    definite by r + c, more than the rounding: the check passes.  It fails
+    (None) when some eigenvalue lies below s, as when the start vector
+    missed the ground state, on a 2x2 pivot, and without a dsytrf.  As
+    theta, a Rayleigh quotient, is at least the smallest eigenvalue up to
+    rounding (below c), that eigenvalue lies within 2 (r + c) of theta.
+
+    The factorization works on the C lower triangle and the diagonal (see
+    _ldlt) of matrix, a writable C-contiguous float array (otherwise of a
+    copy); the diagonal is restored, so the C upper triangle and the
+    diagonal are left as given, for _inertia_logdet or _eigenvalues.
+    """
+    if _dsytrf() is None:
+        return None
+    a = _square(matrix)
+    n = a.shape[0]
+    diagonal = a.diagonal().copy()
+    u = np.finfo(float).eps / 2.0
+    c = 4.0 * (n + 2) * u * (float(np.sum(np.abs(diagonal - theta))) + 2.0 * n * r)
+    np.fill_diagonal(a, diagonal - (theta - 2.0 * r - c))
+    try:
+        _, ipiv = _ldlt(a, b"U")
+        passed = bool(np.all(ipiv > 0) and np.all(a.diagonal() > 0.0))
+    except np.linalg.LinAlgError:
+        passed = False
+    np.fill_diagonal(a, diagonal)
+    return theta - 2.0 * (r + c) if passed else None
+
+
+def _sweep_point(build: Callable[[], np.ndarray], thomas: bool) -> tuple[float, int, float]:
+    """(smallest eigenvalue, number of negative eigenvalues, log|det|) of
+    the symmetric matrix build() returns.
+
+    With thomas (delta < delta0, where the Thomas effect makes the smallest
+    eigenvalue one deep, isolated level), the smallest eigenvalue is _lanczos's
+    theta checked by _certified_lower_bound, within 2 (r + c) of the true one
+    (within about 1e-14 relative at delta = 0), and the count and log|det| come
+    from _inertia_logdet, the function the crossing refinement evaluates.
+    Otherwise, and when the Lanczos iteration gives up, theta >= 0, the check
+    fails or the count is 0, all three come from _eigenvalues, bit for bit
+    eigvalsh's spectrum; the matrix is built again when the factorizations
+    have overwritten it, after the first one is released.
+    """
+    matrix = build()
+    ritz = _lanczos(matrix) if thomas else None
+    if ritz is not None and ritz[0] < 0.0:
+        if _certified_lower_bound(matrix, *ritz) is not None:
+            count, logdet = _inertia_logdet(matrix)
+            if count:
+                return ritz[0], count, logdet
+        del matrix
+        matrix = build()
+    ev = _eigenvalues(matrix)
+    return float(ev[0]), *_spectrum_inertia(ev)
 
 
 def _level_value(count: int, k: int, log_size: float) -> float:
@@ -538,14 +684,24 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     refined by Brent's method in log mu until the sign-change bracket of the
     k-th eigenvalue is at most refine_rel wide (relative); the reported
     crossing, the bracket's geometric midpoint, lies within refine_rel of
-    the discrete operator's singular mu.  Each sweep point takes one full
-    eigen-solve (the smallest eigenvalue is reported), made in place on the
-    matrix just assembled, bit for bit eigvalsh's spectrum; each Brent step
-    takes one LDL^T factorization, also in place, whose inertia gives the
-    sign of the k-th eigenvalue and whose determinant, which vanishes with
-    it, the size.  So each pool thread holds one n x n matrix at a time,
-    besides the mu-independent Coulomb part (delta != 0) built once and
-    shared by all.
+    the discrete operator's singular mu.  Each Brent step takes one LDL^T
+    factorization, in place, whose inertia gives the sign of the k-th
+    eigenvalue and whose determinant, which vanishes with it, the size.
+
+    Each sweep point solves the matrix just assembled by _sweep_point.  For
+    delta < delta0 (the Thomas regime: one deep, isolated lowest level) a
+    Lanczos iteration gives the smallest eigenvalue, which an LDL^T
+    factorization of the shifted matrix checks: no eigenvalue lies more than
+    2 (r + c) below it, r the Ritz residual and c a rounding bound (at
+    delta = 0 and n = 1000 about 1.5e-6 against -1228, and the value itself
+    agrees with a full eigen-solve to about 1e-14 relative).  The count and
+    log|det| come from the LDL^T inertia the Brent steps use, so the bracket
+    ends and the interior come from one function.  For delta >= delta0, and
+    where the iteration gives up, the check fails or the count is 0, the
+    point takes one full eigen-solve made in place, bit for bit eigvalsh's
+    spectrum.  So each pool thread holds one n x n matrix at a time, besides
+    the mu-independent Coulomb part (delta != 0) built once and shared by
+    all.
 
     The sweep solves, then the refinement chains (one task per crossing),
     run on one pool of TRIBOS_THREADS threads (default: the CPU count), each
@@ -566,14 +722,14 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     with _single_threaded_blas():
         coulomb = _coulomb_part(p, grid.weights, delta) if delta != 0.0 else None
 
-        def spectrum(mu: float) -> np.ndarray:
+        def sweep_point(mu: float) -> tuple[float, int, float]:
             params = ModelParams(mu=mu, delta=delta)
-            return _eigenvalues(assemble(grid, params, coulomb))
+            return _sweep_point(lambda: assemble(grid, params, coulomb), delta < _DELTA0)
 
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
-            sweep = list(pool.map(lambda m: spectrum(float(m)), mus))
-            counts = [int(np.sum(ev < 0.0)) for ev in sweep]
+            sweep = list(pool.map(lambda m: sweep_point(float(m)), mus))
+            counts = [count for _, count, _ in sweep]
             if any(hi > lo for lo, hi in zip(counts, counts[1:])):
                 raise RuntimeError("negative-eigenvalue count increased with mu")
 
@@ -585,10 +741,8 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
                 # The k-th eigenvalue is < 0 at mus[i] and >= 0 at mus[i + 1].
                 # Brent runs on its sign times |det| / prod_j d_j / R, from one
                 # LDL^T factorization per step; R scales the larger end to 1.
-                # The ends come from the sweep spectra.
-                with np.errstate(divide="ignore"):
-                    ends = [log_size(mus[j], float(np.sum(np.log(np.abs(sweep[j])))))
-                            for j in (i, i + 1)]
+                # The ends come from the sweep points.
+                ends = [log_size(mus[j], sweep[j][2]) for j in (i, i + 1)]
                 log_r = max(ends) if math.isfinite(max(ends)) else 0.0
 
                 def f(t: float) -> float:
@@ -607,7 +761,7 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
             crossings = [chain.result() for chain in chains]
         finally:
             pool.shutdown(cancel_futures=True)  # after a failure, drop queued chains
-    return SpectralScan(mus=mus, smallest=np.array([ev[0] for ev in sweep]),
+    return SpectralScan(mus=mus, smallest=np.array([smallest for smallest, _, _ in sweep]),
                         negative_counts=np.array(counts), crossings=sorted(crossings))
 
 

@@ -27,6 +27,7 @@ eigenfunctions to eigenfunctions with eta -> lambda eta.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,11 +107,13 @@ def pde_residual(pt: ThomasPoint, h: float) -> float:
 
     Second-order stencils: three-point for each Laplacian axis, the
     four-point cross for the mixed gradient term.  Raises if the step is
-    larger than a tenth of the distance to the nearest degeneracy set, or
-    so small that rounding in the stencil exceeds 1 relative.  The
-    stencil's coefficients sum in magnitude to (4/3)(24 + 12/4) = 36 over
-    h^2, so an error of u ulps in each psi value gives a relative residual of
-    up to 36 u eps/(eta h)^2 (eps = 2^-52).  pde_residual (eta h)^2/eps
+    larger than a tenth of the distance to the nearest degeneracy set, if
+    it is so small that rounding in the stencil exceeds 1 relative, and
+    where psi, which the residual divides by, underflows the normal doubles
+    (K0(eta s) below about 1e-308: eta s above about 705).  The stencil's
+    coefficients sum in magnitude to (4/3)(24 + 12/4) = 36 over h^2, so an
+    error of u ulps in each psi value gives a relative residual of up to
+    36 u eps/(eta h)^2 (eps = 2^-52).  pde_residual (eta h)^2/eps
     measured up to 343 (median about 20) over 900 random points at
     h = 1e-6 and 1e-7, i.e. u up to about 10; the guard takes u = 14, a
     rounding estimate of 512 eps/(eta h)^2.  Near that limit rounding still
@@ -129,6 +132,9 @@ def pde_residual(pt: ThomasPoint, h: float) -> float:
             f"step {h} too large: point is {pt.min_separation():.3g} from a coincidence set")
     s1, s2, eta = pt.s1, pt.s2, pt.eta
     f0 = _psi(s1, s2, eta)
+    if not abs(f0) >= sys.float_info.min:
+        raise ValueError(f"psi = {f0:.3g} underflows the normal doubles at this point: "
+                         f"eta = {eta:.17g} too large for its distance from the origin")
     lap = 0.0
     mix = 0.0
     for i in range(3):

@@ -246,10 +246,16 @@ _SMALL_LADDER_SCAN = ["scan", "--delta", "0", "--mu-lo", "1e-4", "--mu-hi", "1e4
 
 
 def test_scan_linalg_error_exits_3(monkeypatch):
-    def fail(a):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    # delta >= delta0: a failed eigen-solve; delta = 0 (no eigen-solve): a
+    # failed LDL^T factorization
+    def fail(*args):
+        raise np.linalg.LinAlgError("did not converge")
 
-    monkeypatch.setattr(stm, "_eigenvalues", fail)
+    with monkeypatch.context() as patch:
+        patch.setattr(stm, "_eigenvalues", fail)
+        assert main(["scan", "--delta", "1", "--mu-lo", "1e-2", "--mu-hi", "1e2",
+                     "--n-mu", "3", "--grid", "64"]) == 3
+    monkeypatch.setattr(stm, "_inertia_logdet", fail)
     assert main(_SMALL_LADDER_SCAN) == 3
 
 
@@ -280,6 +286,7 @@ def test_scan_with_crossings_byte_identical(tmp_path, monkeypatch):
     ["thomas", "--h", "1e-12"],
     ["thomas", "--h", "3e-8"],
     ["thomas", "--eps", "1e200", "--n-points", "2"],
+    ["thomas", "--eta", "300", "--n-points", "2"],
 ])
 def test_invalid_inputs_exit_2(argv, capsys):
     assert main(argv) == 2

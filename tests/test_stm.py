@@ -364,19 +364,36 @@ def test_scan_crossing_brackets_level_sign_change():
         assert below[level - 1] < 0.0 <= above[level - 1]
 
 
+def _record_calls(monkeypatch, names, record=lambda: None):
+    # {name: [record() at each call]} of the stm functions named, which stay
+    # in place; list.append is atomic, so pool threads may call them
+    calls = {name: [] for name in names}
+    for name in names:
+        original, seen = getattr(stm, name), calls[name]
+        monkeypatch.setattr(stm, name,
+                            lambda *a, _f=original, _s=seen: _s.append(record()) or _f(*a))
+    return calls
+
+
 def test_scan_refinement_solve_budget(monkeypatch):
-    # one eigen-solve per sweep point; the refinement factorizes only
+    # delta = 0: each sweep point is a Lanczos iteration and two LDL^T
+    # factorizations (the check and the inertia), no eigen-solve, and the
+    # refinement factorizes only; delta >= delta0: one eigen-solve per point
     grid = build_grid(*_LADDER_GRID)
-    solves, factorizations = [], []
-    eigenvalues, inertia_logdet = stm._eigenvalues, stm._inertia_logdet
-    monkeypatch.setattr(stm, "_eigenvalues", lambda a: solves.append(1) or eigenvalues(a))
-    monkeypatch.setattr(stm, "_inertia_logdet",
-                        lambda a: factorizations.append(1) or inertia_logdet(a))
+    calls = _record_calls(monkeypatch, ("_eigenvalues", "_ldlt", "_certified_lower_bound"))
     n_mu = 9
     result = scan_spectrum(grid, 0.0, 1e-4, 1e4, n_mu)
     assert len(result.crossings) == 3
-    assert len(solves) == n_mu
-    assert 0 < len(factorizations) <= 8 * len(result.crossings)
+    assert len(calls["_eigenvalues"]) == 0
+    assert len(calls["_certified_lower_bound"]) == n_mu
+    refinement = len(calls["_ldlt"]) - 2 * n_mu
+    assert 0 < refinement <= 8 * len(result.crossings)
+    for seen in calls.values():
+        seen.clear()
+    n_mu = 5
+    assert not scan_spectrum(grid, 1.0, 1e-2, 1e2, n_mu).crossings
+    assert len(calls["_eigenvalues"]) == n_mu
+    assert len(calls["_ldlt"]) == len(calls["_certified_lower_bound"]) == 0
 
 
 @pytest.mark.parametrize("refine_rel", [0.0, -1.0, math.nan, math.inf, 1.0])
@@ -545,6 +562,10 @@ def test_scan_holds_one_matrix_per_pool_thread(monkeypatch):
     monkeypatch.setenv("TRIBOS_THREADS", "2")
     scan_spectrum(grid, 1.0, 1e-2, 1e2, 2)  # warm caches outside the measurement
     assert _peak_bytes(lambda: scan_spectrum(grid, 1.0, 1e-2, 1e2, 6)) < 4 * n * n * 8
+    # delta = 0: no Coulomb part; the check and the inertia factor the two
+    # triangles of one matrix, and the Lanczos basis is at most 100 rows
+    scan_spectrum(grid, 0.0, 1e-2, 1e2, 2)
+    assert _peak_bytes(lambda: scan_spectrum(grid, 0.0, 1e-2, 1e2, 6)) < 3 * n * n * 8
 
 
 @pytest.mark.parametrize("n", [26, 250, 1000])
@@ -573,6 +594,78 @@ def test_scan_without_dsyevd_is_identical(monkeypatch):
     monkeypatch.setattr(stm, "_dsyevd", lambda: None)
     _assert_same_scan(scan_spectrum(grid, 0.0, 1e-4, 1e4, 9), solved[0])
     _assert_same_scan(scan_spectrum(grid, 1.0, 1e-2, 1e2, 5), solved[1])
+
+
+@pytest.mark.parametrize("n", [26, 250, 1000])
+def test_lanczos_value_lies_in_its_certified_interval(n):
+    grid = build_grid(1e-4, 1e4, n)
+    for mu in (1e-3, 0.7, 1e3):
+        matrix = assemble(grid, ModelParams(mu=mu))
+        lowest = np.linalg.eigvalsh(matrix)[0]
+        with stm._single_threaded_blas():
+            theta, r = stm._lanczos(matrix)
+        factored = matrix.copy()
+        low = stm._certified_lower_bound(factored, theta, r)
+        assert low is not None and abs(theta - lowest) <= theta - low
+        assert abs(theta / lowest - 1.0) <= 1e-13
+        # the C upper triangle and the diagonal are left for _inertia_logdet
+        assert np.array_equal(np.triu(factored), np.triu(matrix))
+
+
+def test_check_rejects_a_start_vector_orthogonal_to_the_ground_state():
+    # The ground state (e_0 - e_1)/sqrt(2), eigenvalue -1, is orthogonal to
+    # the start vector of ones, and every Lanczos vector keeps its first two
+    # entries exactly equal, so the iteration converges to the next
+    # eigenvalue, -0.5: the check rejects it and the sweep point falls back.
+    n = 60
+    matrix = np.diag(np.linspace(2.0, 3.0, n))
+    matrix[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+    matrix[2, 2] = -0.5
+    theta, r = stm._lanczos(matrix)
+    assert abs(theta + 0.5) <= 1e-12
+    assert stm._certified_lower_bound(matrix.copy(), theta, r) is None
+    smallest, count, _ = stm._sweep_point(matrix.copy, True)
+    assert smallest == np.linalg.eigvalsh(matrix)[0] and count == 2
+
+
+def test_clustered_spectrum_falls_back_to_the_eigen_solve():
+    # delta = 1 > delta0: the smallest eigenvalue lies about 1e-7 below a
+    # cluster at sqrt(mu), against a spread of about 1e4
+    grid = build_grid(1e-4, 1e4, 1000)
+    matrix = assemble(grid, ModelParams(mu=0.7, delta=1.0))
+    with stm._single_threaded_blas():  # the eigen-solve's bits depend on the BLAS threads
+        assert stm._lanczos(matrix) is None
+        smallest, count, _ = stm._sweep_point(matrix.copy, True)
+        assert smallest == np.linalg.eigvalsh(matrix)[0] and count == 0
+
+
+def test_lanczos_sweep_point_is_bitwise_repeatable():
+    grid = build_grid(1e-4, 1e4, 250)
+    matrix = assemble(grid, ModelParams(mu=0.7))
+    with stm._single_threaded_blas():
+        ritz = {stm._lanczos(np.array(matrix)) for _ in range(3)}
+        bounds = {stm._certified_lower_bound(matrix.copy(), *next(iter(ritz))) for _ in range(3)}
+        points = {stm._sweep_point(matrix.copy, True) for _ in range(3)}
+    assert len(ritz) == len(bounds) == len(points) == 1 and None not in bounds
+    assert next(iter(points))[0] == next(iter(ritz))[0]
+
+
+def test_scan_counts_graded_matrices_by_their_inertia():
+    # p_max / sqrt(mu) >= 1e24: eigvalsh miscounts these matrices (22, 21,
+    # 21, 21 negative eigenvalues against an LDL^T inertia of 21, 19, 18, 16)
+    # and a crossing then landed on its bracket end
+    grid = build_grid(5.469619792349482e+71, 1.1859129431602765e+98, 51)
+    refine_rel = 1e-8
+    result = scan_spectrum(grid, 0.0, 2.1391946536246157e+143, 2.094710887806818e+154, 4,
+                           refine_rel)
+    counts = result.negative_counts
+    for mu, count in zip(result.mus, counts):
+        assert count == stm._inertia_logdet(assemble(grid, ModelParams(mu=float(mu))))[0]
+    brackets = [(result.mus[i], result.mus[i + 1]) for i in range(len(counts) - 1)
+                for _ in range(counts[i + 1], counts[i])]
+    assert len(brackets) == len(result.crossings) > 0
+    for (lo, hi), crossing in zip(brackets, result.crossings):
+        assert lo * (1.0 + refine_rel) < crossing < hi / (1.0 + refine_rel)
 
 
 def _blas_controls():
@@ -610,25 +703,26 @@ def test_scan_independent_of_blas_and_pool_threads(monkeypatch):
 
 
 def test_scan_solves_single_threaded_and_restores_blas_threads(monkeypatch):
+    # every Lanczos iteration (its matrix-vector products), LDL^T
+    # factorization (delta = 0) and eigen-solve (delta >= delta0) sees one
+    # BLAS thread
     get, put = _blas_controls()
     grid = build_grid(*_LADDER_GRID)
-    seen, factored = [], []
-    eigenvalues, inertia_logdet = stm._eigenvalues, stm._inertia_logdet
-    monkeypatch.setattr(stm, "_eigenvalues", lambda a: seen.append(get()) or eigenvalues(a))
-    monkeypatch.setattr(stm, "_inertia_logdet",
-                        lambda a: factored.append(get()) or inertia_logdet(a))
+    calls = _record_calls(monkeypatch, ("_eigenvalues", "_lanczos", "_ldlt"), record=get)
     previous = get()
     try:
         put(2)
         scan_spectrum(grid, 0.0, 1e-4, 1e4, 3)
+        assert get() == 2
+        scan_spectrum(grid, 1.0, 1e-2, 1e2, 3)
         assert get() == 2
         with pytest.raises(RuntimeError):
             scan_spectrum(grid, 0.0, 1e-4, 1e4, 3, refine_rel=1e-300)
         assert get() == 2
     finally:
         put(previous)
-    assert seen and set(seen) == {1}
-    assert factored and set(factored) == {1}
+    for seen in calls.values():
+        assert seen and set(seen) == {1}
 
 
 @pytest.mark.parametrize("field", ["mu", "delta", "alpha"])
