@@ -2,8 +2,9 @@
 
 Output is CSV or JSON with a metadata header (tool version, canonical
 config echo, config hash, the s0 value in use); identical configs produce
-byte-identical output.  Exit codes: 0 success, 2 invalid configuration or
-out of memory, 3 numerical non-convergence or overflow.
+byte-identical output.  Exit codes: 0 success, 1 the output could not be
+written, 2 invalid configuration or out of memory, 3 numerical
+non-convergence or overflow.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .specfun import k0
 
 _COMMANDS = ("s0", "delta0", "ladder", "symbol", "scan", "residual", "thomas", "oracle")
 
-# command -> {parameter: (type, default)}; None default means required
+# command -> {parameter: (type, default)}; None default means required.
+# No parameter takes a boolean, and an int parameter no non-integral number.
 _PARAMS: dict[str, dict[str, tuple[type, object]]] = {
     "s0": {"tol": (float, 1e-12)},
     "delta0": {},
@@ -49,6 +51,7 @@ _PARAMS: dict[str, dict[str, tuple[type, object]]] = {
 # probability 0.99^10000 < 1e-43.
 _THOMAS_MAX_MISSES = 10000
 
+# The one output format of each command.
 _FORMATS = {"s0": "json", "delta0": "json", "residual": "json",
             "ladder": "csv", "symbol": "csv", "scan": "csv",
             "thomas": "csv", "oracle": "csv"}
@@ -56,12 +59,11 @@ _FORMATS = {"s0": "json", "delta0": "json", "residual": "json",
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated batch run: command, parameters, destination, format."""
+    """A validated batch run: command, parameters, destination."""
 
     command: str
     parameters: dict = field(default_factory=dict)
     output_path: str | None = None
-    format: str = ""
 
     def __post_init__(self) -> None:
         if self.command not in _COMMANDS:
@@ -72,6 +74,9 @@ class RunConfig:
             if key not in spec:
                 raise ValueError(f"unknown parameter {key!r} for command {self.command!r}")
             typ, _ = spec[key]
+            if isinstance(raw, bool) or (typ is int and isinstance(raw, float)
+                                         and not raw.is_integer()):
+                raise ValueError(f"parameter {key!r}: {raw!r} is not a valid {typ.__name__}")
             try:
                 clean[key] = typ(raw)
             except (TypeError, ValueError) as exc:
@@ -84,16 +89,9 @@ class RunConfig:
                     raise ValueError(f"missing required parameter {key!r}")
                 clean[key] = default
         object.__setattr__(self, "parameters", clean)
-        fmt = self.format or _FORMATS[self.command]
-        if fmt not in ("csv", "json"):
-            raise ValueError(f"unknown format {fmt!r}")
-        if fmt != _FORMATS[self.command]:
-            raise ValueError(
-                f"command {self.command!r} emits {_FORMATS[self.command]}, not {fmt}")
-        object.__setattr__(self, "format", fmt)
 
     def canonical(self) -> str:
-        return json.dumps({"command": self.command, "format": self.format,
+        return json.dumps({"command": self.command, "format": _FORMATS[self.command],
                            "parameters": self.parameters}, sort_keys=True)
 
     def sha256(self) -> str:
@@ -203,7 +201,7 @@ def _run_ladder(config: RunConfig, s0: float) -> None:
     built = ladder_mod.build_ladder(p["beta"], n_lo, n_hi, found.s0)
     ratio = math.exp(2.0 * math.pi / found.s0)
     rows = []
-    for n, mu, energy in built.entries:
+    for n, mu, energy in built:
         rows.append((n, mu, energy, ratio,
                      ladder_mod.quantization_residual(mu, p["beta"], found.s0)))
     emit_csv(config, found.s0,
@@ -347,7 +345,6 @@ def build_config(argv: list[str]) -> RunConfig:
             flag = "--" + name.replace("_", "-")
             p.add_argument(flag, type=typ, default=None, required=False)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", default=None)
         p.add_argument("--config", default=None,
                        help="JSON file with a parameters object")
     ns = parser.parse_args(argv)
@@ -362,8 +359,7 @@ def build_config(argv: list[str]) -> RunConfig:
         value = getattr(ns, name.replace("-", "_"))
         if value is not None:
             params[name] = value
-    return RunConfig(command=ns.command, parameters=params,
-                     output_path=ns.out, format=ns.format or "")
+    return RunConfig(command=ns.command, parameters=params, output_path=ns.out)
 
 
 def main(argv: list[str] | None = None) -> int:

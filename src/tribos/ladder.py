@@ -33,15 +33,6 @@ SQRT3 = math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
-class BoundStateLadder:
-    """Indexed ladder entries (n, mu_n, E_n = -mu_n) with provenance."""
-
-    beta: float
-    s0: float
-    entries: list[tuple[int, float, float]]
-
-
-@dataclass(frozen=True)
 class ChargeDensity:
     """Samples of xihat on a stm.RadialGrid at spectral parameter mu."""
 
@@ -76,12 +67,11 @@ def mu_n(beta: float, n: int, s0: float) -> float:
     return mu
 
 
-def build_ladder(beta: float, n_lo: int, n_hi: int, s0: float) -> BoundStateLadder:
-    """Ladder entries for n in [n_lo, n_hi], sorted by n."""
+def build_ladder(beta: float, n_lo: int, n_hi: int, s0: float) -> list[tuple[int, float, float]]:
+    """Ladder entries (n, mu_n, E_n = -mu_n) for n in [n_lo, n_hi], sorted by n."""
     if n_lo > n_hi:
         raise ValueError("need n_lo <= n_hi")
-    entries = [(n, mu := mu_n(beta, n, s0), -mu) for n in range(n_lo, n_hi + 1)]
-    return BoundStateLadder(beta=beta, s0=s0, entries=entries)
+    return [(n, mu := mu_n(beta, n, s0), -mu) for n in range(n_lo, n_hi + 1)]
 
 
 def quantization_residual(mu: float, beta: float, s0: float) -> float:

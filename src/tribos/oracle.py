@@ -24,9 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import Accuracy, sinh_ratio, tanh_over_s
+from .specfun import sinh_ratio, tanh_over_s
 
 SQRT3 = math.sqrt(3.0)
+_ABS_TOL = 1e-9  # of integrate, shared by its panels
+# The kernels decay like e^(-x): cutting their integrals off at distance 80
+# loses below 1e-30.
+_TAIL_CUT = 80
 
 
 class QuadratureBudgetError(RuntimeError):
@@ -92,12 +96,12 @@ def _adaptive(f, a: float, b: float, abs_tol: float, budget: list[int]) -> float
             + _adaptive(f, mid, b, 0.5 * abs_tol, budget))
 
 
-def integrate(f, breakpoints, acc: Accuracy | None = None, budget: int = 20000) -> float:
-    """Integrate f over the union of panels between sorted breakpoints."""
-    acc = acc or Accuracy()
+def integrate(f, breakpoints, budget: int = 20000) -> float:
+    """Integrate f over the union of panels between sorted breakpoints to
+    within _ABS_TOL; QuadratureBudgetError when the panel splits reach budget."""
     state = [budget]
     pts = list(breakpoints)
-    tol = acc.abs_tol / max(1, len(pts) - 1)
+    tol = _ABS_TOL / max(1, len(pts) - 1)
     return sum(_adaptive(f, pts[i], pts[i + 1], tol, state) for i in range(len(pts) - 1))
 
 
@@ -122,23 +126,17 @@ def m_log_kernel(x: float) -> float:
     return math.log1p(2.0 / (2.0 * math.cosh(x) - 1.0))
 
 
-def cosine_transform(f, s: float, tail_cut: float = 80.0,
-                     acc: Accuracy | None = None, budget: int = 20000) -> float:
+def cosine_transform(f, s: float) -> float:
     """int_0^inf cos(s x) f(x) dx by panelwise Gauss-Kronrod.
 
     [0, 1] is pre-split on a dyadic mesh graded toward 0 (the regularization
-    kernel has an integrable log singularity there); [1, tail_cut] uses unit
-    panels.  f must decay essentially exponentially so that truncation at
-    tail_cut (default 80) is below 1e-30.
+    kernel has an integrable log singularity there); [1, _TAIL_CUT] uses
+    unit panels.  f must decay essentially exponentially so that truncation
+    at _TAIL_CUT is below 1e-30.
     """
-    if not tail_cut > 1.0:
-        raise ValueError("tail_cut must exceed 1")
-    acc = acc or Accuracy()
     pts = _graded_breakpoints(0.0, 1.0, toward=0.0)
-    pts += [float(t) for t in range(2, int(math.ceil(tail_cut)) + 1)]
-    if pts[-1] < tail_cut:
-        pts.append(tail_cut)
-    return integrate(lambda x: math.cos(s * x) * f(x), pts, acc=acc, budget=budget)
+    pts += [float(t) for t in range(2, _TAIL_CUT + 1)]
+    return integrate(lambda x: math.cos(s * x) * f(x), pts)
 
 
 def m_transform_analytic(s: float) -> float:
@@ -151,16 +149,15 @@ def coth_transform_analytic(s: float) -> float:
     return 0.5 * math.pi * tanh_over_s(s)
 
 
-def check_transforms(s_values, tail_cut: float = 80.0,
-                     acc: Accuracy | None = None) -> list[tuple[str, TransformCheck]]:
+def check_transforms(s_values) -> list[tuple[str, TransformCheck]]:
     """Both kernel transforms versus their closed forms at each s."""
     out = []
     for s in s_values:
-        num = cosine_transform(m_log_kernel, s, tail_cut=tail_cut, acc=acc)
+        num = cosine_transform(m_log_kernel, s)
         ana = m_transform_analytic(s)
         out.append(("contact", TransformCheck(s=s, numeric=num, analytic=ana,
                                               abs_err=abs(num - ana))))
-        num = cosine_transform(coth_log_kernel, s, tail_cut=tail_cut, acc=acc)
+        num = cosine_transform(coth_log_kernel, s)
         ana = coth_transform_analytic(s)
         out.append(("regularization", TransformCheck(s=s, numeric=num, analytic=ana,
                                                      abs_err=abs(num - ana))))
@@ -182,8 +179,7 @@ def factorization_check(x: float, y: float) -> tuple[float, float]:
     return plus, minus
 
 
-def odd_extension_check(theta, x: float, tail_cut: float = 80.0,
-                        acc: Accuracy | None = None, budget: int = 60000) -> float:
+def odd_extension_check(theta, x: float) -> float:
     """Half-line two-kernel integrals versus full-line convolutions.
 
     theta is a callable on y >= 0 and is extended oddly on the full line.
@@ -192,22 +188,23 @@ def odd_extension_check(theta, x: float, tail_cut: float = 80.0,
         int_0^inf theta(y) [M(x-y) - M(x+y)] dy = int_R theta~(y) M(x-y) dy
         int_0^inf theta(y) log|sinh((x+y)/2)... | form = int_R theta~(y) L(x-y) dy
 
-    and returns the larger of the two absolute discrepancies.  The
-    regularization kernel is log-singular at y = x; panels are split there
-    and graded toward the singular point.
+    and returns the larger of the two absolute discrepancies, each integral
+    truncated at distance _TAIL_CUT from x.  The regularization kernel is
+    log-singular at y = x; panels are split there and graded toward the
+    singular point.
     """
     if not x > 0.0:
         raise ValueError("x must be positive")
-    acc = acc or Accuracy()
-    hi = x + tail_cut
+    budget = 60000
+    hi = x + _TAIL_CUT
     theta_odd = lambda y: theta(y) if y >= 0.0 else -theta(-y)
 
     half_m = integrate(
         lambda y: theta(y) * (m_log_kernel(abs(x - y)) - m_log_kernel(x + y)),
-        [0.0, x, hi], acc=acc, budget=budget)
+        [0.0, x, hi], budget=budget)
     full_m = integrate(
         lambda y: theta_odd(y) * m_log_kernel(abs(x - y)),
-        [x - tail_cut, 0.0, x, hi], acc=acc, budget=budget)
+        [x - _TAIL_CUT, 0.0, x, hi], budget=budget)
 
     # the log singularity at y = x sits on panel boundaries of a graded mesh;
     # a node colliding with it in floating point is a measure-zero accident
@@ -225,21 +222,20 @@ def odd_extension_check(theta, x: float, tail_cut: float = 80.0,
         return coth_log_kernel(u)
 
     half_pts = _graded_breakpoints(0.0, x, toward=x) + _graded_breakpoints(x, hi, toward=x)[1:]
-    half_l = integrate(lambda y: theta(y) * half_l_kernel(y), half_pts, acc=acc, budget=budget)
-    full_l = integrate(lambda y: theta_odd(y) * full_l_kernel(y), [x - tail_cut] + half_pts,
-                       acc=acc, budget=budget)
+    half_l = integrate(lambda y: theta(y) * half_l_kernel(y), half_pts, budget=budget)
+    full_l = integrate(lambda y: theta_odd(y) * full_l_kernel(y), [x - _TAIL_CUT] + half_pts,
+                       budget=budget)
     return max(abs(half_m - full_m), abs(half_l - full_l))
 
 
-def convolution_balance(s: float, x: float, tail_cut: float = 80.0,
-                        acc: Accuracy | None = None, budget: int = 40000) -> float:
+def convolution_balance(s: float, x: float) -> float:
     """theta(x) - (4/(sqrt(3) pi)) (M * theta)(x) for theta = sin(s .).
 
     The convolution acts diagonally on sinusoids, so the returned value
     equals g(s) sin(s x) up to quadrature error; at s = s0 it vanishes.
+    The convolution integral is truncated to |u| <= _TAIL_CUT.
     """
-    acc = acc or Accuracy()
-    pts = [float(t) for t in range(-int(math.ceil(tail_cut)), int(math.ceil(tail_cut)) + 1)]
+    pts = [float(t) for t in range(-_TAIL_CUT, _TAIL_CUT + 1)]
     conv = integrate(lambda u: m_log_kernel(abs(u)) * math.sin(s * (x + u)), pts,
-                     acc=acc, budget=budget)
+                     budget=40000)
     return math.sin(s * x) - 4.0 / (SQRT3 * math.pi) * conv

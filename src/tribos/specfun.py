@@ -8,7 +8,6 @@ symbol evaluations.  k0 is scalar, the ratios broadcast; all are pure and reentr
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,17 +43,6 @@ _K0_CHEB = (
     5.210391777643549034961e-17,
     -1.647580593984251595611e-17,
 )
-
-
-@dataclass(frozen=True)
-class Accuracy:
-    """Absolute tolerance carried by verification routines."""
-
-    abs_tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0.0:
-            raise ValueError("tolerance must be strictly positive")
 
 
 def _k0_series(x: float) -> float:

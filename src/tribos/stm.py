@@ -29,8 +29,10 @@ from .ladder import sample_charge_density
 from .symbols import delta0
 
 _GL_POINTS_PER_PANEL = 16
+# Relative width of the log-mu bracket at which a crossing refinement stops.
+_REFINE_REL = 1e-8
 # Level evaluations (one assembly and one LDL^T factorization each) allowed
-# per crossing refinement.  Brent needs about 5 at refine_rel = 1e-8, 8-10 in
+# per crossing refinement.  Brent needs about 5 at _REFINE_REL, 8-10 in
 # a sweep bracket holding two crossings; bisecting the widest double bracket
 # needs about 60.
 _MAX_REFINE_STEPS = 100
@@ -49,12 +51,10 @@ _DELTA0 = delta0()
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Quadrature nodes and weights on [p_min, p_max], log-spaced."""
+    """Quadrature nodes and weights of build_grid, log-spaced."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    p_min: float
-    p_max: float
 
     def __len__(self) -> int:
         return self.nodes.size
@@ -64,17 +64,16 @@ class RadialGrid:
 class ModelParams:
     """Physical parameters of the radial operator at fixed spectral point.
 
-    alpha is the inverse scattering length (0 = unitary two-body resonance),
-    delta the strength of the infinite-range three-body regularization and
-    mu > 0 the spectral parameter, E = -mu.
+    The operator is taken at the unitary point (infinite two-body scattering
+    length).  delta is the strength of the infinite-range three-body
+    regularization and mu > 0 the spectral parameter, E = -mu.
     """
 
     mu: float
     delta: float = 0.0
-    alpha: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("mu", "delta", "alpha"):
+        for name in ("mu", "delta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.mu > 0.0:
@@ -172,8 +171,7 @@ def build_grid(p_min: float, p_max: float, n: int) -> RadialGrid:
         t = half * x + 0.5 * (edges[i + 1] + edges[i])
         ps.append(np.exp(t))
         ws.append(half * gw * np.exp(t))
-    return RadialGrid(nodes=np.concatenate(ps), weights=np.concatenate(ws),
-                      p_min=p_min, p_max=p_max)
+    return RadialGrid(nodes=np.concatenate(ps), weights=np.concatenate(ws))
 
 
 def _tms_log(p, q, mu: float, out: np.ndarray, s: np.ndarray, pq: np.ndarray) -> None:
@@ -303,7 +301,7 @@ def assemble(grid: RadialGrid, params: ModelParams,
     """The symmetric n x n Nystrom matrix of the radial operator, an ndarray.
 
     The operator acts on phi(p) = p xihat(p).  The diagonal term is
-    sqrt(3 p^2/4 + mu) + alpha; the TMS kernel is quadratured directly and
+    sqrt(3 p^2/4 + mu); the TMS kernel is quadratured directly and
     the Coulomb kernel by singularity subtraction,
 
         int C(p,q) phi(q) dq = int C(p,q) [phi(q) - phi(p)] dq
@@ -330,7 +328,7 @@ def assemble(grid: RadialGrid, params: ModelParams,
         diag_kernel[lo:hi] = _kernel_rows(M[lo:hi], s, pq, p, params.mu, lo,
                                           None if C is None else C[lo:hi])
         M[lo:hi] *= np.multiply(sw[lo:hi, None], sw, out=s)  # sw_i sw_j: exactly symmetric
-    d = np.sqrt(0.75 * p * p + params.mu) + params.alpha
+    d = np.sqrt(0.75 * p * p + params.mu)
     np.fill_diagonal(M, d + w * diag_kernel + diag_extra)
     return M
 
@@ -674,7 +672,7 @@ class SpectralScan:
 
 
 def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
-                  n_mu: int, refine_rel: float = 1e-8) -> SpectralScan:
+                  n_mu: int) -> SpectralScan:
     """Sweep mu log-spaced, recording the smallest eigenvalue, the number of
     negative eigenvalues, and every mu at which the operator is singular.
 
@@ -682,8 +680,8 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     cutoff problem shows up as a unit decrement of the negative-eigenvalue
     count between consecutive sweep points.  Each decrement, level k, is
     refined by Brent's method in log mu until the sign-change bracket of the
-    k-th eigenvalue is at most refine_rel wide (relative); the reported
-    crossing, the bracket's geometric midpoint, lies within refine_rel of
+    k-th eigenvalue is at most _REFINE_REL wide (relative); the reported
+    crossing, the bracket's geometric midpoint, lies within _REFINE_REL of
     the discrete operator's singular mu.  Each Brent step takes one LDL^T
     factorization, in place, whose inertia gives the sign of the k-th
     eigenvalue and whose determinant, which vanishes with it, the size.
@@ -709,14 +707,12 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     the total thread count and the result does not depend on it or on
     OPENBLAS_NUM_THREADS.
     """
-    if not 0.0 < refine_rel < 1.0:
-        raise ValueError(f"refine_rel must lie in (0, 1), got {refine_rel}")
     if not (0.0 < mu_lo < mu_hi):
         raise ValueError("need 0 < mu_lo < mu_hi")
     if n_mu < 2:
         raise ValueError("n_mu must be at least 2")
     mus = np.geomspace(mu_lo, mu_hi, n_mu)
-    width = math.log1p(refine_rel)
+    width = math.log1p(_REFINE_REL)
     workers = min(_thread_count(), n_mu)
     p = grid.nodes
     with _single_threaded_blas():
@@ -766,41 +762,36 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
 
 
 def scan_bound_states(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
-                      n_mu: int, refine_rel: float = 1e-8) -> list[float]:
+                      n_mu: int) -> list[float]:
     """Refined singular-mu list of scan_spectrum (empty is a valid result)."""
-    return scan_spectrum(grid, delta, mu_lo, mu_hi, n_mu, refine_rel).crossings
+    return scan_spectrum(grid, delta, mu_lo, mu_hi, n_mu).crossings
 
 
-def residual(xi, params: ModelParams, eval_lo: float | None = None,
-             eval_hi: float | None = None) -> float:
+def residual(xi, params: ModelParams, eval_lo: float, eval_hi: float) -> float:
     """Relative L2 residual of the radial equation on given charge samples.
 
     xi is a ChargeDensity (grid, values of xihat at the nodes, mu).  The
-    residual rows are evaluated only at interior nodes, p in
-    [eval_lo, eval_hi]; the defaults trim two decades at the low end and
-    seven at the high end, where hard truncation of the half-line integral
-    pollutes the rows (the kernel decays only like 1/q).  Only those rows
-    are built, _ROW_BLOCK at a time, so the extra memory is O(_ROW_BLOCK n).
+    residual rows are evaluated only at the nodes p in [eval_lo, eval_hi],
+    to be chosen away from the grid ends, where hard truncation of the
+    half-line integral pollutes the rows (the kernel decays only like 1/q).
+    Only those rows are built, _ROW_BLOCK at a time, so the extra memory is
+    O(_ROW_BLOCK n).
     Normalization is the L2 norm of the diagonal term over the same nodes;
     zero samples give residual 0, non-finite ones raise ValueError, and a
     residual that leaves double range raises OverflowError.
     """
-    grid = xi.grid
-    p = grid.nodes
+    p, w = xi.grid.nodes, xi.grid.weights
     values = np.asarray(xi.values, dtype=float)
     if values.shape != p.shape or not np.all(np.isfinite(values)):
         raise ValueError("charge-density samples must be finite and match the grid")
     if not math.isclose(xi.mu, params.mu, rel_tol=1e-12):
         raise ValueError(f"mu mismatch: samples at {xi.mu}, params at {params.mu}")
-    eval_lo = 100.0 * grid.p_min if eval_lo is None else eval_lo
-    eval_hi = 1e-7 * grid.p_max if eval_hi is None else eval_hi
     window = np.flatnonzero((p >= eval_lo) & (p <= eval_hi))
     if window.size == 0:
         raise ValueError("interior evaluation window contains no nodes")
-    w = grid.weights
     phi = p * values
     wphi = w * phi
-    d = np.sqrt(0.75 * p * p + params.mu) + params.alpha
+    d = np.sqrt(0.75 * p * p + params.mu)
     scale = float(np.linalg.norm((d * phi)[window]))
     if scale == 0.0:
         return 0.0
@@ -818,10 +809,10 @@ def residual(xi, params: ModelParams, eval_lo: float | None = None,
 
 
 def closed_form_residual(mu: float, n: int = 2000, delta: float = 0.0,
-                         nodes_per_decade: float = 125.0, s0: float | None = None) -> float:
+                         s0: float | None = None) -> float:
     """Residual of the closed-form charge density on the canonical wide grid.
 
-    The grid spans n/nodes_per_decade decades starting two decades below the
+    The grid spans n/125 decades starting two decades below the
     evaluation window [1e-4, 1e3] * sqrt(mu); widening the window together
     with n keeps the measurement truncation-limited rather than
     quadrature-limited.
@@ -829,7 +820,7 @@ def closed_form_residual(mu: float, n: int = 2000, delta: float = 0.0,
     params = ModelParams(mu=mu, delta=delta)
     root = math.sqrt(mu)
     p_min = 1e-6 * root
-    p_max = p_min * 10.0 ** (n / nodes_per_decade)
+    p_max = p_min * 10.0 ** (n / 125.0)
     grid = build_grid(p_min, p_max, n)
     xi = sample_charge_density(grid, mu, s0=s0)
     return residual(xi, params, eval_lo=1e-4 * root, eval_hi=1e3 * root)

@@ -41,8 +41,6 @@ class EfimovConstant:
 class SymbolScan:
     """Result of scanning the regularized symbol on [0, s_max]."""
 
-    s_max: float
-    n_points: int
     min_value: float
     argmin: float
     sign_changes: list[tuple[float, float]] = field(default_factory=list)
@@ -94,30 +92,25 @@ def delta_bound() -> float:
     return (2.0 / math.pi) * (4.0 * math.pi / (3.0 * SQRT3) - 1.0)
 
 
-def find_s0(tol: float = 1e-12, bracket: tuple[float, float] | None = None) -> EfimovConstant:
+def find_s0(tol: float = 1e-12) -> EfimovConstant:
     """Locate the Efimov constant s0 by deterministic bisection on g.
 
-    If no bracket is given, a sign change of g is searched on (0, 20].
-    Raises RuntimeError if bracketing fails (an implementation bug, not a
-    data condition: g(0) < 0 < g(20)).
+    The bisection starts from the first sign change of g on the steps
+    0.1 k, k = 1..200.  Raises RuntimeError if there is none (an
+    implementation bug, not a data condition: g(0) < 0 < g(20)).
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    if bracket is None:
-        lo = 0.0
-        hi = None
-        for k in range(1, 201):
-            s = 0.1 * k
-            if eval_g(s) > 0.0:
-                hi = s
-                break
-            lo = s
-        if hi is None:
-            raise RuntimeError("no sign change of g on (0, 20]")
-    else:
-        lo, hi = float(bracket[0]), float(bracket[1])
-        if not (eval_g(lo) < 0.0 < eval_g(hi)):
-            raise RuntimeError(f"bracket {bracket} does not straddle the root of g")
+    lo = 0.0
+    hi = None
+    for k in range(1, 201):
+        s = 0.1 * k
+        if eval_g(s) > 0.0:
+            hi = s
+            break
+        lo = s
+    if hi is None:
+        raise RuntimeError("no sign change of g on (0, 20]")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -163,5 +156,5 @@ def certify_positivity(delta: float, s_max: float, n: int) -> SymbolScan:
     i = int(np.argmin(v))
     # signs, not values: a product of values can overflow or underflow
     lo = np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0.0)
-    return SymbolScan(s_max=s_max, n_points=n, min_value=float(v[i]), argmin=float(s[i]),
+    return SymbolScan(min_value=float(v[i]), argmin=float(s[i]),
                       sign_changes=list(zip(s[lo].tolist(), s[lo + 1].tolist())))

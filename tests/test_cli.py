@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -41,11 +42,9 @@ def test_run_config_validation():
         RunConfig(command="s0", parameters={"nope": 1})
     with pytest.raises(ValueError):
         RunConfig(command="symbol")  # delta is required
-    with pytest.raises(ValueError):
-        RunConfig(command="ladder", format="json")  # schema mismatch
     cfg = RunConfig(command="s0")
     assert cfg.parameters == {"tol": 1e-12}
-    assert cfg.format == "json"
+    assert json.loads(cfg.canonical())["format"] == "json"
 
 
 def test_s0_json_output(tmp_path):
@@ -234,10 +233,59 @@ def test_config_file_and_unknown_key(tmp_path):
     assert main(["ladder", "--config", str(bad), "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("command, params", [
+    ("scan", {"delta": 1, "grid": 64.9, "n_mu": 3}),
+    ("scan", {"delta": True}),
+    ("scan", {"delta": 1, "n_mu": 2.5}),
+    ("scan", {"delta": 1, "grid": math.inf}),
+    ("ladder", {"beta": False}),
+    ("ladder", {"n": True}),
+    ("thomas", {"seed": 1.5}),
+])
+def test_config_file_values_are_not_coerced(tmp_path, capsys, command, params):
+    # the same values on the command line exit 2; from a file they ran at a
+    # truncated or converted value and shared its config hash
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(params))
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: parameter ")
+
+
+def test_config_integral_float_is_an_int():
+    cfg = RunConfig(command="scan", parameters={"delta": 1, "grid": 64.0})
+    assert cfg.parameters["grid"] == 64 and type(cfg.parameters["grid"]) is int
+    assert cfg.parameters["delta"] == 1.0 and type(cfg.parameters["delta"]) is float
+
+
+@pytest.mark.parametrize("command", sorted(cli._PARAMS))
+def test_cli_flags_are_the_parameters(capsys, command):
+    with pytest.raises(SystemExit) as done:
+        cli.build_config([command, "--help"])
+    assert done.value.code == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    assert flags == {"--" + name.replace("_", "-") for name in cli._PARAMS[command]} | {
+        "--out", "--config"}
+
+
+def test_format_flag_is_rejected(capsys):
+    # each command has one output format, so there is no --format flag
+    with pytest.raises(SystemExit) as done:
+        main(["ladder", "--format", "csv"])
+    assert done.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "directory"])
+def test_unwritable_out_exits_1(tmp_path, capsys, target):
+    (tmp_path / "directory").mkdir()
+    assert main(["delta0", "--out", str(tmp_path / target)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.rglob(".tribos-*"))
+
+
 def test_exit_codes():
     assert main(["scan", "--delta", "1.0", "--mu-lo", "10", "--mu-hi", "1",
                  "--n-mu", "5", "--grid", "64"]) == 2  # mu_lo >= mu_hi
-    assert main(["ladder", "--format", "json"]) == 2  # schema mismatch
     assert run(RunConfig(command="delta0")) == 0
 
 

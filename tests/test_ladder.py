@@ -37,9 +37,9 @@ def test_mu_n_validation(s0):
 
 
 def test_build_ladder(s0):
-    lad = build_ladder(-2.0, -3, 3, s0)
-    assert [n for n, _, _ in lad.entries] == list(range(-3, 4))
-    for n, mu, energy in lad.entries:
+    entries = build_ladder(-2.0, -3, 3, s0)
+    assert [n for n, _, _ in entries] == list(range(-3, 4))
+    for n, mu, energy in entries:
         assert energy == -mu
         assert mu > 0.0
     with pytest.raises(ValueError):

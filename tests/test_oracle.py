@@ -5,9 +5,8 @@ import pytest
 
 from tribos.oracle import (QuadratureBudgetError, check_transforms, convolution_balance,
                            cosine_transform, coth_log_kernel, coth_transform_analytic,
-                           factorization_check, m_log_kernel, m_transform_analytic,
-                           odd_extension_check)
-from tribos.specfun import Accuracy
+                           factorization_check, integrate, m_log_kernel,
+                           m_transform_analytic, odd_extension_check)
 from tribos.symbols import eval_g
 
 
@@ -34,16 +33,10 @@ def test_cosine_transform_frozen_values():
 
 
 def test_cosine_transform_budget_error():
-    # an oscillatory, slowly varying integrand cannot satisfy an extreme
-    # tolerance within a two-panel budget
+    # the integrator behind cosine_transform: an oscillatory integrand on one
+    # wide panel cannot meet the tolerance within a two-split budget
     with pytest.raises(QuadratureBudgetError):
-        cosine_transform(lambda x: math.exp(-x) * math.sin(40.0 * x) ** 2, 37.7,
-                         acc=Accuracy(abs_tol=1e-13), budget=2)
-
-
-def test_cosine_transform_validation():
-    with pytest.raises(ValueError):
-        cosine_transform(lambda x: math.exp(-x), 1.0, tail_cut=0.5)
+        integrate(lambda x: math.exp(-x) * math.sin(40.0 * x) ** 2, [0.0, 80.0], budget=2)
 
 
 def test_check_transforms_table():

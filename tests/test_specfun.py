@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from tribos.specfun import EULER_GAMMA, Accuracy, k0, sinh_ratio, tanh_over_s
+from tribos.specfun import EULER_GAMMA, k0, sinh_ratio, tanh_over_s
 
 
 def k0_integral_oracle(x: float, dps: int = 25) -> float:
@@ -110,12 +110,3 @@ def test_hyperbolic_ratio_taylor_seam():
     # values just inside and outside the |s| < 1e-6 Taylor branch agree
     for f in (tanh_over_s, sinh_ratio):
         assert abs(f(9.99e-7) - f(1.01e-6)) < 1e-12
-
-
-def test_accuracy_validation():
-    acc = Accuracy()
-    assert acc.abs_tol <= 1e-6
-    with pytest.raises(ValueError):
-        Accuracy(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        Accuracy(abs_tol=-1e-9)

@@ -179,9 +179,9 @@ def test_residual_trivial_solution_and_errors(s0):
     assert residual(zero, ModelParams(mu=mu), eval_lo=1e-2, eval_hi=1e2) == 0.0
     bad = type(xi)(grid=grid, values=np.zeros(17), mu=mu)
     with pytest.raises(ValueError):
-        residual(bad, ModelParams(mu=mu))
+        residual(bad, ModelParams(mu=mu), eval_lo=1e-2, eval_hi=1e2)
     with pytest.raises(ValueError):
-        residual(xi, ModelParams(mu=2.0))
+        residual(xi, ModelParams(mu=2.0), eval_lo=1e-2, eval_hi=1e2)
     with pytest.raises(ValueError):
         residual(xi, ModelParams(mu=mu), eval_lo=1e5, eval_hi=1e6)
 
@@ -202,7 +202,7 @@ def _dense_residual(xi, params, eval_lo, eval_hi):
     p, w = xi.grid.nodes, xi.grid.weights
     phi = p * xi.values
     K, _, diag_extra = stm._kernel_matrix(p, w, params)
-    d = np.sqrt(0.75 * p * p + params.mu) + params.alpha
+    d = np.sqrt(0.75 * p * p + params.mu)
     r = d * phi + K @ (w * phi) + diag_extra * phi
     mask = (p >= eval_lo) & (p <= eval_hi)
     return float(np.linalg.norm(r[mask]) / np.linalg.norm((d * phi)[mask]))
@@ -218,7 +218,7 @@ def _dense_residual(xi, params, eval_lo, eval_hi):
 def test_residual_matches_dense_product(s0, n, delta, window):
     grid = build_grid(1e-6, 1e10, n)
     xi = sample_charge_density(grid, 1.0, s0)
-    params = ModelParams(mu=1.0, delta=delta, alpha=0.1)
+    params = ModelParams(mu=1.0, delta=delta)
     assert residual(xi, params, *window) == _dense_residual(xi, params, *window)
 
 
@@ -341,8 +341,8 @@ def _bisect_crossing(grid, lo, hi, level, refine_rel):
 @pytest.mark.parametrize("n_mu", [3, 9])
 def test_scan_refinement_matches_bisection(n_mu):
     grid = build_grid(*_LADDER_GRID)
-    refine_rel = 1e-8
-    result = scan_spectrum(grid, 0.0, 1e-4, 1e4, n_mu, refine_rel)
+    refine_rel = stm._REFINE_REL
+    result = scan_spectrum(grid, 0.0, 1e-4, 1e4, n_mu)
     counts = result.negative_counts
     reference = sorted(
         _bisect_crossing(grid, result.mus[i], result.mus[i + 1], level, refine_rel)
@@ -354,8 +354,8 @@ def test_scan_refinement_matches_bisection(n_mu):
 
 def test_scan_crossing_brackets_level_sign_change():
     grid = build_grid(*_LADDER_GRID)
-    refine_rel = 1e-8
-    result = scan_spectrum(grid, 0.0, 1e-4, 1e4, 3, refine_rel)
+    refine_rel = stm._REFINE_REL
+    result = scan_spectrum(grid, 0.0, 1e-4, 1e4, 3)
     # counts 4 -> 3 -> 1: the crossings, ascending, are those of levels 4, 3, 2
     assert list(result.negative_counts) == [4, 3, 1]
     for c, level in zip(result.crossings, (4, 3, 2)):
@@ -396,20 +396,12 @@ def test_scan_refinement_solve_budget(monkeypatch):
     assert len(calls["_ldlt"]) == len(calls["_certified_lower_bound"]) == 0
 
 
-@pytest.mark.parametrize("refine_rel", [0.0, -1.0, math.nan, math.inf, 1.0])
-def test_scan_rejects_bad_refine_rel(refine_rel):
-    grid = build_grid(1e-4, 1e4, 64)
-    with pytest.raises(ValueError):
-        scan_spectrum(grid, 0.0, 1e-2, 1e2, 3, refine_rel=refine_rel)
-    with pytest.raises(ValueError):
-        scan_bound_states(grid, 0.0, 1e-2, 1e2, 3, refine_rel=refine_rel)
-
-
-def test_scan_unreachable_refine_rel_raises():
+def test_scan_unreachable_refine_rel_raises(monkeypatch):
     # a bracket narrower than the spacing of doubles cannot be reached
     grid = build_grid(*_LADDER_GRID)
+    monkeypatch.setattr(stm, "_REFINE_REL", 1e-300)
     with pytest.raises(RuntimeError):
-        scan_spectrum(grid, 0.0, 1e-4, 1e4, 3, refine_rel=1e-300)
+        scan_spectrum(grid, 0.0, 1e-4, 1e4, 3)
 
 
 def test_brent_crossing_on_known_root():
@@ -473,10 +465,10 @@ def test_inertia_logdet_of_singular_and_nan_matrices():
 
 def test_scan_without_dsytrf_takes_inertia_from_eigvalsh(monkeypatch):
     grid = build_grid(*_LADDER_GRID)
-    refine_rel = 1e-8
-    factored = scan_spectrum(grid, 0.0, 1e-4, 1e4, 9, refine_rel)
+    refine_rel = stm._REFINE_REL
+    factored = scan_spectrum(grid, 0.0, 1e-4, 1e4, 9)
     monkeypatch.setattr(stm, "_dsytrf", lambda: None)
-    solved = scan_spectrum(grid, 0.0, 1e-4, 1e4, 9, refine_rel)
+    solved = scan_spectrum(grid, 0.0, 1e-4, 1e4, 9)
     assert len(factored.crossings) == len(solved.crossings) == 3
     for a, b in zip(factored.crossings, solved.crossings):
         assert abs(a / b - 1.0) <= 2.0 * refine_rel
@@ -506,7 +498,7 @@ def _reference_assembly(grid, params):
         K = K + C
     sw = np.sqrt(w)
     M = np.outer(sw, sw) * K
-    d = np.sqrt(0.75 * p * p + params.mu) + params.alpha
+    d = np.sqrt(0.75 * p * p + params.mu)
     np.fill_diagonal(M, d + w * diag_kernel + diag_extra)
     return M
 
@@ -515,7 +507,7 @@ def _assert_assembly_matches_reference(n, delta):
     grid = build_grid(1e-4, 1e4, n)
     coulomb = stm._coulomb_part(grid.nodes, grid.weights, delta) if delta else None
     for mu in (1e-3, 0.7, 1e3):
-        params = ModelParams(mu=mu, delta=delta, alpha=0.25)
+        params = ModelParams(mu=mu, delta=delta)
         built = assemble(grid, params)
         assert np.array_equal(built, _reference_assembly(grid, params))
         assert np.array_equal(assemble(grid, params, coulomb), built)
@@ -655,9 +647,8 @@ def test_scan_counts_graded_matrices_by_their_inertia():
     # 21, 21 negative eigenvalues against an LDL^T inertia of 21, 19, 18, 16)
     # and a crossing then landed on its bracket end
     grid = build_grid(5.469619792349482e+71, 1.1859129431602765e+98, 51)
-    refine_rel = 1e-8
-    result = scan_spectrum(grid, 0.0, 2.1391946536246157e+143, 2.094710887806818e+154, 4,
-                           refine_rel)
+    refine_rel = stm._REFINE_REL
+    result = scan_spectrum(grid, 0.0, 2.1391946536246157e+143, 2.094710887806818e+154, 4)
     counts = result.negative_counts
     for mu, count in zip(result.mus, counts):
         assert count == stm._inertia_logdet(assemble(grid, ModelParams(mu=float(mu))))[0]
@@ -716,8 +707,9 @@ def test_scan_solves_single_threaded_and_restores_blas_threads(monkeypatch):
         assert get() == 2
         scan_spectrum(grid, 1.0, 1e-2, 1e2, 3)
         assert get() == 2
-        with pytest.raises(RuntimeError):
-            scan_spectrum(grid, 0.0, 1e-4, 1e4, 3, refine_rel=1e-300)
+        with monkeypatch.context() as patch, pytest.raises(RuntimeError):
+            patch.setattr(stm, "_REFINE_REL", 1e-300)
+            scan_spectrum(grid, 0.0, 1e-4, 1e4, 3)
         assert get() == 2
     finally:
         put(previous)
@@ -725,7 +717,7 @@ def test_scan_solves_single_threaded_and_restores_blas_threads(monkeypatch):
         assert seen and set(seen) == {1}
 
 
-@pytest.mark.parametrize("field", ["mu", "delta", "alpha"])
+@pytest.mark.parametrize("field", ["mu", "delta"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_model_params_rejects_non_finite(field, value):
     with pytest.raises(ValueError):

@@ -56,17 +56,9 @@ def test_find_s0_against_bisection_oracle():
     assert abs(find_s0(1e-12).s0 - oracle) < 1e-10
 
 
-def test_find_s0_bracket_invariance():
-    a = find_s0(1e-12).s0
-    b = find_s0(1e-12, bracket=(0.1, 10.0)).s0
-    assert abs(a - b) < 1e-11
-
-
 def test_find_s0_errors():
     with pytest.raises(ValueError):
         find_s0(0.0)
-    with pytest.raises(RuntimeError):
-        find_s0(1e-12, bracket=(2.0, 10.0))  # g > 0 on both ends
     with pytest.raises(RuntimeError):
         find_s0(1e-300)  # below double-precision resolution
 
