@@ -365,6 +365,8 @@ def build_config(argv: list[str]) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     try:
         config = build_config(sys.argv[1:] if argv is None else argv)
+    except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
+        return exc.code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

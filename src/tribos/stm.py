@@ -174,15 +174,15 @@ def build_grid(p_min: float, p_max: float, n: int) -> RadialGrid:
     return RadialGrid(nodes=np.concatenate(ps), weights=np.concatenate(ws))
 
 
-def _tms_log(p, q, mu: float, out: np.ndarray, s: np.ndarray, pq: np.ndarray) -> None:
+def _tms_log(p, q, mu: float, out: np.ndarray, pq: np.ndarray, spare: np.ndarray) -> None:
     # -(2/pi) log[(p^2+q^2+pq+mu)/(p^2+q^2-pq+mu)] of the broadcast p, q,
-    # built in out; s and pq are scratch of out's shape
-    np.add(p * p, q * q, out=s)
-    s += mu
+    # built in out; pq and spare are scratch as for _kernel_rows
+    np.add(p * p, q * q, out=out)
+    out += mu
     np.multiply(p, q, out=pq)
-    np.add(s, pq, out=out)
-    s -= pq
-    out /= s
+    np.add(out, pq, out=spare)
+    out -= pq
+    np.divide(spare, out, out=out)
     np.log(out, out=out)
     out *= -2.0 / math.pi
 
@@ -206,17 +206,17 @@ def tms_kernel(p, q, mu: float):
     return float(out[0]) if p.ndim == q.ndim == 0 else out
 
 
-def _coulomb_log(p, q, delta: float) -> np.ndarray:
-    # (delta/pi) log[(p+q)/|p-q|], broadcast and built in place; infinite at p = q
-    out = np.atleast_1d(p + q)
-    gap = np.atleast_1d(p - q)
-    np.abs(gap, out=gap)
+def _coulomb_log(p, q, delta: float, out: np.ndarray, spare: np.ndarray) -> None:
+    # (delta/pi) log[(p+q)/|p-q|] of the broadcast p, q, built in out (not
+    # finite at p = q); spare is scratch as for _kernel_rows
+    np.subtract(p, q, out=out)
+    np.abs(out, out=out)
+    np.add(p, q, out=spare)
     with np.errstate(divide="ignore"):
-        out /= gap
+        np.divide(spare, out, out=out)
     np.log(out, out=out)
     with np.errstate(invalid="ignore"):  # inf * 0 on the diagonal when delta / pi underflows
         out *= delta / math.pi
-    return out
 
 
 def coulomb_kernel(p, q, delta: float):
@@ -232,7 +232,8 @@ def coulomb_kernel(p, q, delta: float):
         raise ValueError("coulomb_kernel requires p, q > 0")
     if np.any(p == q):
         raise ValueError("coulomb_kernel is singular at coincident nodes p = q")
-    out = _coulomb_log(p, q, delta)
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape) or (1,))
+    _coulomb_log(p, q, delta, out, np.empty_like(out))
     return float(out[0]) if p.ndim == q.ndim == 0 else out
 
 
@@ -253,31 +254,38 @@ def coulomb_row_integral(p, a: float, b: float, delta: float):
 
 
 def _coulomb_part(p: np.ndarray, w: np.ndarray, delta: float, lo: int = 0,
-                  hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Rows lo:hi (default: all) of the mu-independent Coulomb part, delta != 0.
-
-    Returns (C, diag_extra): C[i, j] = coulomb_kernel(p_{lo+i}, p_j, delta)
-    with the singular entries j = lo + i zeroed, and the singularity-subtraction
-    correction c(p) - C @ w, c(p) the closed-form row integral of the kernel.
-    """
+                  hi: int | None = None) -> np.ndarray:
+    """Rows lo:hi (default: all) of assemble's mu-independent singularity-
+    subtraction term c - C @ w, built _ROW_BLOCK rows at a time: c the closed-
+    form row integral of coulomb_kernel, C its matrix with the diagonal zeroed."""
     rows = p[lo:hi]
-    C = _coulomb_log(rows[:, None], p, delta)
-    np.fill_diagonal(C[:, lo:], 0.0)
-    return C, coulomb_row_integral(rows, p[0], p[-1], delta) - C @ w
+    cw = np.empty(rows.size)
+    c, spare = np.empty((2, min(_ROW_BLOCK, rows.size), p.size))
+    for start in range(0, rows.size, _ROW_BLOCK):
+        m = min(_ROW_BLOCK, rows.size - start)
+        _coulomb_log(rows[start:start + m, None], p, delta, c[:m], spare[:m])
+        np.fill_diagonal(c[:m, lo + start:], 0.0)
+        cw[start:start + m] = c[:m] @ w
+    return coulomb_row_integral(rows, p[0], p[-1], delta) - cw
 
 
-def _kernel_rows(out: np.ndarray, s: np.ndarray, pq: np.ndarray, p: np.ndarray, mu: float,
-                 lo: int, C: np.ndarray | None) -> np.ndarray:
-    """Build kernel rows lo:lo + len(out) of the Nystrom operator in out.
+def _kernel_rows(out: np.ndarray, pq: np.ndarray, spare: np.ndarray, p: np.ndarray,
+                 params: ModelParams, lo: int, first: int = 0) -> np.ndarray:
+    """Build kernel rows lo:lo + len(out) against the nodes from first (<= lo) on, in out.
 
-    out gets the kernel rows against all nodes: tms_kernel plus C, the rows'
-    Coulomb part (its diagonal j = lo + i zero), when given.  s and pq are
-    scratch of out's shape.  Returns the TMS kernel on that diagonal.
+    out gets tms_kernel plus, for delta != 0, coulomb_kernel with its
+    singular diagonal (node j = lo + i in row i) zeroed.  pq and spare are
+    scratch of out's shape; spare is written once and read once per kernel,
+    so it may be a strided view (a ufunc costs several times as much on one).
+    Returns the TMS kernel on that diagonal.
     """
-    _tms_log(p[lo:lo + out.shape[0], None], p, mu, out, s, pq)
-    diag_kernel = out.diagonal(lo).copy()
-    if C is not None:
-        out += C
+    rows, cols = p[lo:lo + out.shape[0], None], p[first:]
+    _tms_log(rows, cols, params.mu, out, pq, spare)
+    diag_kernel = out.diagonal(lo - first).copy()
+    if params.delta != 0.0:
+        _coulomb_log(rows, cols, params.delta, pq, spare)
+        np.fill_diagonal(pq[:, lo - first:], 0.0)
+        out += pq
     return diag_kernel
 
 
@@ -287,49 +295,47 @@ def _kernel_matrix(p: np.ndarray, w: np.ndarray, params: ModelParams, lo: int = 
 
     Returns (K, diag_kernel, diag_extra): K a new array of the kernel rows
     and diag_kernel their TMS diagonal (see _kernel_rows), diag_extra the
-    singularity-subtraction correction (zero when delta = 0).
+    singularity-subtraction term (zero when delta = 0).
     """
     K = np.empty((p[lo:hi].size, p.size))
     s, pq = np.empty((2, *K.shape))
-    C, diag_extra = (_coulomb_part(p, w, params.delta, lo, hi) if params.delta != 0.0
-                     else (None, np.zeros(K.shape[0])))
-    return K, _kernel_rows(K, s, pq, p, params.mu, lo, C), diag_extra
+    diag_extra = (_coulomb_part(p, w, params.delta, lo, hi) if params.delta != 0.0
+                  else np.zeros(K.shape[0]))
+    return K, _kernel_rows(K, s, pq, p, params, lo), diag_extra
 
 
-def assemble(grid: RadialGrid, params: ModelParams,
-             coulomb: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """The symmetric n x n Nystrom matrix of the radial operator, an ndarray.
+def assemble(grid: RadialGrid, params: ModelParams, subtraction: np.ndarray | None = None,
+             *, upper: bool = False) -> np.ndarray:
+    """The symmetric n x n Nystrom matrix of the radial operator on phi(p) = p xihat(p).
 
-    The operator acts on phi(p) = p xihat(p).  The diagonal term is
-    sqrt(3 p^2/4 + mu); the TMS kernel is quadratured directly and
-    the Coulomb kernel by singularity subtraction,
+    The diagonal term is sqrt(3 p^2/4 + mu).  The TMS kernel is quadratured
+    directly, the Coulomb kernel by singularity subtraction,
 
-        int C(p,q) phi(q) dq = int C(p,q) [phi(q) - phi(p)] dq
-                               + phi(p) int C(p,q) dq,
+        int C(p,q) phi(q) dq = int C(p,q) [phi(q) - phi(p)] dq + phi(p) int C(p,q) dq,
 
-    with the plain row integral in closed form.  Symmetry is exact by
-    construction (similarity by sqrt(weights)).  coulomb, the mu-independent
-    _coulomb_part of this grid and params.delta, is built when not given.
-    The matrix is built in place, _ROW_BLOCK rows at a time, so besides it
-    and the Coulomb part the only arrays are two (_ROW_BLOCK, n) scratch
-    blocks.
+    whose diagonal term, _coulomb_part(p, w, params.delta), is built unless
+    subtraction gives it.  Similarity by sqrt(weights) makes the matrix
+    exactly symmetric.  It is built in place, _ROW_BLOCK rows at a time from
+    the diagonal on, in two (_ROW_BLOCK, n) scratch blocks, and each block is
+    mirrored; with upper, only the C upper triangle and the diagonal are set.
     """
     p, w = grid.nodes, grid.weights
     n = p.size
-    C, diag_extra = ((coulomb or _coulomb_part(p, w, params.delta)) if params.delta != 0.0
-                     else (None, np.zeros(n)))
+    if subtraction is None:
+        subtraction = _coulomb_part(p, w, params.delta) if params.delta != 0.0 else np.zeros(n)
     M = np.empty((n, n))
-    scratch = np.empty((2, min(_ROW_BLOCK, n), n))
+    scratch = np.empty((2, min(_ROW_BLOCK, n) * n))
     sw = np.sqrt(w)
     diag_kernel = np.empty(n)
     for lo in range(0, n, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n)
-        s, pq = scratch[:, :hi - lo]
-        diag_kernel[lo:hi] = _kernel_rows(M[lo:hi], s, pq, p, params.mu, lo,
-                                          None if C is None else C[lo:hi])
-        M[lo:hi] *= np.multiply(sw[lo:hi, None], sw, out=s)  # sw_i sw_j: exactly symmetric
-    d = np.sqrt(0.75 * p * p + params.mu)
-    np.fill_diagonal(M, d + w * diag_kernel + diag_extra)
+        kernel, pq = scratch[:, :(hi - lo) * (n - lo)].reshape(2, hi - lo, n - lo)
+        diag_kernel[lo:hi] = _kernel_rows(kernel, pq, M[lo:hi, lo:], p, params, lo, lo)
+        np.multiply(sw[lo:hi, None], sw[lo:], out=pq)  # sw_i sw_j: exactly symmetric
+        np.multiply(kernel, pq, out=M[lo:hi, lo:])
+        if not upper:
+            M[hi:, lo:hi] = M[lo:hi, hi:].T
+    np.fill_diagonal(M, np.sqrt(0.75 * p * p + params.mu) + w * diag_kernel + subtraction)
     return M
 
 
@@ -380,24 +386,31 @@ def _square(matrix: np.ndarray) -> np.ndarray:
     return a
 
 
-def _eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues, ascending, of a symmetric matrix, computed in place.
+def _upper_finite(a: np.ndarray) -> bool:
+    # every entry of a's C upper triangle, the diagonal included, is finite
+    for lo in range(0, a.shape[0], _ROW_BLOCK):
+        hi = lo + _ROW_BLOCK
+        if not (np.isfinite(np.triu(a[lo:hi, lo:hi])).all() and np.isfinite(a[lo:hi, hi:]).all()):
+            return False
+    return True
 
-    Runs LAPACK dsyevd for eigenvalues only, the routine and workspace size
-    np.linalg.eigvalsh runs, but on the matrix itself (a C-contiguous float
-    array is overwritten) rather than on a Fortran-order copy.  A symmetric
-    C-order array is its own Fortran-order array, and 'L' reads the C upper
-    triangle, bit for bit the lower one eigvalsh reads when the matrix is
-    exactly symmetric (as assemble builds it): the spectrum is eigvalsh's.
-    A non-finite matrix or a failed convergence raises LinAlgError.  Without
-    a dsyevd in numpy's LAPACK this is eigvalsh.
+
+def _eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric matrix whose C upper triangle
+    and diagonal matrix holds, computed in place.
+
+    Runs LAPACK dsyevd('L') on the array itself (a C-contiguous float array is
+    overwritten): the routine and workspace of np.linalg.eigvalsh, without its
+    Fortran-order copy, so the spectrum is eigvalsh's bit for bit.  A
+    non-finite entry there or a failed convergence raises LinAlgError.
+    Without a dsyevd in numpy's LAPACK this is eigvalsh of the transpose.
     """
     lapack = _dsyevd()
     if lapack is None:
-        return np.linalg.eigvalsh(matrix)
+        return np.linalg.eigvalsh(matrix.T)
     dsyevd, integer = lapack
     a = _square(matrix)
-    if not np.isfinite(a).all():
+    if not _upper_finite(a):
         raise np.linalg.LinAlgError("non-finite matrix")
     ev = np.empty(a.shape[0])
     n, info = integer(a.shape[0]), integer(0)
@@ -423,14 +436,14 @@ def _spectrum_inertia(ev: np.ndarray) -> tuple[int, float]:
 
 
 def _ldlt(matrix: np.ndarray, uplo: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Bunch-Kaufman LDL^T factorization of a symmetric matrix, in place.
+    """Bunch-Kaufman LDL^T factorization, in place, of a symmetric matrix
+    given by one triangle and the diagonal: the C upper one for uplo b"L"
+    (Fortran's lower), the C lower one for b"U".  dsytrf touches nothing else.
 
-    A symmetric C-order array is its own Fortran-order array, so uplo b"L"
-    (the Fortran lower triangle) factors the C upper triangle and b"U" the C
-    lower one; dsytrf reads and writes only that triangle and the diagonal.
     Returns (a, ipiv): the factored array (the matrix itself when it is a
     writable C-contiguous float array) and dsytrf's pivot indices.  A
-    non-finite matrix or factor raises LinAlgError.  Needs _dsytrf().
+    non-finite entry in that triangle of the factor raises LinAlgError.
+    Needs _dsytrf().
     """
     dsytrf, integer = _dsytrf()
     a = _square(matrix)
@@ -446,16 +459,16 @@ def _ldlt(matrix: np.ndarray, uplo: bytes) -> tuple[np.ndarray, np.ndarray]:
     factor(query, -1)  # workspace query
     lwork = max(1, int(query[0]))
     factor(np.empty(lwork), lwork)
-    if not np.all(np.isfinite(a)):
+    if not _upper_finite(a if uplo == b"L" else a.T):
         raise np.linalg.LinAlgError("non-finite matrix or LDL^T factor")
     return a, ipiv
 
 
 def _inertia_logdet(matrix: np.ndarray) -> tuple[int, float]:
-    """(number of negative eigenvalues, log|det|) of a symmetric matrix.
+    """(number of negative eigenvalues, log|det|) of the symmetric matrix
+    whose C upper triangle and diagonal matrix holds.
 
-    Factors the matrix in place (a C-contiguous float array has its C upper
-    triangle and diagonal overwritten; see _ldlt) by Bunch-Kaufman LDL^T and
+    Factors them in place (see _ldlt) by Bunch-Kaufman LDL^T and
     counts the negative eigenvalues of its 1x1 and 2x2 pivot blocks, which by
     Sylvester's law of inertia are the matrix's.  A zero pivot (an exactly
     singular matrix) counts as nonnegative and gives log|det| = -inf; a
@@ -463,7 +476,7 @@ def _inertia_logdet(matrix: np.ndarray) -> tuple[int, float]:
     numpy's LAPACK both come from eigvalsh.
     """
     if _dsytrf() is None:
-        ev = np.linalg.eigvalsh(matrix)
+        ev = np.linalg.eigvalsh(matrix.T)
         if not np.all(np.isfinite(ev)):
             raise np.linalg.LinAlgError("non-finite eigenvalues")
         return _spectrum_inertia(ev)
@@ -561,10 +574,8 @@ def _certified_lower_bound(matrix: np.ndarray, theta: float, r: float) -> float 
     theta, a Rayleigh quotient, is at least the smallest eigenvalue up to
     rounding (below c), that eigenvalue lies within 2 (r + c) of theta.
 
-    The factorization works on the C lower triangle and the diagonal (see
-    _ldlt) of matrix, a writable C-contiguous float array (otherwise of a
-    copy); the diagonal is restored, so the C upper triangle and the
-    diagonal are left as given, for _inertia_logdet or _eigenvalues.
+    It factors the C lower triangle of matrix in place (see _ldlt) and then
+    restores the diagonal, leaving the C upper triangle for _inertia_logdet.
     """
     if _dsytrf() is None:
         return None
@@ -583,21 +594,17 @@ def _certified_lower_bound(matrix: np.ndarray, theta: float, r: float) -> float 
     return theta - 2.0 * (r + c) if passed else None
 
 
-def _sweep_point(build: Callable[[], np.ndarray], thomas: bool) -> tuple[float, int, float]:
-    """(smallest eigenvalue, number of negative eigenvalues, log|det|) of
-    the symmetric matrix build() returns.
+def _sweep_point(build: Callable[[bool], np.ndarray], thomas: bool) -> tuple[float, int, float]:
+    """(smallest eigenvalue, number of negative eigenvalues, log|det|) of the
+    symmetric matrix build(upper) returns (with upper, its C upper triangle).
 
-    With thomas (delta < delta0, where the Thomas effect makes the smallest
-    eigenvalue one deep, isolated level), the smallest eigenvalue is _lanczos's
-    theta checked by _certified_lower_bound, within 2 (r + c) of the true one
-    (within about 1e-14 relative at delta = 0), and the count and log|det| come
-    from _inertia_logdet, the function the crossing refinement evaluates.
-    Otherwise, and when the Lanczos iteration gives up, theta >= 0, the check
-    fails or the count is 0, all three come from _eigenvalues, bit for bit
-    eigvalsh's spectrum; the matrix is built again when the factorizations
-    have overwritten it, after the first one is released.
+    With thomas (delta < delta0: one deep, isolated lowest level) the value
+    is _lanczos's theta, checked by _certified_lower_bound, and the count and
+    log|det| come from _inertia_logdet, as in the crossing refinement.
+    Otherwise, or when that fails, all three come from _eigenvalues, on a
+    matrix built again if the factorizations overwrote it.
     """
-    matrix = build()
+    matrix = build(not thomas)
     ritz = _lanczos(matrix) if thomas else None
     if ritz is not None and ritz[0] < 0.0:
         if _certified_lower_bound(matrix, *ritz) is not None:
@@ -605,7 +612,7 @@ def _sweep_point(build: Callable[[], np.ndarray], thomas: bool) -> tuple[float, 
             if count:
                 return ritz[0], count, logdet
         del matrix
-        matrix = build()
+        matrix = build(True)
     ev = _eigenvalues(matrix)
     return float(ev[0]), *_spectrum_inertia(ev)
 
@@ -677,35 +684,24 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     negative eigenvalues, and every mu at which the operator is singular.
 
     The operator is monotone increasing in mu, so each bound state of the
-    cutoff problem shows up as a unit decrement of the negative-eigenvalue
-    count between consecutive sweep points.  Each decrement, level k, is
-    refined by Brent's method in log mu until the sign-change bracket of the
-    k-th eigenvalue is at most _REFINE_REL wide (relative); the reported
-    crossing, the bracket's geometric midpoint, lies within _REFINE_REL of
-    the discrete operator's singular mu.  Each Brent step takes one LDL^T
-    factorization, in place, whose inertia gives the sign of the k-th
-    eigenvalue and whose determinant, which vanishes with it, the size.
+    cutoff problem is a unit decrement of the negative-eigenvalue count
+    between consecutive sweep points.  Brent's method refines each, level k,
+    in log mu until the sign-change bracket of the k-th eigenvalue is at most
+    _REFINE_REL wide (relative), and reports the bracket's geometric
+    midpoint.  Each Brent step is one assembly and one LDL^T factorization,
+    whose inertia gives the sign of the k-th eigenvalue and whose
+    determinant the size.
 
-    Each sweep point solves the matrix just assembled by _sweep_point.  For
-    delta < delta0 (the Thomas regime: one deep, isolated lowest level) a
-    Lanczos iteration gives the smallest eigenvalue, which an LDL^T
-    factorization of the shifted matrix checks: no eigenvalue lies more than
-    2 (r + c) below it, r the Ritz residual and c a rounding bound (at
-    delta = 0 and n = 1000 about 1.5e-6 against -1228, and the value itself
-    agrees with a full eigen-solve to about 1e-14 relative).  The count and
-    log|det| come from the LDL^T inertia the Brent steps use, so the bracket
-    ends and the interior come from one function.  For delta >= delta0, and
-    where the iteration gives up, the check fails or the count is 0, the
-    point takes one full eigen-solve made in place, bit for bit eigvalsh's
-    spectrum.  So each pool thread holds one n x n matrix at a time, besides
-    the mu-independent Coulomb part (delta != 0) built once and shared by
-    all.
+    Each sweep point is one _sweep_point: below delta0 a Lanczos value
+    checked by LDL^T, from delta0 up one eigen-solve.  The solvers read one
+    triangle, and that is all the eigen-solve and Brent steps assemble.  So
+    each pool thread holds one n x n matrix at a time, and the scan shares
+    only the mu-independent subtraction vector (delta != 0).
 
-    The sweep solves, then the refinement chains (one task per crossing),
-    run on one pool of TRIBOS_THREADS threads (default: the CPU count), each
-    solve and factorization with single-threaded BLAS, so the pool size is
-    the total thread count and the result does not depend on it or on
-    OPENBLAS_NUM_THREADS.
+    The sweep, then the refinements (one task per crossing), run on one pool
+    of TRIBOS_THREADS threads (default: the CPU count), each solve with
+    single-threaded BLAS, so the result depends neither on the pool size nor
+    on OPENBLAS_NUM_THREADS.
     """
     if not (0.0 < mu_lo < mu_hi):
         raise ValueError("need 0 < mu_lo < mu_hi")
@@ -716,11 +712,12 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     workers = min(_thread_count(), n_mu)
     p = grid.nodes
     with _single_threaded_blas():
-        coulomb = _coulomb_part(p, grid.weights, delta) if delta != 0.0 else None
+        subtraction = _coulomb_part(p, grid.weights, delta) if delta != 0.0 else None
 
         def sweep_point(mu: float) -> tuple[float, int, float]:
             params = ModelParams(mu=mu, delta=delta)
-            return _sweep_point(lambda: assemble(grid, params, coulomb), delta < _DELTA0)
+            return _sweep_point(lambda upper: assemble(grid, params, subtraction, upper=upper),
+                                delta < _DELTA0)
 
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
@@ -743,8 +740,8 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
 
                 def f(t: float) -> float:
                     mu = math.exp(t)
-                    count, logdet = _inertia_logdet(
-                        assemble(grid, ModelParams(mu=mu, delta=delta), coulomb))
+                    count, logdet = _inertia_logdet(assemble(
+                        grid, ModelParams(mu=mu, delta=delta), subtraction, upper=True))
                     return _level_value(count, k, log_size(mu, logdet) - log_r)
 
                 fa, fb = (_level_value(counts[j], k, end - log_r)

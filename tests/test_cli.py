@@ -269,10 +269,22 @@ def test_cli_flags_are_the_parameters(capsys, command):
 
 def test_format_flag_is_rejected(capsys):
     # each command has one output format, so there is no --format flag
-    with pytest.raises(SystemExit) as done:
-        main(["ladder", "--format", "csv"])
-    assert done.value.code == 2
+    assert main(["ladder", "--format", "csv"]) == 2
     assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "--delta", "1", "--grid", "x"], "argument --grid: invalid int value: 'x'"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+])
+def test_usage_errors_return_2(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_help_returns_0(capsys):
+    assert main(["scan", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: tribos scan")
 
 
 @pytest.mark.parametrize("target", ["missing/out.json", "directory"])

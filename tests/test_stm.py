@@ -505,12 +505,15 @@ def _reference_assembly(grid, params):
 
 def _assert_assembly_matches_reference(n, delta):
     grid = build_grid(1e-4, 1e4, n)
-    coulomb = stm._coulomb_part(grid.nodes, grid.weights, delta) if delta else None
+    subtraction = stm._coulomb_part(grid.nodes, grid.weights, delta) if delta else None
     for mu in (1e-3, 0.7, 1e3):
         params = ModelParams(mu=mu, delta=delta)
         built = assemble(grid, params)
         assert np.array_equal(built, _reference_assembly(grid, params))
-        assert np.array_equal(assemble(grid, params, coulomb), built)
+        assert np.array_equal(assemble(grid, params, subtraction), built)
+        # the build the scan's solvers read: the C upper triangle only
+        upper = assemble(grid, params, subtraction, upper=True)
+        assert np.array_equal(np.triu(upper), np.triu(built))
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.37, 1.0])
@@ -539,21 +542,23 @@ def _peak_bytes(fn):
 def test_assemble_holds_no_second_matrix(delta):
     n = 1000
     grid = build_grid(1e-4, 1e4, n)
-    coulomb = stm._coulomb_part(grid.nodes, grid.weights, delta) if delta else None
+    subtraction = stm._coulomb_part(grid.nodes, grid.weights, delta) if delta else None
     params = ModelParams(mu=0.7, delta=delta)
-    assemble(grid, params, coulomb)  # warm caches outside the measurement
-    assert _peak_bytes(lambda: assemble(grid, params, coulomb)) < 1.1 * n * n * 8
+    assemble(grid, params, subtraction)  # warm caches outside the measurement
+    assert _peak_bytes(lambda: assemble(grid, params, subtraction)) < 1.1 * n * n * 8
+    # building the subtraction term takes no Coulomb matrix either
+    assert _peak_bytes(lambda: assemble(grid, params)) < 1.1 * n * n * 8
 
 
 def test_scan_holds_one_matrix_per_pool_thread(monkeypatch):
-    # two pool threads, each assembling and solving its own matrix, plus the
-    # shared Coulomb part: three n x n arrays (seven when assembly built
-    # three n x n temporaries)
+    # two pool threads, each assembling and solving its own matrix, and no
+    # Coulomb matrix: two n x n arrays (three with a cached Coulomb matrix,
+    # seven when assembly built three n x n temporaries)
     n = 500
     grid = build_grid(1e-4, 1e4, n)
     monkeypatch.setenv("TRIBOS_THREADS", "2")
     scan_spectrum(grid, 1.0, 1e-2, 1e2, 2)  # warm caches outside the measurement
-    assert _peak_bytes(lambda: scan_spectrum(grid, 1.0, 1e-2, 1e2, 6)) < 4 * n * n * 8
+    assert _peak_bytes(lambda: scan_spectrum(grid, 1.0, 1e-2, 1e2, 6)) < 3 * n * n * 8
     # delta = 0: no Coulomb part; the check and the inertia factor the two
     # triangles of one matrix, and the Lanczos basis is at most 100 rows
     scan_spectrum(grid, 0.0, 1e-2, 1e2, 2)
@@ -578,6 +583,30 @@ def test_in_place_eigenvalues_reject_non_finite_matrices():
     a[4, 9] = a[9, 4] = math.nan
     with pytest.raises(np.linalg.LinAlgError):
         stm._eigenvalues(a)
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_solvers_read_only_the_c_upper_triangle(monkeypatch, fallback):
+    # assemble(upper=True) leaves the C lower triangle unset, so the solvers
+    # and their fallbacks must give the same bits whatever it holds
+    if fallback:
+        monkeypatch.setattr(stm, "_dsyevd", lambda: None)
+        monkeypatch.setattr(stm, "_dsytrf", lambda: None)
+    grid = build_grid(1e-4, 1e4, 250)
+    for delta, mu in ((0.0, 0.7), (1.0, 0.7), (0.0, 1e3)):
+        full = assemble(grid, ModelParams(mu=mu, delta=delta))
+        upper = full.copy()
+        upper[np.tril_indices_from(upper, -1)] = math.nan
+        with stm._single_threaded_blas():
+            assert np.array_equal(stm._eigenvalues(upper.copy()), stm._eigenvalues(full.copy()))
+            assert stm._inertia_logdet(upper.copy()) == stm._inertia_logdet(full.copy())
+        for value in (math.nan, math.inf):
+            broken = upper.copy()
+            broken[3, 100] = value  # inside the triangle read
+            with pytest.raises(np.linalg.LinAlgError):
+                stm._eigenvalues(broken.copy())
+            with pytest.raises(np.linalg.LinAlgError):
+                stm._inertia_logdet(broken)
 
 
 def test_scan_without_dsyevd_is_identical(monkeypatch):
@@ -616,7 +645,7 @@ def test_check_rejects_a_start_vector_orthogonal_to_the_ground_state():
     theta, r = stm._lanczos(matrix)
     assert abs(theta + 0.5) <= 1e-12
     assert stm._certified_lower_bound(matrix.copy(), theta, r) is None
-    smallest, count, _ = stm._sweep_point(matrix.copy, True)
+    smallest, count, _ = stm._sweep_point(lambda upper: matrix.copy(), True)
     assert smallest == np.linalg.eigvalsh(matrix)[0] and count == 2
 
 
@@ -627,7 +656,7 @@ def test_clustered_spectrum_falls_back_to_the_eigen_solve():
     matrix = assemble(grid, ModelParams(mu=0.7, delta=1.0))
     with stm._single_threaded_blas():  # the eigen-solve's bits depend on the BLAS threads
         assert stm._lanczos(matrix) is None
-        smallest, count, _ = stm._sweep_point(matrix.copy, True)
+        smallest, count, _ = stm._sweep_point(lambda upper: matrix.copy(), True)
         assert smallest == np.linalg.eigvalsh(matrix)[0] and count == 0
 
 
@@ -637,7 +666,7 @@ def test_lanczos_sweep_point_is_bitwise_repeatable():
     with stm._single_threaded_blas():
         ritz = {stm._lanczos(np.array(matrix)) for _ in range(3)}
         bounds = {stm._certified_lower_bound(matrix.copy(), *next(iter(ritz))) for _ in range(3)}
-        points = {stm._sweep_point(matrix.copy, True) for _ in range(3)}
+        points = {stm._sweep_point(lambda upper: matrix.copy(), True) for _ in range(3)}
     assert len(ritz) == len(bounds) == len(points) == 1 and None not in bounds
     assert next(iter(points))[0] == next(iter(ritz))[0]
 
