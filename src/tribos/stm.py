@@ -253,20 +253,18 @@ def coulomb_row_integral(p, a: float, b: float, delta: float):
     return out if out.ndim else float(out)
 
 
-def _coulomb_part(p: np.ndarray, w: np.ndarray, delta: float, lo: int = 0,
-                  hi: int | None = None) -> np.ndarray:
-    """Rows lo:hi (default: all) of assemble's mu-independent singularity-
-    subtraction term c - C @ w, built _ROW_BLOCK rows at a time: c the closed-
-    form row integral of coulomb_kernel, C its matrix with the diagonal zeroed."""
-    rows = p[lo:hi]
-    cw = np.empty(rows.size)
-    c, spare = np.empty((2, min(_ROW_BLOCK, rows.size), p.size))
-    for start in range(0, rows.size, _ROW_BLOCK):
-        m = min(_ROW_BLOCK, rows.size - start)
-        _coulomb_log(rows[start:start + m, None], p, delta, c[:m], spare[:m])
-        np.fill_diagonal(c[:m, lo + start:], 0.0)
-        cw[start:start + m] = c[:m] @ w
-    return coulomb_row_integral(rows, p[0], p[-1], delta) - cw
+def _coulomb_part(p: np.ndarray, w: np.ndarray, delta: float) -> np.ndarray:
+    """assemble's mu-independent singularity-subtraction term c - C @ w, built
+    _ROW_BLOCK rows at a time: c the closed-form row integral of
+    coulomb_kernel, C its matrix with the diagonal zeroed."""
+    cw = np.empty(p.size)
+    c, spare = np.empty((2, min(_ROW_BLOCK, p.size), p.size))
+    for lo in range(0, p.size, _ROW_BLOCK):
+        m = min(_ROW_BLOCK, p.size - lo)
+        _coulomb_log(p[lo:lo + m, None], p, delta, c[:m], spare[:m])
+        np.fill_diagonal(c[:m, lo:], 0.0)
+        cw[lo:lo + m] = c[:m] @ w
+    return coulomb_row_integral(p, p[0], p[-1], delta) - cw
 
 
 def _kernel_rows(out: np.ndarray, pq: np.ndarray, spare: np.ndarray, p: np.ndarray,
@@ -277,7 +275,7 @@ def _kernel_rows(out: np.ndarray, pq: np.ndarray, spare: np.ndarray, p: np.ndarr
     singular diagonal (node j = lo + i in row i) zeroed.  pq and spare are
     scratch of out's shape; spare is written once and read once per kernel,
     so it may be a strided view (a ufunc costs several times as much on one).
-    Returns the TMS kernel on that diagonal.
+    pq is left holding that Coulomb part.  Returns the TMS kernel on that diagonal.
     """
     rows, cols = p[lo:lo + out.shape[0], None], p[first:]
     _tms_log(rows, cols, params.mu, out, pq, spare)
@@ -294,18 +292,21 @@ def _kernel_matrix(p: np.ndarray, w: np.ndarray, params: ModelParams, lo: int = 
     """Kernel rows lo:hi (default: all) and diagonal pieces of the Nystrom operator.
 
     Returns (K, diag_kernel, diag_extra): K a new array of the kernel rows
-    and diag_kernel their TMS diagonal (see _kernel_rows), diag_extra the
-    singularity-subtraction term (zero when delta = 0).
+    and diag_kernel their TMS diagonal (see _kernel_rows), diag_extra their
+    singularity-subtraction term c - C @ w (see _coulomb_part; zero when
+    delta = 0), with C @ w taken from the Coulomb part _kernel_rows built.
     """
-    K = np.empty((p[lo:hi].size, p.size))
-    s, pq = np.empty((2, *K.shape))
-    diag_extra = (_coulomb_part(p, w, params.delta, lo, hi) if params.delta != 0.0
-                  else np.zeros(K.shape[0]))
-    return K, _kernel_rows(K, s, pq, p, params, lo), diag_extra
+    rows = p[lo:hi]
+    K = np.empty((rows.size, p.size))
+    coulomb, spare = np.empty((2, *K.shape))
+    diag_kernel = _kernel_rows(K, coulomb, spare, p, params, lo)
+    if params.delta == 0.0:
+        return K, diag_kernel, np.zeros(rows.size)
+    return K, diag_kernel, coulomb_row_integral(rows, p[0], p[-1], params.delta) - coulomb @ w
 
 
-def assemble(grid: RadialGrid, params: ModelParams, subtraction: np.ndarray | None = None,
-             *, upper: bool = False) -> np.ndarray:
+def assemble(grid: RadialGrid, params: ModelParams,
+             subtraction: np.ndarray | None = None) -> np.ndarray:
     """The symmetric n x n Nystrom matrix of the radial operator on phi(p) = p xihat(p).
 
     The diagonal term is sqrt(3 p^2/4 + mu).  The TMS kernel is quadratured
@@ -317,7 +318,7 @@ def assemble(grid: RadialGrid, params: ModelParams, subtraction: np.ndarray | No
     subtraction gives it.  Similarity by sqrt(weights) makes the matrix
     exactly symmetric.  It is built in place, _ROW_BLOCK rows at a time from
     the diagonal on, in two (_ROW_BLOCK, n) scratch blocks, and each block is
-    mirrored; with upper, only the C upper triangle and the diagonal are set.
+    mirrored, so every kernel entry is evaluated once.
     """
     p, w = grid.nodes, grid.weights
     n = p.size
@@ -333,8 +334,7 @@ def assemble(grid: RadialGrid, params: ModelParams, subtraction: np.ndarray | No
         diag_kernel[lo:hi] = _kernel_rows(kernel, pq, M[lo:hi, lo:], p, params, lo, lo)
         np.multiply(sw[lo:hi, None], sw[lo:], out=pq)  # sw_i sw_j: exactly symmetric
         np.multiply(kernel, pq, out=M[lo:hi, lo:])
-        if not upper:
-            M[hi:, lo:hi] = M[lo:hi, hi:].T
+        M[hi:, lo:hi] = M[lo:hi, hi:].T
     np.fill_diagonal(M, np.sqrt(0.75 * p * p + params.mu) + w * diag_kernel + subtraction)
     return M
 
@@ -386,31 +386,28 @@ def _square(matrix: np.ndarray) -> np.ndarray:
     return a
 
 
-def _upper_finite(a: np.ndarray) -> bool:
-    # every entry of a's C upper triangle, the diagonal included, is finite
-    for lo in range(0, a.shape[0], _ROW_BLOCK):
-        hi = lo + _ROW_BLOCK
-        if not (np.isfinite(np.triu(a[lo:hi, lo:hi])).all() and np.isfinite(a[lo:hi, hi:]).all()):
-            return False
-    return True
+def _finite(a: np.ndarray) -> bool:
+    # np.isfinite(a).all() without its n x n boolean temporary
+    return all(np.isfinite(a[lo:lo + _ROW_BLOCK]).all() for lo in range(0, a.shape[0], _ROW_BLOCK))
 
 
 def _eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues, ascending, of the symmetric matrix whose C upper triangle
-    and diagonal matrix holds, computed in place.
+    """Eigenvalues, ascending, of a symmetric matrix, computed in place.
 
     Runs LAPACK dsyevd('L') on the array itself (a C-contiguous float array is
     overwritten): the routine and workspace of np.linalg.eigvalsh, without its
-    Fortran-order copy, so the spectrum is eigvalsh's bit for bit.  A
-    non-finite entry there or a failed convergence raises LinAlgError.
-    Without a dsyevd in numpy's LAPACK this is eigvalsh of the transpose.
+    Fortran-order copy.  'L' reads the C upper triangle, bit for bit the lower
+    one eigvalsh reads of an exactly symmetric matrix (as assemble builds it),
+    so the spectrum is eigvalsh's.  A non-finite matrix or a failed
+    convergence raises LinAlgError.  Without a dsyevd in numpy's LAPACK this
+    is eigvalsh.
     """
     lapack = _dsyevd()
     if lapack is None:
-        return np.linalg.eigvalsh(matrix.T)
+        return np.linalg.eigvalsh(matrix)
     dsyevd, integer = lapack
     a = _square(matrix)
-    if not _upper_finite(a):
+    if not _finite(a):
         raise np.linalg.LinAlgError("non-finite matrix")
     ev = np.empty(a.shape[0])
     n, info = integer(a.shape[0]), integer(0)
@@ -436,14 +433,13 @@ def _spectrum_inertia(ev: np.ndarray) -> tuple[int, float]:
 
 
 def _ldlt(matrix: np.ndarray, uplo: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Bunch-Kaufman LDL^T factorization, in place, of a symmetric matrix
-    given by one triangle and the diagonal: the C upper one for uplo b"L"
-    (Fortran's lower), the C lower one for b"U".  dsytrf touches nothing else.
+    """Bunch-Kaufman LDL^T factorization of a symmetric matrix, in place.
 
-    Returns (a, ipiv): the factored array (the matrix itself when it is a
-    writable C-contiguous float array) and dsytrf's pivot indices.  A
-    non-finite entry in that triangle of the factor raises LinAlgError.
-    Needs _dsytrf().
+    uplo b"L" (Fortran's lower triangle) factors the C upper triangle and
+    b"U" the C lower one; dsytrf reads and writes only that triangle and the
+    diagonal.  Returns (a, ipiv): the factored array (the matrix itself when
+    it is a writable C-contiguous float array) and dsytrf's pivot indices.
+    A non-finite matrix or factor raises LinAlgError.  Needs _dsytrf().
     """
     dsytrf, integer = _dsytrf()
     a = _square(matrix)
@@ -459,24 +455,23 @@ def _ldlt(matrix: np.ndarray, uplo: bytes) -> tuple[np.ndarray, np.ndarray]:
     factor(query, -1)  # workspace query
     lwork = max(1, int(query[0]))
     factor(np.empty(lwork), lwork)
-    if not _upper_finite(a if uplo == b"L" else a.T):
+    if not _finite(a):
         raise np.linalg.LinAlgError("non-finite matrix or LDL^T factor")
     return a, ipiv
 
 
 def _inertia_logdet(matrix: np.ndarray) -> tuple[int, float]:
-    """(number of negative eigenvalues, log|det|) of the symmetric matrix
-    whose C upper triangle and diagonal matrix holds.
+    """(number of negative eigenvalues, log|det|) of a symmetric matrix.
 
-    Factors them in place (see _ldlt) by Bunch-Kaufman LDL^T and
-    counts the negative eigenvalues of its 1x1 and 2x2 pivot blocks, which by
-    Sylvester's law of inertia are the matrix's.  A zero pivot (an exactly
+    Factors its C upper triangle in place (see _ldlt) by Bunch-Kaufman LDL^T
+    and counts the negative eigenvalues of the 1x1 and 2x2 pivot blocks,
+    which by Sylvester's law of inertia are the matrix's.  A zero pivot (an exactly
     singular matrix) counts as nonnegative and gives log|det| = -inf; a
     non-finite matrix or factor raises LinAlgError.  Without a dsytrf in
     numpy's LAPACK both come from eigvalsh.
     """
     if _dsytrf() is None:
-        ev = np.linalg.eigvalsh(matrix.T)
+        ev = np.linalg.eigvalsh(matrix)
         if not np.all(np.isfinite(ev)):
             raise np.linalg.LinAlgError("non-finite eigenvalues")
         return _spectrum_inertia(ev)
@@ -594,9 +589,9 @@ def _certified_lower_bound(matrix: np.ndarray, theta: float, r: float) -> float 
     return theta - 2.0 * (r + c) if passed else None
 
 
-def _sweep_point(build: Callable[[bool], np.ndarray], thomas: bool) -> tuple[float, int, float]:
+def _sweep_point(build: Callable[[], np.ndarray], thomas: bool) -> tuple[float, int, float]:
     """(smallest eigenvalue, number of negative eigenvalues, log|det|) of the
-    symmetric matrix build(upper) returns (with upper, its C upper triangle).
+    symmetric matrix build() returns.
 
     With thomas (delta < delta0: one deep, isolated lowest level) the value
     is _lanczos's theta, checked by _certified_lower_bound, and the count and
@@ -604,7 +599,7 @@ def _sweep_point(build: Callable[[bool], np.ndarray], thomas: bool) -> tuple[flo
     Otherwise, or when that fails, all three come from _eigenvalues, on a
     matrix built again if the factorizations overwrote it.
     """
-    matrix = build(not thomas)
+    matrix = build()
     ritz = _lanczos(matrix) if thomas else None
     if ritz is not None and ritz[0] < 0.0:
         if _certified_lower_bound(matrix, *ritz) is not None:
@@ -612,7 +607,7 @@ def _sweep_point(build: Callable[[bool], np.ndarray], thomas: bool) -> tuple[flo
             if count:
                 return ritz[0], count, logdet
         del matrix
-        matrix = build(True)
+        matrix = build()
     ev = _eigenvalues(matrix)
     return float(ev[0]), *_spectrum_inertia(ev)
 
@@ -693,10 +688,9 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     determinant the size.
 
     Each sweep point is one _sweep_point: below delta0 a Lanczos value
-    checked by LDL^T, from delta0 up one eigen-solve.  The solvers read one
-    triangle, and that is all the eigen-solve and Brent steps assemble.  So
-    each pool thread holds one n x n matrix at a time, and the scan shares
-    only the mu-independent subtraction vector (delta != 0).
+    checked by LDL^T, from delta0 up one eigen-solve.  So each pool thread
+    holds one n x n matrix at a time, and the scan shares only the
+    mu-independent subtraction vector (delta != 0).
 
     The sweep, then the refinements (one task per crossing), run on one pool
     of TRIBOS_THREADS threads (default: the CPU count), each solve with
@@ -716,8 +710,7 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
 
         def sweep_point(mu: float) -> tuple[float, int, float]:
             params = ModelParams(mu=mu, delta=delta)
-            return _sweep_point(lambda upper: assemble(grid, params, subtraction, upper=upper),
-                                delta < _DELTA0)
+            return _sweep_point(lambda: assemble(grid, params, subtraction), delta < _DELTA0)
 
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
@@ -740,8 +733,8 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
 
                 def f(t: float) -> float:
                     mu = math.exp(t)
-                    count, logdet = _inertia_logdet(assemble(
-                        grid, ModelParams(mu=mu, delta=delta), subtraction, upper=True))
+                    count, logdet = _inertia_logdet(
+                        assemble(grid, ModelParams(mu=mu, delta=delta), subtraction))
                     return _level_value(count, k, log_size(mu, logdet) - log_r)
 
                 fa, fb = (_level_value(counts[j], k, end - log_r)

@@ -511,9 +511,6 @@ def _assert_assembly_matches_reference(n, delta):
         built = assemble(grid, params)
         assert np.array_equal(built, _reference_assembly(grid, params))
         assert np.array_equal(assemble(grid, params, subtraction), built)
-        # the build the scan's solvers read: the C upper triangle only
-        upper = assemble(grid, params, subtraction, upper=True)
-        assert np.array_equal(np.triu(upper), np.triu(built))
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.37, 1.0])
@@ -526,6 +523,19 @@ def test_assemble_with_precomputed_coulomb_part_is_bit_identical(delta):
 @pytest.mark.parametrize("delta", [0.0, 0.37, 1.0])
 def test_assemble_is_bit_identical_across_row_blocks(n, delta):
     _assert_assembly_matches_reference(n, delta)
+
+
+@pytest.mark.parametrize("delta", [0.37, 1.0])
+def test_kernel_rows_give_the_subtraction_term_of_assemble(delta):
+    # residual's row blocks take C @ w from the Coulomb part they build:
+    # bit for bit the term assemble puts on the diagonal
+    grid = build_grid(1e-4, 1e4, 300)
+    p, w = grid.nodes, grid.weights
+    subtraction = stm._coulomb_part(p, w, delta)
+    params = ModelParams(mu=0.7, delta=delta)
+    for lo in range(0, p.size, stm._ROW_BLOCK):
+        extra = stm._kernel_matrix(p, w, params, lo=lo, hi=lo + stm._ROW_BLOCK)[2]
+        assert np.array_equal(extra, subtraction[lo:lo + stm._ROW_BLOCK])
 
 
 def _peak_bytes(fn):
@@ -585,28 +595,15 @@ def test_in_place_eigenvalues_reject_non_finite_matrices():
         stm._eigenvalues(a)
 
 
-@pytest.mark.parametrize("fallback", [False, True])
-def test_solvers_read_only_the_c_upper_triangle(monkeypatch, fallback):
-    # assemble(upper=True) leaves the C lower triangle unset, so the solvers
-    # and their fallbacks must give the same bits whatever it holds
-    if fallback:
-        monkeypatch.setattr(stm, "_dsyevd", lambda: None)
-        monkeypatch.setattr(stm, "_dsytrf", lambda: None)
-    grid = build_grid(1e-4, 1e4, 250)
-    for delta, mu in ((0.0, 0.7), (1.0, 0.7), (0.0, 1e3)):
-        full = assemble(grid, ModelParams(mu=mu, delta=delta))
-        upper = full.copy()
-        upper[np.tril_indices_from(upper, -1)] = math.nan
-        with stm._single_threaded_blas():
-            assert np.array_equal(stm._eigenvalues(upper.copy()), stm._eigenvalues(full.copy()))
-            assert stm._inertia_logdet(upper.copy()) == stm._inertia_logdet(full.copy())
-        for value in (math.nan, math.inf):
-            broken = upper.copy()
-            broken[3, 100] = value  # inside the triangle read
-            with pytest.raises(np.linalg.LinAlgError):
-                stm._eigenvalues(broken.copy())
-            with pytest.raises(np.linalg.LinAlgError):
-                stm._inertia_logdet(broken)
+def test_finiteness_check_reads_every_row_block():
+    # n = 70: three row blocks, the last one clipped
+    a = _symmetric(70, 2)
+    assert stm._finite(a)
+    for i, j in ((4, 9), (50, 3), (69, 69)):
+        for value in (math.inf, -math.inf, math.nan):
+            b = a.copy()
+            b[i, j] = value
+            assert not stm._finite(b)
 
 
 def test_scan_without_dsyevd_is_identical(monkeypatch):
@@ -645,7 +642,7 @@ def test_check_rejects_a_start_vector_orthogonal_to_the_ground_state():
     theta, r = stm._lanczos(matrix)
     assert abs(theta + 0.5) <= 1e-12
     assert stm._certified_lower_bound(matrix.copy(), theta, r) is None
-    smallest, count, _ = stm._sweep_point(lambda upper: matrix.copy(), True)
+    smallest, count, _ = stm._sweep_point(matrix.copy, True)
     assert smallest == np.linalg.eigvalsh(matrix)[0] and count == 2
 
 
@@ -656,7 +653,7 @@ def test_clustered_spectrum_falls_back_to_the_eigen_solve():
     matrix = assemble(grid, ModelParams(mu=0.7, delta=1.0))
     with stm._single_threaded_blas():  # the eigen-solve's bits depend on the BLAS threads
         assert stm._lanczos(matrix) is None
-        smallest, count, _ = stm._sweep_point(lambda upper: matrix.copy(), True)
+        smallest, count, _ = stm._sweep_point(matrix.copy, True)
         assert smallest == np.linalg.eigvalsh(matrix)[0] and count == 0
 
 
@@ -666,7 +663,7 @@ def test_lanczos_sweep_point_is_bitwise_repeatable():
     with stm._single_threaded_blas():
         ritz = {stm._lanczos(np.array(matrix)) for _ in range(3)}
         bounds = {stm._certified_lower_bound(matrix.copy(), *next(iter(ritz))) for _ in range(3)}
-        points = {stm._sweep_point(lambda upper: matrix.copy(), True) for _ in range(3)}
+        points = {stm._sweep_point(matrix.copy, True) for _ in range(3)}
     assert len(ritz) == len(bounds) == len(points) == 1 and None not in bounds
     assert next(iter(points))[0] == next(iter(ritz))[0]
 
