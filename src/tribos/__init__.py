@@ -7,8 +7,8 @@ regularized by a delta/|y| three-body term.
 
 __version__ = "0.1.0"
 
-from .ladder import (ChargeDensity, acot, build_ladder, mu_n, p_of_x, quantization_residual,
-                     sample_charge_density, theta_from_xi, x_of_p, xi_from_theta, xi_mu)
+from .ladder import (acot, build_ladder, mu_n, p_of_x, quantization_residual, theta_from_xi,
+                     x_of_p, xi_from_theta, xi_mu)
 from .oracle import (QuadratureBudgetError, TransformCheck, check_transforms,
                      convolution_balance, cosine_transform, coth_log_kernel,
                      coth_transform_analytic, factorization_check, m_log_kernel,

@@ -23,22 +23,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import default_s0
-
 SQRT3 = math.sqrt(3.0)
-
-
-@dataclass(frozen=True)
-class ChargeDensity:
-    """Samples of xihat on a stm.RadialGrid at spectral parameter mu."""
-
-    grid: object
-    values: np.ndarray
-    mu: float
 
 
 def acot(beta: float) -> float:
@@ -139,10 +127,3 @@ def xi_from_theta(theta_fn, p, mu: float):
     x = x_of_p(p, mu)
     out = (2.0 / SQRT3) * np.asarray(theta_fn(x), dtype=float) / (p * np.sqrt(0.75 * p * p + mu))
     return out if out.ndim else float(out)
-
-
-def sample_charge_density(grid, mu: float, s0: float | None = None) -> ChargeDensity:
-    """Sample the closed-form density on a grid (default: default_s0())."""
-    if s0 is None:
-        s0 = default_s0()
-    return ChargeDensity(grid=grid, values=xi_mu(grid.nodes, mu, s0), mu=mu)

@@ -31,6 +31,8 @@ _ABS_TOL = 1e-9  # of integrate, shared by its panels
 # The kernels decay like e^(-x): cutting their integrals off at distance 80
 # loses below 1e-30.
 _TAIL_CUT = 80
+# Halvings of the width toward the endpoint in _graded_breakpoints.
+_GRADED_LEVELS = 45
 
 
 class QuadratureBudgetError(RuntimeError):
@@ -105,12 +107,12 @@ def integrate(f, breakpoints, budget: int = 20000) -> float:
     return sum(_adaptive(f, pts[i], pts[i + 1], tol, state) for i in range(len(pts) - 1))
 
 
-def _graded_breakpoints(a: float, b: float, toward: float, levels: int = 45) -> list[float]:
+def _graded_breakpoints(a: float, b: float, toward: float) -> list[float]:
     """Panels of [a, b] geometrically graded toward one endpoint."""
     width = b - a
     if toward == a:
-        return [a] + [a + width * 2.0 ** (-k) for k in range(levels, -1, -1)]
-    return [b - width * 2.0 ** (-k) for k in range(0, levels + 1)] + [b]
+        return [a] + [a + width * 2.0 ** (-k) for k in range(_GRADED_LEVELS, -1, -1)]
+    return [b - width * 2.0 ** (-k) for k in range(0, _GRADED_LEVELS + 1)] + [b]
 
 
 def coth_log_kernel(x: float) -> float:

@@ -25,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .ladder import sample_charge_density
-from .symbols import delta0
+from .ladder import xi_mu
+from .symbols import default_s0, delta0
 
 _GL_POINTS_PER_PANEL = 16
 # Relative width of the log-mu bracket at which a crossing refinement stops.
@@ -176,15 +176,17 @@ def build_grid(p_min: float, p_max: float, n: int) -> RadialGrid:
 
 def _tms_log(p, q, mu: float, out: np.ndarray, pq: np.ndarray, spare: np.ndarray) -> None:
     # -(2/pi) log[(p^2+q^2+pq+mu)/(p^2+q^2-pq+mu)] of the broadcast p, q,
-    # built in out; pq and spare are scratch as for _kernel_rows
-    np.add(p * p, q * q, out=out)
-    out += mu
-    np.multiply(p, q, out=pq)
-    np.add(out, pq, out=spare)
-    out -= pq
-    np.divide(spare, out, out=out)
-    np.log(out, out=out)
-    out *= -2.0 / math.pi
+    # built in out (NaN where p^2 overflows; callers check finiteness); pq
+    # and spare are scratch as for _kernel_rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add(p * p, q * q, out=out)
+        out += mu
+        np.multiply(p, q, out=pq)
+        np.add(out, pq, out=spare)
+        out -= pq
+        np.divide(spare, out, out=out)
+        np.log(out, out=out)
+        out *= -2.0 / math.pi
 
 
 def tms_kernel(p, q, mu: float):
@@ -253,56 +255,63 @@ def coulomb_row_integral(p, a: float, b: float, delta: float):
     return out if out.ndim else float(out)
 
 
+def _coulomb_rows(out: np.ndarray, spare: np.ndarray, p: np.ndarray, delta: float, lo: int,
+                  first: int = 0, w: np.ndarray | None = None) -> np.ndarray | None:
+    """Build coulomb_kernel rows lo:lo + len(out) against the nodes from first
+    (<= lo) on, in out, with the singular diagonal (node j = lo + i in row i)
+    zeroed; spare is scratch as for _kernel_rows.  Given w (and first = 0),
+    returns the rows' singularity-subtraction term c - C @ w, c the
+    closed-form row integral of coulomb_kernel and C these rows."""
+    rows = p[lo:lo + out.shape[0]]
+    _coulomb_log(rows[:, None], p[first:], delta, out, spare)
+    np.fill_diagonal(out[:, lo - first:], 0.0)
+    return None if w is None else coulomb_row_integral(rows, p[0], p[-1], delta) - out @ w
+
+
 def _coulomb_part(p: np.ndarray, w: np.ndarray, delta: float) -> np.ndarray:
-    """assemble's mu-independent singularity-subtraction term c - C @ w, built
-    _ROW_BLOCK rows at a time: c the closed-form row integral of
-    coulomb_kernel, C its matrix with the diagonal zeroed."""
-    cw = np.empty(p.size)
+    """assemble's mu-independent subtraction term c - C @ w (see _coulomb_rows),
+    built _ROW_BLOCK rows at a time."""
     c, spare = np.empty((2, min(_ROW_BLOCK, p.size), p.size))
-    for lo in range(0, p.size, _ROW_BLOCK):
-        m = min(_ROW_BLOCK, p.size - lo)
-        _coulomb_log(p[lo:lo + m, None], p, delta, c[:m], spare[:m])
-        np.fill_diagonal(c[:m, lo:], 0.0)
-        cw[lo:lo + m] = c[:m] @ w
-    return coulomb_row_integral(p, p[0], p[-1], delta) - cw
+    return np.concatenate([_coulomb_rows(c[:p.size - lo], spare[:p.size - lo], p, delta, lo, w=w)
+                           for lo in range(0, p.size, _ROW_BLOCK)])
 
 
 def _kernel_rows(out: np.ndarray, pq: np.ndarray, spare: np.ndarray, p: np.ndarray,
-                 params: ModelParams, lo: int, first: int = 0) -> np.ndarray:
+                 params: ModelParams, lo: int, first: int = 0,
+                 w: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Build kernel rows lo:lo + len(out) against the nodes from first (<= lo) on, in out.
 
-    out gets tms_kernel plus, for delta != 0, coulomb_kernel with its
-    singular diagonal (node j = lo + i in row i) zeroed.  pq and spare are
-    scratch of out's shape; spare is written once and read once per kernel,
-    so it may be a strided view (a ufunc costs several times as much on one).
-    pq is left holding that Coulomb part.  Returns the TMS kernel on that diagonal.
+    out gets tms_kernel plus, for delta != 0, the Coulomb rows of
+    _coulomb_rows, built in pq.  pq and spare are scratch of out's shape;
+    spare is written once and read once per kernel, so it may be a strided
+    view (a ufunc costs several times as much on one).  Returns the TMS
+    kernel on that diagonal and, for delta != 0 and given w, the rows'
+    subtraction term (else None).
     """
-    rows, cols = p[lo:lo + out.shape[0], None], p[first:]
-    _tms_log(rows, cols, params.mu, out, pq, spare)
+    _tms_log(p[lo:lo + out.shape[0], None], p[first:], params.mu, out, pq, spare)
     diag_kernel = out.diagonal(lo - first).copy()
-    if params.delta != 0.0:
-        _coulomb_log(rows, cols, params.delta, pq, spare)
-        np.fill_diagonal(pq[:, lo - first:], 0.0)
-        out += pq
-    return diag_kernel
+    if params.delta == 0.0:
+        return diag_kernel, None
+    subtraction = _coulomb_rows(pq, spare, p, params.delta, lo, first, w)
+    out += pq
+    return diag_kernel, subtraction
 
 
 def _kernel_matrix(p: np.ndarray, w: np.ndarray, params: ModelParams, lo: int = 0,
                    hi: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kernel rows lo:hi (default: all) and diagonal pieces of the Nystrom operator.
-
-    Returns (K, diag_kernel, diag_extra): K a new array of the kernel rows
-    and diag_kernel their TMS diagonal (see _kernel_rows), diag_extra their
-    singularity-subtraction term c - C @ w (see _coulomb_part; zero when
-    delta = 0), with C @ w taken from the Coulomb part _kernel_rows built.
-    """
-    rows = p[lo:hi]
-    K = np.empty((rows.size, p.size))
+    """(K, diag_kernel, diag_extra) of kernel rows lo:hi (default: all), as
+    _kernel_rows builds them: K a new array, diag_extra their subtraction
+    term (zero when delta = 0)."""
+    K = np.empty((p[lo:hi].size, p.size))
     coulomb, spare = np.empty((2, *K.shape))
-    diag_kernel = _kernel_rows(K, coulomb, spare, p, params, lo)
-    if params.delta == 0.0:
-        return K, diag_kernel, np.zeros(rows.size)
-    return K, diag_kernel, coulomb_row_integral(rows, p[0], p[-1], params.delta) - coulomb @ w
+    diag_kernel, extra = _kernel_rows(K, coulomb, spare, p, params, lo, w=w)
+    return K, diag_kernel, np.zeros(K.shape[0]) if extra is None else extra
+
+
+def _diagonal_term(p: np.ndarray, mu: float) -> np.ndarray:
+    # sqrt(3 p^2/4 + mu), the operator's diagonal term (inf where p^2 overflows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(0.75 * p * p + mu)
 
 
 def assemble(grid: RadialGrid, params: ModelParams,
@@ -331,11 +340,11 @@ def assemble(grid: RadialGrid, params: ModelParams,
     for lo in range(0, n, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n)
         kernel, pq = scratch[:, :(hi - lo) * (n - lo)].reshape(2, hi - lo, n - lo)
-        diag_kernel[lo:hi] = _kernel_rows(kernel, pq, M[lo:hi, lo:], p, params, lo, lo)
+        diag_kernel[lo:hi] = _kernel_rows(kernel, pq, M[lo:hi, lo:], p, params, lo, lo)[0]
         np.multiply(sw[lo:hi, None], sw[lo:], out=pq)  # sw_i sw_j: exactly symmetric
         np.multiply(kernel, pq, out=M[lo:hi, lo:])
         M[hi:, lo:hi] = M[lo:hi, hi:].T
-    np.fill_diagonal(M, np.sqrt(0.75 * p * p + params.mu) + w * diag_kernel + subtraction)
+    np.fill_diagonal(M, _diagonal_term(p, params.mu) + w * diag_kernel + subtraction)
     return M
 
 
@@ -400,15 +409,15 @@ def _eigenvalues(matrix: np.ndarray) -> np.ndarray:
     one eigvalsh reads of an exactly symmetric matrix (as assemble builds it),
     so the spectrum is eigvalsh's.  A non-finite matrix or a failed
     convergence raises LinAlgError.  Without a dsyevd in numpy's LAPACK this
-    is eigvalsh.
+    is eigvalsh, after the same finiteness check.
     """
-    lapack = _dsyevd()
-    if lapack is None:
-        return np.linalg.eigvalsh(matrix)
-    dsyevd, integer = lapack
     a = _square(matrix)
     if not _finite(a):
         raise np.linalg.LinAlgError("non-finite matrix")
+    lapack = _dsyevd()
+    if lapack is None:
+        return np.linalg.eigvalsh(a)
+    dsyevd, integer = lapack
     ev = np.empty(a.shape[0])
     n, info = integer(a.shape[0]), integer(0)
 
@@ -468,13 +477,10 @@ def _inertia_logdet(matrix: np.ndarray) -> tuple[int, float]:
     which by Sylvester's law of inertia are the matrix's.  A zero pivot (an exactly
     singular matrix) counts as nonnegative and gives log|det| = -inf; a
     non-finite matrix or factor raises LinAlgError.  Without a dsytrf in
-    numpy's LAPACK both come from eigvalsh.
+    numpy's LAPACK both come from _eigenvalues.
     """
     if _dsytrf() is None:
-        ev = np.linalg.eigvalsh(matrix)
-        if not np.all(np.isfinite(ev)):
-            raise np.linalg.LinAlgError("non-finite eigenvalues")
-        return _spectrum_inertia(ev)
+        return _spectrum_inertia(_eigenvalues(matrix))
     a, ipiv = _ldlt(matrix, b"L")
     size = a.shape[0]
     # ipiv < 0 marks the rows of 2x2 pivot blocks; runs of them pair up from
@@ -502,20 +508,14 @@ def _lanczos(matrix: np.ndarray) -> tuple[float, float] | None:
     """(theta, r): the smallest Ritz value of a symmetric matrix and its
     residual bound, or None.
 
-    Lanczos with full reorthogonalization (classical Gram-Schmidt, twice),
-    started from the normalized vector of ones, stops once
-    r = beta_j |s_j| <= _LANCZOS_TOL ||T_j||, s_j the last component of the
-    Ritz vector in the tridiagonal T_j.  Then some eigenvalue lies within r
-    of theta, and theta, a Rayleigh quotient, is at least the smallest one
-    (which one theta approximates is _certified_lower_bound's to check).
-    Gives up (None) after _LANCZOS_STEPS steps, or sooner when the Ritz
-    values predict that it cannot converge in the steps left: the residual
-    falls by about (sqrt(1 + g) - sqrt(g))^2 a step (Kaniel-Paige), g the gap
-    ratio (theta_1 - theta_0) / (theta_max - theta_1), so an eigenvalue close
-    to the next against the spread is slow (delta near or above delta0).
-    For n <= _LANCZOS_STEPS it runs on, as step n exhausts the space.
-    A non-finite matrix, or one whose vectors' squared norms overflow,
-    gives None.  The matrix is read, not written.
+    Lanczos from the normalized vector of ones, reorthogonalized by classical
+    Gram-Schmidt twice, stops once r = beta_j |s_j| <= _LANCZOS_TOL ||T_j||
+    (s_j the last Ritz-vector component): some eigenvalue then lies within r
+    of theta (which one is _certified_lower_bound's to check).  It gives up
+    after _LANCZOS_STEPS steps (n <= _LANCZOS_STEPS runs on to n), sooner when
+    the Kaniel-Paige rate (sqrt(1 + g) - sqrt(g))^2 of the gap ratio
+    g = (theta_1 - theta_0) / (theta_max - theta_1) cannot reach the tolerance
+    in the steps left, and on non-finite values.  The matrix is only read.
     """
     n = matrix.shape[0]
     steps = min(_LANCZOS_STEPS, n)
@@ -564,13 +564,10 @@ def _certified_lower_bound(matrix: np.ndarray, theta: float, r: float) -> float 
     has no eigenvalue below s - c.  If theta approximates the smallest
     eigenvalue, that eigenvalue is at least theta - r, so A is positive
     definite by r + c, more than the rounding: the check passes.  It fails
-    (None) when some eigenvalue lies below s, as when the start vector
-    missed the ground state, on a 2x2 pivot, and without a dsytrf.  As
-    theta, a Rayleigh quotient, is at least the smallest eigenvalue up to
-    rounding (below c), that eigenvalue lies within 2 (r + c) of theta.
-
-    It factors the C lower triangle of matrix in place (see _ldlt) and then
-    restores the diagonal, leaving the C upper triangle for _inertia_logdet.
+    (None) when some eigenvalue lies below s (the start vector missed the
+    ground state), on a 2x2 pivot, and without a dsytrf.  It factors the C
+    lower triangle in place and restores the diagonal, leaving the upper
+    triangle for _inertia_logdet.
     """
     if _dsytrf() is None:
         return None
@@ -591,14 +588,9 @@ def _certified_lower_bound(matrix: np.ndarray, theta: float, r: float) -> float 
 
 def _sweep_point(build: Callable[[], np.ndarray], thomas: bool) -> tuple[float, int, float]:
     """(smallest eigenvalue, number of negative eigenvalues, log|det|) of the
-    symmetric matrix build() returns.
-
-    With thomas (delta < delta0: one deep, isolated lowest level) the value
-    is _lanczos's theta, checked by _certified_lower_bound, and the count and
-    log|det| come from _inertia_logdet, as in the crossing refinement.
-    Otherwise, or when that fails, all three come from _eigenvalues, on a
-    matrix built again if the factorizations overwrote it.
-    """
+    symmetric matrix build() returns: with thomas (delta < delta0) the
+    certified _lanczos value and the _inertia_logdet pair, else (or when
+    that fails, on a matrix built again) from _eigenvalues."""
     matrix = build()
     ritz = _lanczos(matrix) if thomas else None
     if ritz is not None and ritz[0] < 0.0:
@@ -678,24 +670,15 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     """Sweep mu log-spaced, recording the smallest eigenvalue, the number of
     negative eigenvalues, and every mu at which the operator is singular.
 
-    The operator is monotone increasing in mu, so each bound state of the
-    cutoff problem is a unit decrement of the negative-eigenvalue count
-    between consecutive sweep points.  Brent's method refines each, level k,
-    in log mu until the sign-change bracket of the k-th eigenvalue is at most
-    _REFINE_REL wide (relative), and reports the bracket's geometric
-    midpoint.  Each Brent step is one assembly and one LDL^T factorization,
-    whose inertia gives the sign of the k-th eigenvalue and whose
-    determinant the size.
-
-    Each sweep point is one _sweep_point: below delta0 a Lanczos value
-    checked by LDL^T, from delta0 up one eigen-solve.  So each pool thread
-    holds one n x n matrix at a time, and the scan shares only the
-    mu-independent subtraction vector (delta != 0).
-
-    The sweep, then the refinements (one task per crossing), run on one pool
-    of TRIBOS_THREADS threads (default: the CPU count), each solve with
-    single-threaded BLAS, so the result depends neither on the pool size nor
-    on OPENBLAS_NUM_THREADS.
+    The operator increases with mu, so each bound state of the cutoff
+    problem is a unit drop of the negative-eigenvalue count between
+    consecutive sweep points (each one _sweep_point).  Brent's method refines
+    it, level k, in log mu until the sign-change bracket of the k-th
+    eigenvalue is at most _REFINE_REL wide (relative), and reports the
+    bracket's geometric midpoint.  Each Brent step is one assembly and one
+    LDL^T factorization: its inertia gives the sign, its determinant the size.
+    Sweep and refinements (a task per crossing) run on one pool of
+    TRIBOS_THREADS threads (default: the CPU count), with single-threaded BLAS.
     """
     if not (0.0 < mu_lo < mu_hi):
         raise ValueError("need 0 < mu_lo < mu_hi")
@@ -721,7 +704,7 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
 
             def log_size(mu: float, logdet: float) -> float:
                 # log(|det| / prod_j d_j): the diagonal's growth divided out
-                return logdet - float(np.sum(np.log(np.sqrt(0.75 * p * p + mu))))
+                return logdet - float(np.sum(np.log(_diagonal_term(p, mu))))
 
             def refine(i: int, k: int) -> float:
                 # The k-th eigenvalue is < 0 at mus[i] and >= 0 at mus[i + 1].
@@ -757,31 +740,29 @@ def scan_bound_states(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float
     return scan_spectrum(grid, delta, mu_lo, mu_hi, n_mu).crossings
 
 
-def residual(xi, params: ModelParams, eval_lo: float, eval_hi: float) -> float:
-    """Relative L2 residual of the radial equation on given charge samples.
+def residual(grid: RadialGrid, values, params: ModelParams, eval_lo: float,
+             eval_hi: float) -> float:
+    """Relative L2 residual of the radial equation on samples of xihat.
 
-    xi is a ChargeDensity (grid, values of xihat at the nodes, mu).  The
-    residual rows are evaluated only at the nodes p in [eval_lo, eval_hi],
-    to be chosen away from the grid ends, where hard truncation of the
-    half-line integral pollutes the rows (the kernel decays only like 1/q).
-    Only those rows are built, _ROW_BLOCK at a time, so the extra memory is
-    O(_ROW_BLOCK n).
-    Normalization is the L2 norm of the diagonal term over the same nodes;
-    zero samples give residual 0, non-finite ones raise ValueError, and a
-    residual that leaves double range raises OverflowError.
+    values are xihat at the grid nodes, taken at params.mu.  The residual
+    rows are evaluated only at the nodes p in [eval_lo, eval_hi], to be
+    chosen away from the grid ends, where hard truncation of the half-line
+    integral pollutes the rows (the kernel decays only like 1/q).  Only those
+    rows are built, _ROW_BLOCK at a time, so the extra memory is
+    O(_ROW_BLOCK n).  Normalization is the L2 norm of the diagonal term over
+    the same nodes; zero samples give residual 0, non-finite ones raise
+    ValueError, and a residual that leaves double range raises OverflowError.
     """
-    p, w = xi.grid.nodes, xi.grid.weights
-    values = np.asarray(xi.values, dtype=float)
+    p, w = grid.nodes, grid.weights
+    values = np.asarray(values, dtype=float)
     if values.shape != p.shape or not np.all(np.isfinite(values)):
         raise ValueError("charge-density samples must be finite and match the grid")
-    if not math.isclose(xi.mu, params.mu, rel_tol=1e-12):
-        raise ValueError(f"mu mismatch: samples at {xi.mu}, params at {params.mu}")
     window = np.flatnonzero((p >= eval_lo) & (p <= eval_hi))
     if window.size == 0:
         raise ValueError("interior evaluation window contains no nodes")
     phi = p * values
     wphi = w * phi
-    d = np.sqrt(0.75 * p * p + params.mu)
+    d = _diagonal_term(p, params.mu)
     scale = float(np.linalg.norm((d * phi)[window]))
     if scale == 0.0:
         return 0.0
@@ -812,5 +793,5 @@ def closed_form_residual(mu: float, n: int = 2000, delta: float = 0.0,
     p_min = 1e-6 * root
     p_max = p_min * 10.0 ** (n / 125.0)
     grid = build_grid(p_min, p_max, n)
-    xi = sample_charge_density(grid, mu, s0=s0)
-    return residual(xi, params, eval_lo=1e-4 * root, eval_hi=1e3 * root)
+    values = xi_mu(grid.nodes, mu, default_s0() if s0 is None else s0)
+    return residual(grid, values, params, eval_lo=1e-4 * root, eval_hi=1e3 * root)

@@ -465,3 +465,15 @@ def test_residual_overflow_exits_3(capsys):
     # the Coulomb part at delta = 1e300 overflows; the JSON held NaN before
     assert main(["residual", "--mu=1e300", "--n=308", "--delta=1e300"]) == 3
     assert capsys.readouterr().err.startswith("error: residual left double range")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--delta=1", "--p-max=1e200"],
+    ["--delta=0", "--p-max=1e200"],
+    ["--delta=1", "--p-min=1e-300", "--p-max=1e300"],
+])
+def test_overflowing_scan_exits_3_without_a_warning(argv, capsys):
+    # p^2 overflows in the TMS kernel and the diagonal term; the finiteness
+    # check, not a RuntimeWarning, ends the scan
+    assert main(["scan", *argv, "--grid=40", "--n-mu=3"]) == 3
+    assert capsys.readouterr().err == "error: non-finite matrix\n"

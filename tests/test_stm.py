@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tribos import stm
-from tribos.ladder import sample_charge_density, xi_mu
+from tribos.ladder import xi_mu
 from tribos.stm import (ModelParams, assemble, build_grid, closed_form_residual,
                         coulomb_kernel, coulomb_row_integral, residual,
                         scan_bound_states, scan_spectrum, smallest_eigenvalue,
@@ -174,33 +174,30 @@ def test_residual_of_closed_form_density():
 def test_residual_trivial_solution_and_errors(s0):
     mu = 1.0
     grid = build_grid(1e-4, 1e4, 200)
-    xi = sample_charge_density(grid, mu, s0)
-    zero = type(xi)(grid=grid, values=np.zeros(len(grid)), mu=mu)
-    assert residual(zero, ModelParams(mu=mu), eval_lo=1e-2, eval_hi=1e2) == 0.0
-    bad = type(xi)(grid=grid, values=np.zeros(17), mu=mu)
+    values = xi_mu(grid.nodes, mu, s0)
+    zero = np.zeros(len(grid))
+    assert residual(grid, zero, ModelParams(mu=mu), eval_lo=1e-2, eval_hi=1e2) == 0.0
     with pytest.raises(ValueError):
-        residual(bad, ModelParams(mu=mu), eval_lo=1e-2, eval_hi=1e2)
+        residual(grid, np.zeros(17), ModelParams(mu=mu), eval_lo=1e-2, eval_hi=1e2)
     with pytest.raises(ValueError):
-        residual(xi, ModelParams(mu=2.0), eval_lo=1e-2, eval_hi=1e2)
-    with pytest.raises(ValueError):
-        residual(xi, ModelParams(mu=mu), eval_lo=1e5, eval_hi=1e6)
+        residual(grid, values, ModelParams(mu=mu), eval_lo=1e5, eval_hi=1e6)
 
 
 def test_residual_regularized_is_bounded_away_from_zero(s0):
     # the closed-form density does not solve the delta > 0 equation
     mu = 1.0
     grid = build_grid(1e-6, 1e10, 1000)
-    xi = sample_charge_density(grid, mu, s0)
-    off = residual(xi, ModelParams(mu=mu, delta=1.0), eval_lo=1e-4, eval_hi=1e3)
-    on = residual(xi, ModelParams(mu=mu), eval_lo=1e-4, eval_hi=1e3)
+    values = xi_mu(grid.nodes, mu, s0)
+    off = residual(grid, values, ModelParams(mu=mu, delta=1.0), eval_lo=1e-4, eval_hi=1e3)
+    on = residual(grid, values, ModelParams(mu=mu), eval_lo=1e-4, eval_hi=1e3)
     assert off > 1e3 * on
     assert off > 0.01
 
 
-def _dense_residual(xi, params, eval_lo, eval_hi):
+def _dense_residual(grid, values, params, eval_lo, eval_hi):
     # the full-matrix product, the reference for the row-blocked residual
-    p, w = xi.grid.nodes, xi.grid.weights
-    phi = p * xi.values
+    p, w = grid.nodes, grid.weights
+    phi = p * values
     K, _, diag_extra = stm._kernel_matrix(p, w, params)
     d = np.sqrt(0.75 * p * p + params.mu)
     r = d * phi + K @ (w * phi) + diag_extra * phi
@@ -217,9 +214,10 @@ def _dense_residual(xi, params, eval_lo, eval_hi):
 ])
 def test_residual_matches_dense_product(s0, n, delta, window):
     grid = build_grid(1e-6, 1e10, n)
-    xi = sample_charge_density(grid, 1.0, s0)
+    values = xi_mu(grid.nodes, 1.0, s0)
     params = ModelParams(mu=1.0, delta=delta)
-    assert residual(xi, params, *window) == _dense_residual(xi, params, *window)
+    expected = _dense_residual(grid, values, params, *window)
+    assert residual(grid, values, params, *window) == expected
 
 
 def test_residual_memory_is_linear_in_n():
@@ -236,12 +234,10 @@ def test_residual_memory_is_linear_in_n():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_residual_rejects_non_finite_samples(s0, bad):
     grid = build_grid(1e-6, 1e10, 200)
-    xi = sample_charge_density(grid, 1.0, s0)
-    values = xi.values.copy()
+    values = xi_mu(grid.nodes, 1.0, s0)
     values[-1] = bad  # outside the evaluation window, but every column counts
     with pytest.raises(ValueError):
-        residual(type(xi)(grid=grid, values=values, mu=1.0), ModelParams(mu=1.0),
-                 eval_lo=1e-4, eval_hi=1e3)
+        residual(grid, values, ModelParams(mu=1.0), eval_lo=1e-4, eval_hi=1e3)
 
 
 def test_scan_validation():
@@ -468,10 +464,26 @@ def test_scan_without_dsytrf_takes_inertia_from_eigvalsh(monkeypatch):
     refine_rel = stm._REFINE_REL
     factored = scan_spectrum(grid, 0.0, 1e-4, 1e4, 9)
     monkeypatch.setattr(stm, "_dsytrf", lambda: None)
-    solved = scan_spectrum(grid, 0.0, 1e-4, 1e4, 9)
-    assert len(factored.crossings) == len(solved.crossings) == 3
-    for a, b in zip(factored.crossings, solved.crossings):
-        assert abs(a / b - 1.0) <= 2.0 * refine_rel
+    solved = [scan_spectrum(grid, 0.0, 1e-4, 1e4, 9)]
+    monkeypatch.setattr(stm, "_dsyevd", lambda: None)  # and then from eigvalsh itself
+    solved.append(scan_spectrum(grid, 0.0, 1e-4, 1e4, 9))
+    for scan in solved:
+        assert len(factored.crossings) == len(scan.crossings) == 3
+        for a, b in zip(factored.crossings, scan.crossings):
+            assert abs(a / b - 1.0) <= 2.0 * refine_rel
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_eigen_solve_fallback_rejects_non_finite_matrices(monkeypatch, bad):
+    # without dsyevd and dsytrf both solves run eigvalsh, which reads only
+    # the C lower triangle: one bad entry above it gave finite eigenvalues
+    monkeypatch.setattr(stm, "_dsyevd", lambda: None)
+    monkeypatch.setattr(stm, "_dsytrf", lambda: None)
+    a = _symmetric(5, 1)
+    a[1, 3] = bad
+    for solve in (stm._eigenvalues, stm._inertia_logdet):
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(a.copy())
 
 
 def test_level_value_keeps_its_sign_when_it_underflows():
