@@ -42,8 +42,9 @@ _MAX_REFINE_STEPS = 100
 # matrix (64 rows: 13 %).
 _ROW_BLOCK = 32
 # Lanczos steps allowed per sweep point, and the Ritz residual, relative to
-# ||T||, at which it stops.  At delta = 0 and n = 1000 it stops after about
-# 37 steps (about 20 ms, a sixth of a full eigen-solve).
+# ||T||, at which it stops.  At delta = 0 and n = 1000 it stops after 37
+# steps from ones and 16-28 from the ground state of another mu (about 8 ms
+# on one thread, a third of an LDL^T factorization).
 _LANCZOS_STEPS = 100
 _LANCZOS_TOL = 1e-12
 _DELTA0 = delta0()
@@ -265,7 +266,10 @@ def _coulomb_rows(out: np.ndarray, spare: np.ndarray, p: np.ndarray, delta: floa
     rows = p[lo:lo + out.shape[0]]
     _coulomb_log(rows[:, None], p[first:], delta, out, spare)
     np.fill_diagonal(out[:, lo - first:], 0.0)
-    return None if w is None else coulomb_row_integral(rows, p[0], p[-1], delta) - out @ w
+    if w is None:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN; callers check finiteness
+        return coulomb_row_integral(rows, p[0], p[-1], delta) - out @ w
 
 
 def _coulomb_part(p: np.ndarray, w: np.ndarray, delta: float) -> np.ndarray:
@@ -355,11 +359,11 @@ def smallest_eigenvalue(matrix: np.ndarray) -> float:
 
 @functools.lru_cache(maxsize=None)
 def _lapack_routine(name: str, arguments: str):
-    """(LAPACK routine name, its integer type) from numpy's LAPACK module: the
-    ILP64 symbols first, then the LP64 one; None when none resolves (as on
-    MKL or Accelerate builds of numpy).  arguments spells the argument list,
-    a letter each: c a character, i an integer, a an array, h the hidden
-    length of a character argument."""
+    """(BLAS or LAPACK routine name, its integer type) from numpy's LAPACK
+    module: the ILP64 symbols first, then the LP64 one; None when none
+    resolves (as on MKL or Accelerate builds of numpy).  arguments spells the
+    argument list, a letter each: c a character, i an integer, d a double, a
+    an array, h the hidden length of a character argument."""
     lib = _lapack_library()
     if lib is None:
         return None
@@ -367,7 +371,8 @@ def _lapack_routine(name: str, arguments: str):
                             (f"{name}_64_", ctypes.c_int64), (f"{name}_", ctypes.c_int32)):
         routine = getattr(lib, symbol, None)
         if routine is not None:
-            kinds = {"c": ctypes.c_char_p, "i": ctypes.POINTER(integer), "a": ctypes.c_void_p,
+            kinds = {"c": ctypes.c_char_p, "i": ctypes.POINTER(integer),
+                     "d": ctypes.POINTER(ctypes.c_double), "a": ctypes.c_void_p,
                      "h": ctypes.c_size_t}
             routine.argtypes = [kinds[kind] for kind in arguments]
             routine.restype = None
@@ -378,6 +383,11 @@ def _lapack_routine(name: str, arguments: str):
 def _dsytrf():
     # uplo, n, a, lda, ipiv, work, lwork, info, hidden length of uplo
     return _lapack_routine("dsytrf", "ciaiaaiih")
+
+
+def _dsymv():
+    # uplo, n, alpha, a, lda, x, incx, beta, y, incy, hidden length of uplo
+    return _lapack_routine("dsymv", "cidaiaidaih")
 
 
 def _dsyevd():
@@ -504,28 +514,44 @@ def _inertia_logdet(matrix: np.ndarray) -> tuple[int, float]:
     return int(count), float(logdet)
 
 
-def _lanczos(matrix: np.ndarray) -> tuple[float, float] | None:
+def _lanczos(matrix: np.ndarray, start: np.ndarray | None = None) -> tuple[float, float] | None:
     """(theta, r): the smallest Ritz value of a symmetric matrix and its
     residual bound, or None.
 
-    Lanczos from the normalized vector of ones, reorthogonalized by classical
-    Gram-Schmidt twice, stops once r = beta_j |s_j| <= _LANCZOS_TOL ||T_j||
-    (s_j the last Ritz-vector component): some eigenvalue then lies within r
-    of theta (which one is _certified_lower_bound's to check).  It gives up
-    after _LANCZOS_STEPS steps (n <= _LANCZOS_STEPS runs on to n), sooner when
-    the Kaniel-Paige rate (sqrt(1 + g) - sqrt(g))^2 of the gap ratio
+    Lanczos from start (default: the vector of ones), normalized, and
+    reorthogonalized by classical Gram-Schmidt twice, stops once
+    r = beta_j |s_j| <= _LANCZOS_TOL ||T_j|| (s_j the last Ritz-vector
+    component): some eigenvalue then lies within r of theta (which one is
+    _certified_lower_bound's to check), and a given start is overwritten with
+    the Ritz vector.  It gives up after _LANCZOS_STEPS steps (n <=
+    _LANCZOS_STEPS runs on to n), sooner when the Kaniel-Paige rate
+    (sqrt(1 + g) - sqrt(g))^2 of the gap ratio
     g = (theta_1 - theta_0) / (theta_max - theta_1) cannot reach the tolerance
-    in the steps left, and on non-finite values.  The matrix is only read.
+    in the steps left, and on non-finite values.  The product is BLAS
+    dsymv('L'), which reads only the C upper triangle and the diagonal, as
+    _inertia_logdet does (np.dot, reading all of it, without a dsymv in
+    numpy's BLAS).  The matrix is only read.
     """
     n = matrix.shape[0]
     steps = min(_LANCZOS_STEPS, n)
     basis = np.empty((steps + 1, n))  # rows are touched (and resident) one step at a time
-    basis[0] = 1.0 / math.sqrt(n)
+    basis[0] = 1.0 if start is None else start
+    basis[0] /= np.linalg.norm(basis[0])
     alpha, beta = np.empty(steps), np.empty(steps)
-    w = np.empty(n)
+    w = np.zeros(n)  # dsymv scales it by beta = 0: finite at every call
+    blas = _dsymv()
+    if blas is not None:
+        dsymv, integer = blas
+        a = np.ascontiguousarray(matrix, dtype=float)
+        size, one = ctypes.byref(integer(n)), ctypes.byref(integer(1))
+        unit, zero = ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(0.0))
     for j in range(steps):
         q = basis[:j + 1]
-        np.dot(matrix, basis[j], out=w)
+        if blas is None:
+            np.dot(matrix, basis[j], out=w)
+        else:
+            dsymv(b"L", size, unit, a.ctypes.data, size, basis[j].ctypes.data, one, zero,
+                  w.ctypes.data, one, 1)
         h = q @ w
         if not np.all(np.isfinite(h)):
             return None
@@ -540,6 +566,8 @@ def _lanczos(matrix: np.ndarray) -> tuple[float, float] | None:
         theta, r = float(ritz[0]), float(beta[j] * abs(vectors[-1, 0]))
         tol = _LANCZOS_TOL * max(abs(ritz[0]), abs(ritz[-1]))
         if r <= tol:
+            if start is not None:
+                np.dot(vectors[:, 0], q, out=start)
             return theta, r
         if 2 <= j and steps < n and ritz[-1] > ritz[1]:
             g = float((ritz[1] - ritz[0]) / (ritz[-1] - ritz[1]))
@@ -586,13 +614,15 @@ def _certified_lower_bound(matrix: np.ndarray, theta: float, r: float) -> float 
     return theta - 2.0 * (r + c) if passed else None
 
 
-def _sweep_point(build: Callable[[], np.ndarray], thomas: bool) -> tuple[float, int, float]:
+def _sweep_point(build: Callable[[], np.ndarray], thomas: bool,
+                 start: np.ndarray | None = None) -> tuple[float, int, float]:
     """(smallest eigenvalue, number of negative eigenvalues, log|det|) of the
     symmetric matrix build() returns: with thomas (delta < delta0) the
-    certified _lanczos value and the _inertia_logdet pair, else (or when
-    that fails, on a matrix built again) from _eigenvalues."""
+    certified _lanczos value (from start, see _lanczos) and the
+    _inertia_logdet pair, else (or when that fails, on a matrix built again)
+    from _eigenvalues."""
     matrix = build()
-    ritz = _lanczos(matrix) if thomas else None
+    ritz = _lanczos(matrix, start) if thomas else None
     if ritz is not None and ritz[0] < 0.0:
         if _certified_lower_bound(matrix, *ritz) is not None:
             count, logdet = _inertia_logdet(matrix)
@@ -677,8 +707,12 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     eigenvalue is at most _REFINE_REL wide (relative), and reports the
     bracket's geometric midpoint.  Each Brent step is one assembly and one
     LDL^T factorization: its inertia gives the sign, its determinant the size.
-    Sweep and refinements (a task per crossing) run on one pool of
-    TRIBOS_THREADS threads (default: the CPU count), with single-threaded BLAS.
+    Sweep and refinements (a task per crossing, submitted once both sweep
+    points of its bracket are done) run on one pool of TRIBOS_THREADS threads
+    (default: the CPU count), with single-threaded BLAS.  For delta < delta0
+    the middle sweep point runs first, and every other point's Lanczos
+    iteration starts from its Ritz vector: the ground state, which changes
+    little with mu.
     """
     if not (0.0 < mu_lo < mu_hi):
         raise ValueError("need 0 < mu_lo < mu_hi")
@@ -688,19 +722,24 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     width = math.log1p(_REFINE_REL)
     workers = min(_thread_count(), n_mu)
     p = grid.nodes
+    thomas, head = delta < _DELTA0, n_mu // 2
+    start = np.ones(p.size)  # the head's; then (see _lanczos) its Ritz vector
     with _single_threaded_blas():
         subtraction = _coulomb_part(p, grid.weights, delta) if delta != 0.0 else None
 
-        def sweep_point(mu: float) -> tuple[float, int, float]:
-            params = ModelParams(mu=mu, delta=delta)
-            return _sweep_point(lambda: assemble(grid, params, subtraction), delta < _DELTA0)
+        def sweep_point(i: int) -> tuple[float, int, float]:
+            params = ModelParams(mu=float(mus[i]), delta=delta)
+            return _sweep_point(lambda: assemble(grid, params, subtraction), thomas,
+                                start if i == head else start.copy())
 
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
-            sweep = list(pool.map(lambda m: sweep_point(float(m)), mus))
-            counts = [count for _, count, _ in sweep]
-            if any(hi > lo for lo, hi in zip(counts, counts[1:])):
-                raise RuntimeError("negative-eigenvalue count increased with mu")
+            # In the Thomas regime the head point runs first, and every other
+            # point's Lanczos starts from its ground state.
+            points = {head: pool.submit(sweep_point, head)}
+            if thomas:
+                points[head].exception()  # waits; a failure is raised in index order below
+            points.update((i, pool.submit(sweep_point, i)) for i in range(n_mu) if i != head)
 
             def log_size(mu: float, logdet: float) -> float:
                 # log(|det| / prod_j d_j): the diagonal's growth divided out
@@ -720,18 +759,25 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
                         assemble(grid, ModelParams(mu=mu, delta=delta), subtraction))
                     return _level_value(count, k, log_size(mu, logdet) - log_r)
 
-                fa, fb = (_level_value(counts[j], k, end - log_r)
+                fa, fb = (_level_value(sweep[j][1], k, end - log_r)
                           for j, end in zip((i, i + 1), ends))
                 return math.exp(_brent_crossing(f, math.log(mus[i]), fa,
                                                 math.log(mus[i + 1]), fb, width))
 
-            chains = [pool.submit(refine, i, level - 1) for i in range(n_mu - 1)
-                      for level in range(counts[i + 1] + 1, counts[i] + 1)]
+            # a bracket's refinements start once both its ends are done
+            sweep, chains = [points[0].result()], []
+            for i in range(n_mu - 1):
+                sweep.append(points[i + 1].result())
+                lo, hi = sweep[i][1], sweep[i + 1][1]
+                if hi > lo:
+                    raise RuntimeError("negative-eigenvalue count increased with mu")
+                chains += [pool.submit(refine, i, level - 1) for level in range(hi + 1, lo + 1)]
             crossings = [chain.result() for chain in chains]
         finally:
-            pool.shutdown(cancel_futures=True)  # after a failure, drop queued chains
+            pool.shutdown(cancel_futures=True)  # after a failure, drop queued work
     return SpectralScan(mus=mus, smallest=np.array([smallest for smallest, _, _ in sweep]),
-                        negative_counts=np.array(counts), crossings=sorted(crossings))
+                        negative_counts=np.array([count for _, count, _ in sweep]),
+                        crossings=sorted(crossings))
 
 
 def scan_bound_states(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,

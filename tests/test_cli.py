@@ -459,8 +459,6 @@ def test_residual_at_subnormal_delta_is_silent():
     assert math.isfinite(json.loads(text)["result"]["residual"])
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_residual_overflow_exits_3(capsys):
     # the Coulomb part at delta = 1e300 overflows; the JSON held NaN before
     assert main(["residual", "--mu=1e300", "--n=308", "--delta=1e300"]) == 3

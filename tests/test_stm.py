@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import mpmath as mp
@@ -680,6 +681,63 @@ def test_lanczos_sweep_point_is_bitwise_repeatable():
     assert next(iter(points))[0] == next(iter(ritz))[0]
 
 
+def _needs_dsymv():
+    if stm._dsymv() is None:
+        pytest.skip("numpy's BLAS exports no dsymv")
+
+
+def test_lanczos_reads_only_the_upper_triangle():
+    # dsymv('L') reads the C upper triangle and the diagonal, as the LDL^T
+    # inertia does; np.dot read the NaN below them and gave up
+    _needs_dsymv()
+    matrix = assemble(build_grid(*_LADDER_GRID), ModelParams(mu=0.7))
+    with stm._single_threaded_blas():
+        ritz = stm._lanczos(matrix)
+        matrix[np.tril_indices(matrix.shape[0], -1)] = math.nan
+        assert ritz is not None and stm._lanczos(matrix) == ritz
+
+
+def test_scan_without_dsymv_matches(monkeypatch):
+    # np.dot forms the product in another order: only the Ritz values move
+    grid = build_grid(*_LADDER_GRID)
+    scans = [scan_spectrum(grid, delta, 1e-4, 1e4, 9) for delta in (0.0, 0.3)]
+    monkeypatch.setattr(stm, "_dsymv", lambda: None)
+    for delta, scan in zip((0.0, 0.3), scans):
+        dotted = scan_spectrum(grid, delta, 1e-4, 1e4, 9)
+        assert dotted.crossings == scan.crossings
+        assert np.array_equal(dotted.negative_counts, scan.negative_counts)
+        assert np.allclose(dotted.smallest, scan.smallest, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("delta, max_products", [(0.0, 200), (0.3, 300)])
+def test_sweep_points_start_from_the_head_ground_state(monkeypatch, delta, max_products):
+    # Every point but the head starts Lanczos from the head's Ritz vector:
+    # 184 (delta = 0) and 275 (delta = 0.3) matrix-vector products in all,
+    # against 268 and 364 when each point started from ones.  Each value
+    # stays certified and within 1e-13 of eigvalsh.
+    _needs_dsymv()
+    dsymv, integer = stm._dsymv()
+    products, points = [], []
+    certify = stm._certified_lower_bound
+
+    def check(matrix, theta, r):
+        lowest = np.linalg.eigvalsh(matrix)[0]
+        low = certify(matrix, theta, r)
+        points.append((theta, low, lowest))
+        return low
+
+    monkeypatch.setattr(stm, "_dsymv", lambda: (lambda *a: products.append(1) or dsymv(*a),
+                                                integer))
+    monkeypatch.setattr(stm, "_certified_lower_bound", check)
+    n_mu = 9
+    scan = scan_spectrum(build_grid(*_LADDER_GRID), delta, 1e-4, 1e4, n_mu)
+    assert len(points) == n_mu and len(products) <= max_products
+    assert sorted(scan.smallest) == sorted(theta for theta, _, _ in points)
+    for theta, low, lowest in points:
+        assert low is not None and abs(theta - lowest) <= theta - low
+        assert abs(theta / lowest - 1.0) <= 1e-13
+
+
 def test_scan_counts_graded_matrices_by_their_inertia():
     # p_max / sqrt(mu) >= 1e24: eigvalsh miscounts these matrices (22, 21,
     # 21, 21 negative eigenvalues against an LDL^T inertia of 21, 19, 18, 16)
@@ -729,6 +787,22 @@ def test_scan_independent_of_blas_and_pool_threads(monkeypatch):
     for ladder, positive in results[1:]:
         _assert_same_scan(ladder, results[0][0])
         _assert_same_scan(positive, results[0][1])
+
+
+def test_scan_is_identical_under_fast_thread_switching(monkeypatch):
+    # pool threads share the head's start vector and the sweep results the
+    # refinements read: more threads than cores, switching every microsecond
+    grid = build_grid(*_LADDER_GRID)
+    monkeypatch.setenv("TRIBOS_THREADS", "1")
+    reference = scan_spectrum(grid, 0.0, 1e-4, 1e4, 9)
+    monkeypatch.setenv("TRIBOS_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            _assert_same_scan(scan_spectrum(grid, 0.0, 1e-4, 1e4, 9), reference)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_scan_solves_single_threaded_and_restores_blas_threads(monkeypatch):
