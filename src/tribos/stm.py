@@ -19,6 +19,7 @@ import ctypes
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -47,6 +48,9 @@ _ROW_BLOCK = 32
 # on one thread, a third of an LDL^T factorization).
 _LANCZOS_STEPS = 100
 _LANCZOS_TOL = 1e-12
+# Half-width of _lowest_eigenvalue's band.  At n = 1000 on one thread the
+# reduction takes 48-65 ms (16: 74-85 ms), a banded Cholesky 0.5 ms (64: 1.0 ms).
+_BAND = 32
 _DELTA0 = delta0()
 
 
@@ -353,8 +357,9 @@ def assemble(grid: RadialGrid, params: ModelParams,
 
 
 def smallest_eigenvalue(matrix: np.ndarray) -> float:
-    """Smallest eigenvalue of an assembled symmetric matrix."""
-    return float(np.linalg.eigvalsh(matrix)[0])
+    """Smallest eigenvalue of an assembled symmetric matrix, by the sweep's
+    band solve (see _lowest_eigenvalue) on a copy: its C upper triangle."""
+    return _lowest_eigenvalue(np.array(matrix, dtype=float))[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -390,10 +395,14 @@ def _dsymv():
     return _lapack_routine("dsymv", "cidaiaidaih")
 
 
-def _dsyevd():
-    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, hidden
-    # lengths of jobz and uplo
-    return _lapack_routine("dsyevd", "cciaiaaiaiihh")
+def _dsytrd_sy2sb():
+    # uplo, n, kd, a, lda, ab, ldab, tau, work, lwork, info, hidden length of uplo
+    return _lapack_routine("dsytrd_sy2sb", "ciiaiaiaaiih")
+
+
+def _dpbtrf():
+    # uplo, n, kd, ab, ldab, info, hidden length of uplo
+    return _lapack_routine("dpbtrf", "ciiaiih")
 
 
 def _square(matrix: np.ndarray) -> np.ndarray:
@@ -410,45 +419,87 @@ def _finite(a: np.ndarray) -> bool:
     return all(np.isfinite(a[lo:lo + _ROW_BLOCK]).all() for lo in range(0, a.shape[0], _ROW_BLOCK))
 
 
-def _eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues, ascending, of a symmetric matrix, computed in place.
+def _eigvalsh_solve(matrix: np.ndarray) -> tuple[float, int, float]:
+    """(smallest eigenvalue, number of negative eigenvalues, log|det|) of a
+    symmetric matrix by np.linalg.eigvalsh, after a finiteness check (else
+    LinAlgError): the scan's solve where numpy's LAPACK lacks a routine."""
+    if not _finite(matrix):
+        raise np.linalg.LinAlgError("non-finite matrix")
+    ev = np.linalg.eigvalsh(matrix)
+    with np.errstate(divide="ignore"):
+        return float(ev[0]), int(np.count_nonzero(ev < 0.0)), float(np.sum(np.log(np.abs(ev))))
 
-    Runs LAPACK dsyevd('L') on the array itself (a C-contiguous float array is
-    overwritten): the routine and workspace of np.linalg.eigvalsh, without its
-    Fortran-order copy.  'L' reads the C upper triangle, bit for bit the lower
-    one eigvalsh reads of an exactly symmetric matrix (as assemble builds it),
-    so the spectrum is eigvalsh's.  A non-finite matrix or a failed
-    convergence raises LinAlgError.  Without a dsyevd in numpy's LAPACK this
-    is eigvalsh, after the same finiteness check.
+
+def _lowest_eigenvalue(matrix: np.ndarray) -> tuple[float, tuple[int, float] | None]:
+    """(smallest eigenvalue, (0, log|det|) when positive definite, else
+    None) of a symmetric matrix, which is overwritten.
+
+    LAPACK dsytrd_sy2sb('L') reduces the C upper triangle to an orthogonally
+    similar band B of half-width _BAND.  Banded Cholesky, dpbtrf('L') of
+    B - sI copied into the reduction's workspace, succeeds exactly when s lies
+    below B's smallest eigenvalue (to rounding).  B's smallest diagonal
+    entry, a Rayleigh quotient, bounds it from above; from there the shift
+    gallops down (2^-30 of that entry's size, then 16 times further each
+    step) until Cholesky succeeds, and bisection closes the bracket to
+    adjacent doubles, returning its lower end.  Cholesky at s = 0 gives
+    log|det| = 2 sum log L_ii.  A non-finite matrix or band raises
+    LinAlgError.  Without the two routines this is _eigvalsh_solve, with
+    the pair always given.
     """
     a = _square(matrix)
+    reduce, factor = _dsytrd_sy2sb(), _dpbtrf()
+    if reduce is None or factor is None:
+        smallest, count, logdet = _eigvalsh_solve(a)
+        return smallest, (count, logdet)
     if not _finite(a):
         raise np.linalg.LinAlgError("non-finite matrix")
-    lapack = _dsyevd()
-    if lapack is None:
-        return np.linalg.eigvalsh(a)
-    dsyevd, integer = lapack
-    ev = np.empty(a.shape[0])
-    n, info = integer(a.shape[0]), integer(0)
+    (dsytrd_sy2sb, integer), (dpbtrf, _) = reduce, factor
+    size = a.shape[0]
+    kd = min(_BAND, size - 1)
+    band = np.zeros((size, kd + 1))  # row j: B[j:j + kd + 1, j]; past n - 1 zeros, unread
+    tau = np.empty(max(1, size - kd))
+    n, width, ldab, info = integer(size), integer(kd), integer(kd + 1), integer(0)
 
-    def solve(work: np.ndarray, lwork: int, iwork: np.ndarray, liwork: int) -> None:
-        dsyevd(b"N", b"L", ctypes.byref(n), a.ctypes.data, ctypes.byref(n), ev.ctypes.data,
-               work.ctypes.data, ctypes.byref(integer(lwork)), iwork.ctypes.data,
-               ctypes.byref(integer(liwork)), ctypes.byref(info), 1, 1)
+    def reduction(work: np.ndarray, lwork: int) -> None:
+        dsytrd_sy2sb(b"L", ctypes.byref(n), ctypes.byref(width), a.ctypes.data,
+                     ctypes.byref(n), band.ctypes.data, ctypes.byref(ldab), tau.ctypes.data,
+                     work.ctypes.data, ctypes.byref(integer(lwork)), ctypes.byref(info), 1)
 
-    work, iwork = np.zeros(1), np.zeros(1, dtype=np.dtype(integer))
-    solve(work, -1, iwork, -1)  # workspace query
-    lwork, liwork = max(1, int(work[0])), max(1, int(iwork[0]))
-    solve(np.empty(lwork), lwork, np.empty(liwork, dtype=iwork.dtype), liwork)
-    if info.value != 0:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return ev
+    query = np.zeros(1)
+    reduction(query, -1)  # workspace query
+    lwork = max(1, int(query[0]))
+    work = np.empty(max(lwork, band.size))
+    reduction(work, lwork)
+    if info.value != 0 or not np.isfinite(band).all():
+        raise np.linalg.LinAlgError("non-finite band reduction")
+    shifted = work[:band.size].reshape(band.shape)
 
+    def cholesky(shift: float) -> bool:
+        # whether B - shift I is numerically positive definite
+        np.copyto(shifted, band)
+        with np.errstate(over="ignore"):  # inf: the factor is not finite, a failure
+            np.subtract(band[:, 0], shift, out=shifted[:, 0])
+        dpbtrf(b"L", ctypes.byref(n), ctypes.byref(width), shifted.ctypes.data,
+               ctypes.byref(ldab), ctypes.byref(info), 1)
+        return info.value == 0 and math.isfinite(float(np.sum(shifted[:, 0])))
 
-def _spectrum_inertia(ev: np.ndarray) -> tuple[int, float]:
-    """(number of negative eigenvalues, log|det|) of a matrix with spectrum ev."""
-    with np.errstate(divide="ignore"):
-        return int(np.count_nonzero(ev < 0.0)), float(np.sum(np.log(np.abs(ev))))
+    inertia = None
+    if cholesky(0.0):
+        inertia = 0, 2.0 * float(np.sum(np.log(shifted[:, 0])))
+    hi = float(band[:, 0].min())
+    step = 2.0 ** -30 * abs(hi) or math.ulp(0.0)
+    lo = hi - step
+    while not cholesky(lo):
+        hi, step = lo, 16.0 * step
+        lo = hi - step
+        if not math.isfinite(lo):
+            raise np.linalg.LinAlgError("no positive definite shift of the band")
+    while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
+        if cholesky(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, inertia
 
 
 def _ldlt(matrix: np.ndarray, uplo: bytes) -> tuple[np.ndarray, np.ndarray]:
@@ -487,10 +538,10 @@ def _inertia_logdet(matrix: np.ndarray) -> tuple[int, float]:
     which by Sylvester's law of inertia are the matrix's.  A zero pivot (an exactly
     singular matrix) counts as nonnegative and gives log|det| = -inf; a
     non-finite matrix or factor raises LinAlgError.  Without a dsytrf in
-    numpy's LAPACK both come from _eigenvalues.
+    numpy's LAPACK both come from _eigvalsh_solve.
     """
     if _dsytrf() is None:
-        return _spectrum_inertia(_eigenvalues(matrix))
+        return _eigvalsh_solve(_square(matrix))[1:]
     a, ipiv = _ldlt(matrix, b"L")
     size = a.shape[0]
     # ipiv < 0 marks the rows of 2x2 pivot blocks; runs of them pair up from
@@ -615,14 +666,22 @@ def _certified_lower_bound(matrix: np.ndarray, theta: float, r: float) -> float 
 
 
 def _sweep_point(build: Callable[[], np.ndarray], thomas: bool,
-                 start: np.ndarray | None = None) -> tuple[float, int, float]:
+                 start: np.ndarray | None = None,
+                 started: threading.Event | None = None) -> tuple[float, int, float]:
     """(smallest eigenvalue, number of negative eigenvalues, log|det|) of the
     symmetric matrix build() returns: with thomas (delta < delta0) the
     certified _lanczos value (from start, see _lanczos) and the
     _inertia_logdet pair, else (or when that fails, on a matrix built again)
-    from _eigenvalues."""
-    matrix = build()
-    ritz = _lanczos(matrix, start) if thomas else None
+    from _lowest_eigenvalue, the pair of a matrix that is not positive
+    definite from _inertia_logdet of one built again.  started, if given, is
+    set once the Lanczos iteration is over, also when it or build() raises.
+    """
+    try:
+        matrix = build()
+        ritz = _lanczos(matrix, start) if thomas else None
+    finally:
+        if started is not None:
+            started.set()
     if ritz is not None and ritz[0] < 0.0:
         if _certified_lower_bound(matrix, *ritz) is not None:
             count, logdet = _inertia_logdet(matrix)
@@ -630,8 +689,11 @@ def _sweep_point(build: Callable[[], np.ndarray], thomas: bool,
                 return ritz[0], count, logdet
         del matrix
         matrix = build()
-    ev = _eigenvalues(matrix)
-    return float(ev[0]), *_spectrum_inertia(ev)
+    smallest, inertia = _lowest_eigenvalue(matrix)
+    if inertia is None:
+        del matrix
+        inertia = _inertia_logdet(build())
+    return smallest, *inertia
 
 
 def _level_value(count: int, k: int, log_size: float) -> float:
@@ -710,9 +772,9 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     Sweep and refinements (a task per crossing, submitted once both sweep
     points of its bracket are done) run on one pool of TRIBOS_THREADS threads
     (default: the CPU count), with single-threaded BLAS.  For delta < delta0
-    the middle sweep point runs first, and every other point's Lanczos
-    iteration starts from its Ritz vector: the ground state, which changes
-    little with mu.
+    the middle sweep point's Lanczos iteration runs first, and every other
+    point's, submitted once it is over, starts from its Ritz vector: the
+    ground state, which changes little with mu.
     """
     if not (0.0 < mu_lo < mu_hi):
         raise ValueError("need 0 < mu_lo < mu_hi")
@@ -724,21 +786,22 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     p = grid.nodes
     thomas, head = delta < _DELTA0, n_mu // 2
     start = np.ones(p.size)  # the head's; then (see _lanczos) its Ritz vector
+    started = threading.Event()  # set by the head (again by the others, no-ops)
     with _single_threaded_blas():
         subtraction = _coulomb_part(p, grid.weights, delta) if delta != 0.0 else None
 
         def sweep_point(i: int) -> tuple[float, int, float]:
             params = ModelParams(mu=float(mus[i]), delta=delta)
             return _sweep_point(lambda: assemble(grid, params, subtraction), thomas,
-                                start if i == head else start.copy())
+                                start if i == head else start.copy(), started)
 
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
-            # In the Thomas regime the head point runs first, and every other
-            # point's Lanczos starts from its ground state.
+            # In the Thomas regime the head point's Lanczos iteration runs
+            # first, and every other point's starts from its ground state.
             points = {head: pool.submit(sweep_point, head)}
             if thomas:
-                points[head].exception()  # waits; a failure is raised in index order below
+                started.wait()  # a failure is raised in index order below
             points.update((i, pool.submit(sweep_point, i)) for i in range(n_mu) if i != head)
 
             def log_size(mu: float, logdet: float) -> float:

@@ -306,13 +306,13 @@ _SMALL_LADDER_SCAN = ["scan", "--delta", "0", "--mu-lo", "1e-4", "--mu-hi", "1e4
 
 
 def test_scan_linalg_error_exits_3(monkeypatch):
-    # delta >= delta0: a failed eigen-solve; delta = 0 (no eigen-solve): a
+    # delta >= delta0: a failed band solve; delta = 0 (no band solve): a
     # failed LDL^T factorization
     def fail(*args):
         raise np.linalg.LinAlgError("did not converge")
 
     with monkeypatch.context() as patch:
-        patch.setattr(stm, "_eigenvalues", fail)
+        patch.setattr(stm, "_lowest_eigenvalue", fail)
         assert main(["scan", "--delta", "1", "--mu-lo", "1e-2", "--mu-hi", "1e2",
                      "--n-mu", "3", "--grid", "64"]) == 3
     monkeypatch.setattr(stm, "_inertia_logdet", fail)

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import tracemalloc
 
 import mpmath as mp
@@ -374,14 +375,14 @@ def _record_calls(monkeypatch, names, record=lambda: None):
 
 def test_scan_refinement_solve_budget(monkeypatch):
     # delta = 0: each sweep point is a Lanczos iteration and two LDL^T
-    # factorizations (the check and the inertia), no eigen-solve, and the
-    # refinement factorizes only; delta >= delta0: one eigen-solve per point
+    # factorizations (the check and the inertia), no band solve, and the
+    # refinement factorizes only; delta >= delta0: one band solve per point
     grid = build_grid(*_LADDER_GRID)
-    calls = _record_calls(monkeypatch, ("_eigenvalues", "_ldlt", "_certified_lower_bound"))
+    calls = _record_calls(monkeypatch, ("_lowest_eigenvalue", "_ldlt", "_certified_lower_bound"))
     n_mu = 9
     result = scan_spectrum(grid, 0.0, 1e-4, 1e4, n_mu)
     assert len(result.crossings) == 3
-    assert len(calls["_eigenvalues"]) == 0
+    assert len(calls["_lowest_eigenvalue"]) == 0
     assert len(calls["_certified_lower_bound"]) == n_mu
     refinement = len(calls["_ldlt"]) - 2 * n_mu
     assert 0 < refinement <= 8 * len(result.crossings)
@@ -389,7 +390,7 @@ def test_scan_refinement_solve_budget(monkeypatch):
         seen.clear()
     n_mu = 5
     assert not scan_spectrum(grid, 1.0, 1e-2, 1e2, n_mu).crossings
-    assert len(calls["_eigenvalues"]) == n_mu
+    assert len(calls["_lowest_eigenvalue"]) == n_mu
     assert len(calls["_ldlt"]) == len(calls["_certified_lower_bound"]) == 0
 
 
@@ -466,7 +467,7 @@ def test_scan_without_dsytrf_takes_inertia_from_eigvalsh(monkeypatch):
     factored = scan_spectrum(grid, 0.0, 1e-4, 1e4, 9)
     monkeypatch.setattr(stm, "_dsytrf", lambda: None)
     solved = [scan_spectrum(grid, 0.0, 1e-4, 1e4, 9)]
-    monkeypatch.setattr(stm, "_dsyevd", lambda: None)  # and then from eigvalsh itself
+    _hide_band_routines(monkeypatch)  # and then from eigvalsh itself
     solved.append(scan_spectrum(grid, 0.0, 1e-4, 1e4, 9))
     for scan in solved:
         assert len(factored.crossings) == len(scan.crossings) == 3
@@ -474,15 +475,24 @@ def test_scan_without_dsytrf_takes_inertia_from_eigvalsh(monkeypatch):
             assert abs(a / b - 1.0) <= 2.0 * refine_rel
 
 
+def _hide_band_routines(monkeypatch):
+    # numpy's LAPACK as on builds that export neither band routine
+    lookup = stm._lapack_routine
+    monkeypatch.setattr(stm, "_lapack_routine", lambda name, arguments: None if name in (
+        "dsytrd_sy2sb", "dpbtrf") else lookup(name, arguments))
+    assert stm._dsytrd_sy2sb() is stm._dpbtrf() is None
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_eigen_solve_fallback_rejects_non_finite_matrices(monkeypatch, bad):
-    # without dsyevd and dsytrf both solves run eigvalsh, which reads only
-    # the C lower triangle: one bad entry above it gave finite eigenvalues
-    monkeypatch.setattr(stm, "_dsyevd", lambda: None)
+    # without the band routines and dsytrf both solves run eigvalsh, which
+    # reads only the C lower triangle: one bad entry above it gave finite
+    # eigenvalues
+    _hide_band_routines(monkeypatch)
     monkeypatch.setattr(stm, "_dsytrf", lambda: None)
     a = _symmetric(5, 1)
     a[1, 3] = bad
-    for solve in (stm._eigenvalues, stm._inertia_logdet):
+    for solve in (stm._lowest_eigenvalue, stm._inertia_logdet):
         with pytest.raises(np.linalg.LinAlgError):
             solve(a.copy())
 
@@ -588,24 +598,84 @@ def test_scan_holds_one_matrix_per_pool_thread(monkeypatch):
     assert _peak_bytes(lambda: scan_spectrum(grid, 0.0, 1e-2, 1e2, 6)) < 3 * n * n * 8
 
 
+_U = np.finfo(float).eps / 2.0
+
+
+def _assert_near_eigvalsh(smallest, matrix):
+    # smallest within 4 u ||M||_2 of eigvalsh's; returns (spectrum, that bound)
+    ev = np.linalg.eigvalsh(matrix)
+    tolerance = 4.0 * _U * max(abs(ev[0]), abs(ev[-1]))
+    assert abs(smallest - ev[0]) <= tolerance
+    return ev, tolerance
+
+
+def _assert_band_solve_matches_eigvalsh(matrix, smallest, inertia):
+    # and the pair when M is positive definite: log|det| within
+    # 4 u ||M||_2 sum 1/lambda_i (measured: at most 0.18 of it)
+    ev, tolerance = _assert_near_eigvalsh(smallest, matrix)
+    if ev[0] > 0.0:
+        assert inertia[0] == 0
+        assert abs(inertia[1] - np.sum(np.log(ev))) <= tolerance * np.sum(1.0 / ev)
+    else:
+        assert inertia is None
+
+
 @pytest.mark.parametrize("n", [26, 250, 1000])
 @pytest.mark.parametrize("delta", [0.0, 0.37, 1.0])
 def test_in_place_eigenvalues_equal_eigvalsh(n, delta):
     grid = build_grid(1e-4, 1e4, n)
     for mu in (1e-3, 0.7, 1e3):
         matrix = assemble(grid, ModelParams(mu=mu, delta=delta))
-        expected = np.linalg.eigvalsh(matrix)
-        assert np.array_equal(stm._eigenvalues(matrix), expected)
+        with stm._single_threaded_blas():
+            smallest, inertia = stm._lowest_eigenvalue(matrix.copy())
+        _assert_band_solve_matches_eigvalsh(matrix, smallest, inertia)
 
 
 def test_in_place_eigenvalues_reject_non_finite_matrices():
     a = _symmetric(30, 2)
-    a[4, 9] = a[9, 4] = math.inf
-    with pytest.raises(np.linalg.LinAlgError):
-        stm._eigenvalues(a)
-    a[4, 9] = a[9, 4] = math.nan
-    with pytest.raises(np.linalg.LinAlgError):
-        stm._eigenvalues(a)
+    for value in (math.inf, -math.inf, math.nan):
+        a[4, 9] = a[9, 4] = value
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite matrix"):
+            stm._lowest_eigenvalue(a.copy())
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite matrix"):
+            smallest_eigenvalue(a)
+    # finite entries whose reduction overflows
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite band"):
+        stm._lowest_eigenvalue(np.full((40, 40), 1e308))
+
+
+def _mp_smallest(matrix):
+    # (smallest eigenvalue, ||matrix||_2) of the float matrix, to 30 digits
+    with mp.workdps(30):
+        ev = mp.eigsy(mp.matrix(matrix.tolist()), eigvals_only=True)
+        return min(ev), max(abs(min(ev)), abs(max(ev)))
+
+
+def _assert_near_mp_reference(matrix, bound):
+    smallest = stm._lowest_eigenvalue(matrix.copy())[0]
+    reference, norm = _mp_smallest(matrix)
+    error = float(abs(mp.mpf(smallest) - reference) / norm) / np.finfo(float).eps
+    assert error <= bound
+
+
+# The band value lay within 0.20 eps ||M||_2 of a 30-digit reference on these
+# assembled matrices (eigvalsh: within 1.1) and within 0.99 eps ||A||_2 on
+# the random ones (eigvalsh: 6.5); n = 1 reports the double below the entry.
+_BAND_BOUND = 1.25
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
+def test_band_smallest_eigenvalue_against_mpmath(delta):
+    grid = build_grid(1e-4, 1e4, 40)
+    for mu in (1e-3, 1.0, 1e3):
+        _assert_near_mp_reference(assemble(grid, ModelParams(mu=mu, delta=delta)), _BAND_BOUND)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 33, 34, 50])
+def test_band_smallest_eigenvalue_of_indefinite_matrices_against_mpmath(n):
+    # n <= 33 = _BAND + 1 is a band already, copied without a reduction
+    for seed in range(2):
+        _assert_near_mp_reference(_symmetric(n, seed), _BAND_BOUND)
 
 
 def test_finiteness_check_reads_every_row_block():
@@ -619,12 +689,47 @@ def test_finiteness_check_reads_every_row_block():
             assert not stm._finite(b)
 
 
-def test_scan_without_dsyevd_is_identical(monkeypatch):
+def _assert_matching_scan(a, b, grid, delta):
+    # counts, crossings (to 1e-13) and smallest eigenvalues (to 4 u ||M||_2)
+    assert np.array_equal(a.mus, b.mus)
+    assert np.array_equal(a.negative_counts, b.negative_counts)
+    assert a.crossings == pytest.approx(b.crossings, rel=1e-13, abs=0.0)
+    for mu, x, y in zip(a.mus, a.smallest, b.smallest):
+        ev = np.linalg.eigvalsh(assemble(grid, ModelParams(mu=float(mu), delta=delta)))
+        assert abs(x - y) <= 4.0 * _U * max(abs(ev[0]), abs(ev[-1]))
+
+
+def test_scan_without_band_routines_matches(monkeypatch):
+    # without dsytrd_sy2sb and dpbtrf the band solve is eigvalsh; at
+    # delta = 0.6 every point gives up on Lanczos and has bound states
     grid = build_grid(*_LADDER_GRID)
-    solved = [scan_spectrum(grid, 0.0, 1e-4, 1e4, 9), scan_spectrum(grid, 1.0, 1e-2, 1e2, 5)]
-    monkeypatch.setattr(stm, "_dsyevd", lambda: None)
-    _assert_same_scan(scan_spectrum(grid, 0.0, 1e-4, 1e4, 9), solved[0])
-    _assert_same_scan(scan_spectrum(grid, 1.0, 1e-2, 1e2, 5), solved[1])
+    cases = [(0.0, 1e-4, 1e4, 9), (0.6, 1e-4, 1e4, 5), (1.0, 1e-2, 1e2, 5)]
+    scans = [scan_spectrum(grid, *case) for case in cases]
+    _hide_band_routines(monkeypatch)
+    for case, scan in zip(cases, scans):
+        _assert_matching_scan(scan_spectrum(grid, *case), scan, grid, case[0])
+
+
+def test_give_up_points_with_bound_states_count_by_inertia(monkeypatch):
+    # delta = 0.6: Lanczos gives up at every point; where the band is not
+    # positive definite the count and log|det| come from LDL^T on a matrix
+    # built again.  Counts and crossings as with the full eigen-solve.
+    grid = build_grid(*_LADDER_GRID)
+    gave_up, pairs = [], []
+    lanczos, lowest = stm._lanczos, stm._lowest_eigenvalue
+    monkeypatch.setattr(stm, "_lanczos", lambda *a: (lambda r: gave_up.append(r is None) or r)(
+        lanczos(*a)))
+    monkeypatch.setattr(stm, "_lowest_eigenvalue",
+                        lambda m: (lambda r: pairs.append(r[1]) or r)(lowest(m)))
+    scan = scan_spectrum(grid, 0.6, 1e-4, 1e4, 5)
+    assert gave_up == [True] * 5 and len(pairs) == 5
+    assert list(scan.negative_counts) == [2, 1, 1, 1, 0]
+    assert sum(pair is None for pair in pairs) == 4
+    # the full eigen-solve's crossings, to the refinement's width
+    assert scan.crossings == pytest.approx([0.001902233385910089, 2071.0201302956775],
+                                           rel=2.0 * stm._REFINE_REL)
+    for mu, smallest in zip(scan.mus, scan.smallest):
+        _assert_near_eigvalsh(smallest, assemble(grid, ModelParams(mu=float(mu), delta=0.6)))
 
 
 @pytest.mark.parametrize("n", [26, 250, 1000])
@@ -656,7 +761,8 @@ def test_check_rejects_a_start_vector_orthogonal_to_the_ground_state():
     assert abs(theta + 0.5) <= 1e-12
     assert stm._certified_lower_bound(matrix.copy(), theta, r) is None
     smallest, count, _ = stm._sweep_point(matrix.copy, True)
-    assert smallest == np.linalg.eigvalsh(matrix)[0] and count == 2
+    _assert_near_eigvalsh(smallest, matrix)
+    assert count == 2
 
 
 def test_clustered_spectrum_falls_back_to_the_eigen_solve():
@@ -664,10 +770,11 @@ def test_clustered_spectrum_falls_back_to_the_eigen_solve():
     # cluster at sqrt(mu), against a spread of about 1e4
     grid = build_grid(1e-4, 1e4, 1000)
     matrix = assemble(grid, ModelParams(mu=0.7, delta=1.0))
-    with stm._single_threaded_blas():  # the eigen-solve's bits depend on the BLAS threads
+    with stm._single_threaded_blas():
         assert stm._lanczos(matrix) is None
         smallest, count, _ = stm._sweep_point(matrix.copy, True)
-        assert smallest == np.linalg.eigvalsh(matrix)[0] and count == 0
+    _assert_near_eigvalsh(smallest, matrix)
+    assert count == 0
 
 
 def test_lanczos_sweep_point_is_bitwise_repeatable():
@@ -736,6 +843,72 @@ def test_sweep_points_start_from_the_head_ground_state(monkeypatch, delta, max_p
     for theta, low, lowest in points:
         assert low is not None and abs(theta - lowest) <= theta - low
         assert abs(theta / lowest - 1.0) <= 1e-13
+
+
+def test_other_points_start_while_the_head_factors(monkeypatch):
+    # The head's certificate check waits until another sweep point has begun
+    # its Lanczos iteration: the other points wait only for the head's Ritz
+    # vector, not for its two LDL^T factorizations.
+    grid = build_grid(*_LADDER_GRID)
+    monkeypatch.setenv("TRIBOS_THREADS", "1")
+    reference = scan_spectrum(grid, 0.0, 1e-4, 1e4, 5)
+    monkeypatch.setenv("TRIBOS_THREADS", "2")
+    lanczos, certify = stm._lanczos, stm._certified_lower_bound
+    head, waited, other_started = [], [], threading.Event()
+
+    def run(matrix, start=None):
+        if not head:  # the head's iteration runs alone
+            head.append(threading.get_ident())
+        elif threading.get_ident() != head[0]:
+            other_started.set()
+        return lanczos(matrix, start)
+
+    def check(matrix, theta, r):
+        if threading.get_ident() == head[0] and not waited:
+            waited.append(other_started.wait(timeout=20.0))
+        return certify(matrix, theta, r)
+
+    monkeypatch.setattr(stm, "_lanczos", run)
+    monkeypatch.setattr(stm, "_certified_lower_bound", check)
+    _assert_same_scan(scan_spectrum(grid, 0.0, 1e-4, 1e4, 5), reference)
+    assert waited == [True]
+
+
+def test_a_failing_head_point_ends_the_scan(monkeypatch):
+    # the head's build raises before its Lanczos iteration: the scan raises
+    # it instead of waiting for the head's Ritz vector
+    grid = build_grid(*_LADDER_GRID)
+    monkeypatch.setenv("TRIBOS_THREADS", "2")
+    builds, build = [], stm.assemble
+
+    def fail_first(*args):
+        if not builds:  # the head builds first, alone
+            builds.append(1)
+            raise MemoryError("head")
+        return build(*args)
+
+    monkeypatch.setattr(stm, "assemble", fail_first)
+    outcome = []
+
+    def scan():
+        try:
+            scan_spectrum(grid, 0.0, 1e-4, 1e4, 5)
+        except MemoryError as exc:
+            outcome.append(exc)
+
+    runner = threading.Thread(target=scan, daemon=True)
+    runner.start()
+    runner.join(timeout=60.0)
+    assert not runner.is_alive() and len(outcome) == 1 and str(outcome[0]) == "head"
+
+
+def test_every_routine_binds_on_scipy_openblas():
+    # a routine that did not resolve would fall back to np.dot or eigvalsh
+    # silently, at a fraction of the speed
+    if np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"] != "scipy-openblas":
+        pytest.skip("numpy is not built with scipy-openblas")
+    for routine in (stm._dsytrf, stm._dsymv, stm._dsytrd_sy2sb, stm._dpbtrf):
+        assert routine() is not None, routine.__name__
 
 
 def test_scan_counts_graded_matrices_by_their_inertia():
@@ -807,11 +980,11 @@ def test_scan_is_identical_under_fast_thread_switching(monkeypatch):
 
 def test_scan_solves_single_threaded_and_restores_blas_threads(monkeypatch):
     # every Lanczos iteration (its matrix-vector products), LDL^T
-    # factorization (delta = 0) and eigen-solve (delta >= delta0) sees one
+    # factorization (delta = 0) and band solve (delta >= delta0) sees one
     # BLAS thread
     get, put = _blas_controls()
     grid = build_grid(*_LADDER_GRID)
-    calls = _record_calls(monkeypatch, ("_eigenvalues", "_lanczos", "_ldlt"), record=get)
+    calls = _record_calls(monkeypatch, ("_lowest_eigenvalue", "_lanczos", "_ldlt"), record=get)
     previous = get()
     try:
         put(2)
