@@ -409,8 +409,8 @@ def _square(matrix: np.ndarray) -> np.ndarray:
     # the matrix itself when it is a writable C-contiguous float array,
     # otherwise such a copy; LAPACK overwrites it
     a = np.require(matrix, dtype=float, requirements="CW")
-    if a.shape != (a.shape[0],) * 2:
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise ValueError(f"need a nonempty square matrix, got shape {a.shape}")
     return a
 
 
@@ -674,14 +674,12 @@ def _sweep_point(build: Callable[[], np.ndarray], thomas: bool,
     _inertia_logdet pair, else (or when that fails, on a matrix built again)
     from _lowest_eigenvalue, the pair of a matrix that is not positive
     definite from _inertia_logdet of one built again.  started, if given, is
-    set once the Lanczos iteration is over, also when it or build() raises.
+    set once the Lanczos iteration is over.
     """
-    try:
-        matrix = build()
-        ritz = _lanczos(matrix, start) if thomas else None
-    finally:
-        if started is not None:
-            started.set()
+    matrix = build()
+    ritz = _lanczos(matrix, start) if thomas else None
+    if started is not None:
+        started.set()
     if ritz is not None and ritz[0] < 0.0:
         if _certified_lower_bound(matrix, *ritz) is not None:
             count, logdet = _inertia_logdet(matrix)
@@ -786,20 +784,23 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     p = grid.nodes
     thomas, head = delta < _DELTA0, n_mu // 2
     start = np.ones(p.size)  # the head's; then (see _lanczos) its Ritz vector
-    started = threading.Event()  # set by the head (again by the others, no-ops)
+    started = threading.Event()  # set by the head, at the latest when it ends
     with _single_threaded_blas():
         subtraction = _coulomb_part(p, grid.weights, delta) if delta != 0.0 else None
 
         def sweep_point(i: int) -> tuple[float, int, float]:
             params = ModelParams(mu=float(mus[i]), delta=delta)
-            return _sweep_point(lambda: assemble(grid, params, subtraction), thomas,
-                                start if i == head else start.copy(), started)
+            build = functools.partial(assemble, grid, params, subtraction)
+            if i == head:
+                return _sweep_point(build, thomas, start, started)
+            return _sweep_point(build, thomas, start.copy())
 
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
             # In the Thomas regime the head point's Lanczos iteration runs
             # first, and every other point's starts from its ground state.
             points = {head: pool.submit(sweep_point, head)}
+            points[head].add_done_callback(lambda _: started.set())
             if thomas:
                 started.wait()  # a failure is raised in index order below
             points.update((i, pool.submit(sweep_point, i)) for i in range(n_mu) if i != head)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -317,6 +318,19 @@ def test_scan_linalg_error_exits_3(monkeypatch):
                      "--n-mu", "3", "--grid", "64"]) == 3
     monkeypatch.setattr(stm, "_inertia_logdet", fail)
     assert main(_SMALL_LADDER_SCAN) == 3
+
+
+def test_scan_with_a_negative_delta_exits_2(capsys):
+    # every sweep point, the head first, rejects its parameters before any
+    # solve; the scan reports it instead of waiting for the head's Ritz vector
+    codes = []
+    runner = threading.Thread(target=lambda: codes.append(main(
+        ["scan", "--delta", "-0.5", "--mu-lo", "1e-2", "--mu-hi", "1e2",
+         "--n-mu", "3", "--grid", "64"])), daemon=True)
+    runner.start()
+    runner.join(timeout=60.0)
+    assert not runner.is_alive() and codes == [2]
+    assert "delta must be nonnegative" in capsys.readouterr().err
 
 
 def test_scan_with_crossings_byte_identical(tmp_path, monkeypatch):

@@ -168,6 +168,12 @@ def test_smallest_eigenvalue_positive_above_threshold():
         assert smallest_eigenvalue(op) > 0.0
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (3, 4), (4,)])
+def test_smallest_eigenvalue_rejects_a_matrix_that_is_not_square_or_empty(shape):
+    with pytest.raises(ValueError, match="nonempty square"):
+        smallest_eigenvalue(np.zeros(shape))
+
+
 def test_residual_of_closed_form_density():
     value = closed_form_residual(1.0, n=2000)
     assert value <= 1e-6
