@@ -19,7 +19,6 @@ import ctypes
 import functools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -665,32 +664,43 @@ def _certified_lower_bound(matrix: np.ndarray, theta: float, r: float) -> float 
     return theta - 2.0 * (r + c) if passed else None
 
 
-def _sweep_point(build: Callable[[], np.ndarray], thomas: bool,
-                 start: np.ndarray | None = None,
-                 started: threading.Event | None = None) -> tuple[float, int, float]:
-    """(smallest eigenvalue, number of negative eigenvalues, log|det|) of the
-    symmetric matrix build() returns: with thomas (delta < delta0) the
-    certified _lanczos value (from start, see _lanczos) and the
-    _inertia_logdet pair, else (or when that fails, on a matrix built again)
-    from _lowest_eigenvalue, the pair of a matrix that is not positive
-    definite from _inertia_logdet of one built again.  started, if given, is
-    set once the Lanczos iteration is over.
-    """
+def _restore_upper(a: np.ndarray, diagonal: np.ndarray) -> None:
+    # the C upper triangle copied back from the lower one, in blocks as
+    # assemble mirrors, and the diagonal put back
+    for lo in range(0, a.shape[0], _ROW_BLOCK):
+        hi = lo + _ROW_BLOCK
+        block = a[lo:hi, lo:hi]
+        np.copyto(block, block.T, where=np.triu(np.ones(block.shape, dtype=bool), 1))
+        a[lo:hi, hi:] = a[hi:, lo:hi].T
+    np.fill_diagonal(a, diagonal)
+
+
+def _sweep_point(build: Callable[[], np.ndarray],
+                 start: np.ndarray | None) -> tuple[float, int, float]:
+    """(smallest eigenvalue, number of negative eigenvalues, log|det|) of
+    build()'s matrix: given a start, the certified _lanczos value and the
+    _inertia_logdet pair; else, or when that fails, _lowest_eigenvalue's and,
+    unless that proves the matrix positive definite, the pair of the upper
+    triangle it spent, copied back from the lower one.  Only the certificate
+    spends that one, and only after it is the matrix built again."""
     matrix = build()
-    ritz = _lanczos(matrix, start) if thomas else None
-    if started is not None:
-        started.set()
-    if ritz is not None and ritz[0] < 0.0:
-        if _certified_lower_bound(matrix, *ritz) is not None:
-            count, logdet = _inertia_logdet(matrix)
-            if count:
-                return ritz[0], count, logdet
+    ritz = None if start is None else _lanczos(matrix, start)
+    lower = ritz is None or ritz[0] >= 0.0  # no certificate: the C lower triangle is intact
+    if not lower and _certified_lower_bound(matrix, *ritz) is not None:
+        count, logdet = _inertia_logdet(matrix)
+        if count:
+            return ritz[0], count, logdet
         del matrix
-        matrix = build()
+        matrix, lower = build(), True
+    diagonal = matrix.diagonal().copy()
     smallest, inertia = _lowest_eigenvalue(matrix)
     if inertia is None:
-        del matrix
-        inertia = _inertia_logdet(build())
+        if lower:
+            _restore_upper(matrix, diagonal)
+        else:
+            del matrix
+            matrix = build()
+        inertia = _inertia_logdet(matrix)
     return smallest, *inertia
 
 
@@ -761,18 +771,16 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     negative eigenvalues, and every mu at which the operator is singular.
 
     The operator increases with mu, so each bound state of the cutoff
-    problem is a unit drop of the negative-eigenvalue count between
-    consecutive sweep points (each one _sweep_point).  Brent's method refines
-    it, level k, in log mu until the sign-change bracket of the k-th
-    eigenvalue is at most _REFINE_REL wide (relative), and reports the
-    bracket's geometric midpoint.  Each Brent step is one assembly and one
-    LDL^T factorization: its inertia gives the sign, its determinant the size.
-    Sweep and refinements (a task per crossing, submitted once both sweep
-    points of its bracket are done) run on one pool of TRIBOS_THREADS threads
-    (default: the CPU count), with single-threaded BLAS.  For delta < delta0
-    the middle sweep point's Lanczos iteration runs first, and every other
-    point's, submitted once it is over, starts from its Ritz vector: the
-    ground state, which changes little with mu.
+    problem is a unit drop of the negative count between consecutive sweep
+    points.  Brent's method refines it, level k, in log mu, one assembly and
+    one LDL^T factorization a step (its inertia gives the sign, its
+    determinant the size), to a bracket _REFINE_REL wide (relative), and
+    reports the bracket's geometric midpoint.  For delta < delta0 the
+    calling thread first computes the middle sweep point's ground state,
+    from which every point's _lanczos starts: it changes little with mu.
+    The sweep points, then each crossing's refinement once both ends of its
+    bracket are done, run on one pool of TRIBOS_THREADS threads (default:
+    the CPU count), with single-threaded BLAS.
     """
     if not (0.0 < mu_lo < mu_hi):
         raise ValueError("need 0 < mu_lo < mu_hi")
@@ -782,28 +790,20 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     width = math.log1p(_REFINE_REL)
     workers = min(_thread_count(), n_mu)
     p = grid.nodes
-    thomas, head = delta < _DELTA0, n_mu // 2
-    start = np.ones(p.size)  # the head's; then (see _lanczos) its Ritz vector
-    started = threading.Event()  # set by the head, at the latest when it ends
     with _single_threaded_blas():
         subtraction = _coulomb_part(p, grid.weights, delta) if delta != 0.0 else None
 
-        def sweep_point(i: int) -> tuple[float, int, float]:
-            params = ModelParams(mu=float(mus[i]), delta=delta)
-            build = functools.partial(assemble, grid, params, subtraction)
-            if i == head:
-                return _sweep_point(build, thomas, start, started)
-            return _sweep_point(build, thomas, start.copy())
+        def build(mu: float) -> np.ndarray:
+            return assemble(grid, ModelParams(mu=mu, delta=delta), subtraction)
+
+        start = np.ones(p.size) if delta < _DELTA0 else None
+        if start is not None:  # becomes the middle point's Ritz vector (ones if Lanczos gives up)
+            _lanczos(build(float(mus[n_mu // 2])), start)
 
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
-            # In the Thomas regime the head point's Lanczos iteration runs
-            # first, and every other point's starts from its ground state.
-            points = {head: pool.submit(sweep_point, head)}
-            points[head].add_done_callback(lambda _: started.set())
-            if thomas:
-                started.wait()  # a failure is raised in index order below
-            points.update((i, pool.submit(sweep_point, i)) for i in range(n_mu) if i != head)
+            points = [pool.submit(_sweep_point, functools.partial(build, float(mu)),
+                                  None if start is None else start.copy()) for mu in mus]
 
             def log_size(mu: float, logdet: float) -> float:
                 # log(|det| / prod_j d_j): the diagonal's growth divided out
@@ -819,8 +819,7 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
 
                 def f(t: float) -> float:
                     mu = math.exp(t)
-                    count, logdet = _inertia_logdet(
-                        assemble(grid, ModelParams(mu=mu, delta=delta), subtraction))
+                    count, logdet = _inertia_logdet(build(mu))
                     return _level_value(count, k, log_size(mu, logdet) - log_r)
 
                 fa, fb = (_level_value(sweep[j][1], k, end - log_r)

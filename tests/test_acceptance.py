@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from tribos import stm
 from tribos.ladder import mu_n, quantization_residual
 from tribos.oracle import (convolution_balance, cosine_transform, coth_log_kernel,
                            coth_transform_analytic, m_log_kernel, m_transform_analytic)
@@ -124,16 +125,23 @@ def test_criterion_05_symbol_positivity():
 
 
 def test_criterion_06_operator_positivity():
+    # each matrix is also proven positive definite: LDL^T of M - (lam/2) I,
+    # with its rounding bounded, shows no eigenvalue below the bound
     t0 = time.perf_counter()
     grid = build_grid(1e-4, 1e4, 1000)
-    smallest = []
+    smallest, bounds = [], []
     for mu in np.geomspace(1e-3, 1e3, 60):
         op = assemble(grid, ModelParams(mu=float(mu), delta=1.0))
-        smallest.append(smallest_eigenvalue(op))
+        lam = smallest_eigenvalue(op)
+        smallest.append(lam)
+        bounds.append(stm._certified_lower_bound(op.copy(), lam / 2.0, 0.0))
     elapsed = time.perf_counter() - t0
-    ok = all(v > 0.0 for v in smallest) and elapsed < 180.0
+    ok = (all(v > 0.0 for v in smallest) and all(b is not None and b > 0.0 for b in bounds)
+          and elapsed < 180.0)
+    proven = min((b for b in bounds if b is not None), default=math.nan)
     report(6, "operator positivity for delta above threshold", ok,
-           f"min eigenvalue={min(smallest):.3e} t={elapsed:.0f}s")
+           f"min eigenvalue={min(smallest):.3e} min proven bound={proven:.3e} "
+           f"proven {sum(b is not None for b in bounds)}/{len(bounds)} t={elapsed:.0f}s")
 
 
 def test_criterion_07_threshold_identity():

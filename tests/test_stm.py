@@ -717,9 +717,10 @@ def test_scan_without_band_routines_matches(monkeypatch):
 
 
 def test_give_up_points_with_bound_states_count_by_inertia(monkeypatch):
-    # delta = 0.6: Lanczos gives up at every point; where the band is not
-    # positive definite the count and log|det| come from LDL^T on a matrix
-    # built again.  Counts and crossings as with the full eigen-solve.
+    # delta = 0.6: Lanczos gives up in the calling thread and at every point;
+    # where the band is not positive definite the count and log|det| come
+    # from LDL^T on the matrix restored from its lower triangle.  Counts and
+    # crossings as with the full eigen-solve.
     grid = build_grid(*_LADDER_GRID)
     gave_up, pairs = [], []
     lanczos, lowest = stm._lanczos, stm._lowest_eigenvalue
@@ -728,7 +729,7 @@ def test_give_up_points_with_bound_states_count_by_inertia(monkeypatch):
     monkeypatch.setattr(stm, "_lowest_eigenvalue",
                         lambda m: (lambda r: pairs.append(r[1]) or r)(lowest(m)))
     scan = scan_spectrum(grid, 0.6, 1e-4, 1e4, 5)
-    assert gave_up == [True] * 5 and len(pairs) == 5
+    assert gave_up == [True] * 6 and len(pairs) == 5
     assert list(scan.negative_counts) == [2, 1, 1, 1, 0]
     assert sum(pair is None for pair in pairs) == 4
     # the full eigen-solve's crossings, to the refinement's width
@@ -736,6 +737,30 @@ def test_give_up_points_with_bound_states_count_by_inertia(monkeypatch):
                                            rel=2.0 * stm._REFINE_REL)
     for mu, smallest in zip(scan.mus, scan.smallest):
         _assert_near_eigvalsh(smallest, assemble(grid, ModelParams(mu=float(mu), delta=0.6)))
+
+
+def test_give_up_points_assemble_their_matrix_once(monkeypatch):
+    # delta = 0.6: the band solve spends the C upper triangle and the
+    # diagonal; copied back from the lower one, the matrix is bit for bit a
+    # fresh assembly, so no sweep point assembles twice
+    grid = build_grid(*_LADDER_GRID)
+    for mu in (1e-4, 0.7):
+        matrix = assemble(grid, ModelParams(mu=mu, delta=0.6))
+        spent, diagonal = matrix.copy(), matrix.diagonal().copy()
+        assert stm._lowest_eigenvalue(spent)[1] is None
+        stm._restore_upper(spent, diagonal)
+        assert np.array_equal(spent.view(np.uint64), matrix.view(np.uint64))
+    builds, sweep_point = [], stm._sweep_point
+
+    def counted(build, start):
+        calls = []
+        builds.append(calls)
+        return sweep_point(lambda: calls.append(1) or build(), start)
+
+    monkeypatch.setattr(stm, "_sweep_point", counted)
+    scan = scan_spectrum(grid, 0.6, 1e-4, 1e4, 5)
+    assert list(scan.negative_counts) == [2, 1, 1, 1, 0]
+    assert [len(calls) for calls in builds] == [1] * 5
 
 
 @pytest.mark.parametrize("n", [26, 250, 1000])
@@ -766,7 +791,7 @@ def test_check_rejects_a_start_vector_orthogonal_to_the_ground_state():
     theta, r = stm._lanczos(matrix)
     assert abs(theta + 0.5) <= 1e-12
     assert stm._certified_lower_bound(matrix.copy(), theta, r) is None
-    smallest, count, _ = stm._sweep_point(matrix.copy, True)
+    smallest, count, _ = stm._sweep_point(matrix.copy, np.ones(len(matrix)))
     _assert_near_eigvalsh(smallest, matrix)
     assert count == 2
 
@@ -778,7 +803,7 @@ def test_clustered_spectrum_falls_back_to_the_eigen_solve():
     matrix = assemble(grid, ModelParams(mu=0.7, delta=1.0))
     with stm._single_threaded_blas():
         assert stm._lanczos(matrix) is None
-        smallest, count, _ = stm._sweep_point(matrix.copy, True)
+        smallest, count, _ = stm._sweep_point(matrix.copy, np.ones(len(matrix)))
     _assert_near_eigvalsh(smallest, matrix)
     assert count == 0
 
@@ -789,7 +814,7 @@ def test_lanczos_sweep_point_is_bitwise_repeatable():
     with stm._single_threaded_blas():
         ritz = {stm._lanczos(np.array(matrix)) for _ in range(3)}
         bounds = {stm._certified_lower_bound(matrix.copy(), *next(iter(ritz))) for _ in range(3)}
-        points = {stm._sweep_point(matrix.copy, True) for _ in range(3)}
+        points = {stm._sweep_point(matrix.copy, np.ones(len(matrix))) for _ in range(3)}
     assert len(ritz) == len(bounds) == len(points) == 1 and None not in bounds
     assert next(iter(points))[0] == next(iter(ritz))[0]
 
@@ -824,10 +849,11 @@ def test_scan_without_dsymv_matches(monkeypatch):
 
 @pytest.mark.parametrize("delta, max_products", [(0.0, 200), (0.3, 300)])
 def test_sweep_points_start_from_the_head_ground_state(monkeypatch, delta, max_products):
-    # Every point but the head starts Lanczos from the head's Ritz vector:
-    # 184 (delta = 0) and 275 (delta = 0.3) matrix-vector products in all,
-    # against 268 and 364 when each point started from ones.  Each value
-    # stays certified and within 1e-13 of eigvalsh.
+    # Every point starts Lanczos from the middle point's Ritz vector, which
+    # the calling thread computes first: 186 (delta = 0) and 278 (delta =
+    # 0.3) matrix-vector products in all, against 268 and 364 when each
+    # point started from ones.  Each value stays certified and within 1e-13
+    # of eigvalsh.
     _needs_dsymv()
     dsymv, integer = stm._dsymv()
     products, points = [], []
@@ -851,44 +877,54 @@ def test_sweep_points_start_from_the_head_ground_state(monkeypatch, delta, max_p
         assert abs(theta / lowest - 1.0) <= 1e-13
 
 
-def test_other_points_start_while_the_head_factors(monkeypatch):
-    # The head's certificate check waits until another sweep point has begun
-    # its Lanczos iteration: the other points wait only for the head's Ritz
-    # vector, not for its two LDL^T factorizations.
+def test_ground_state_comes_first_then_every_point_at_once(monkeypatch):
+    # The calling thread runs the middle point's Lanczos iteration before
+    # the pool exists; then every sweep point is submitted, before any
+    # refinement, each with its own copy of that Ritz vector.
     grid = build_grid(*_LADDER_GRID)
-    monkeypatch.setenv("TRIBOS_THREADS", "1")
-    reference = scan_spectrum(grid, 0.0, 1e-4, 1e4, 5)
     monkeypatch.setenv("TRIBOS_THREADS", "2")
-    lanczos, certify = stm._lanczos, stm._certified_lower_bound
-    head, waited, other_started = [], [], threading.Event()
+    reference = scan_spectrum(grid, 0.0, 1e-4, 1e4, 5)
+    events, starts, lanczos = [], [], stm._lanczos
 
-    def run(matrix, start=None):
-        if not head:  # the head's iteration runs alone
-            head.append(threading.get_ident())
-        elif threading.get_ident() != head[0]:
-            other_started.set()
-        return lanczos(matrix, start)
+    def run(matrix, start):
+        ritz = lanczos(matrix, start)
+        events.append(("lanczos", threading.get_ident(), start.copy()))
+        return ritz
 
-    def check(matrix, theta, r):
-        if threading.get_ident() == head[0] and not waited:
-            waited.append(other_started.wait(timeout=20.0))
-        return certify(matrix, theta, r)
+    class Pool(stm.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            events.append(("pool", threading.get_ident(), None))
+            super().__init__(*args, **kwargs)
+
+        def submit(self, fn, *args):
+            if fn is stm._sweep_point:
+                starts.append(args[1])
+            events.append(("submit", fn, np.array(args[1]) if fn is stm._sweep_point else None))
+            return super().submit(fn, *args)
 
     monkeypatch.setattr(stm, "_lanczos", run)
-    monkeypatch.setattr(stm, "_certified_lower_bound", check)
+    monkeypatch.setattr(stm, "ThreadPoolExecutor", Pool)
     _assert_same_scan(scan_spectrum(grid, 0.0, 1e-4, 1e4, 5), reference)
-    assert waited == [True]
+    caller = threading.get_ident()
+    assert [kind for kind, _, _ in events[:2]] == ["lanczos", "pool"]
+    assert events[0][1] == events[1][1] == caller
+    submitted = [(fn, start) for kind, fn, start in events if kind == "submit"]
+    assert [fn for fn, _ in submitted[:5]] == [stm._sweep_point] * 5
+    assert stm._sweep_point not in [fn for fn, _ in submitted[5:]]
+    assert all(np.array_equal(start, events[0][2]) for _, start in submitted[:5])
+    assert len({id(start) for start in starts}) == 5
+    assert sum(thread != caller for kind, thread, _ in events if kind == "lanczos") == 5
 
 
 def test_a_failing_head_point_ends_the_scan(monkeypatch):
-    # the head's build raises before its Lanczos iteration: the scan raises
-    # it instead of waiting for the head's Ritz vector
+    # the middle point's build raises in the calling thread, before the
+    # pool exists: the scan raises it
     grid = build_grid(*_LADDER_GRID)
     monkeypatch.setenv("TRIBOS_THREADS", "2")
     builds, build = [], stm.assemble
 
     def fail_first(*args):
-        if not builds:  # the head builds first, alone
+        if not builds:  # the middle point builds first
             builds.append(1)
             raise MemoryError("head")
         return build(*args)
@@ -969,8 +1005,8 @@ def test_scan_independent_of_blas_and_pool_threads(monkeypatch):
 
 
 def test_scan_is_identical_under_fast_thread_switching(monkeypatch):
-    # pool threads share the head's start vector and the sweep results the
-    # refinements read: more threads than cores, switching every microsecond
+    # pool threads share the sweep results the refinements read: more
+    # threads than cores, switching every microsecond
     grid = build_grid(*_LADDER_GRID)
     monkeypatch.setenv("TRIBOS_THREADS", "1")
     reference = scan_spectrum(grid, 0.0, 1e-4, 1e4, 9)
