@@ -50,6 +50,11 @@ _LANCZOS_TOL = 1e-12
 # Half-width of _lowest_eigenvalue's band.  At n = 1000 on one thread the
 # reduction takes 48-65 ms (16: 74-85 ms), a banded Cholesky 0.5 ms (64: 1.0 ms).
 _BAND = 32
+# Order of _block_ritz's leading block.  At n = 1000 on [1e-4, 1e4] it meets
+# the tolerance from delta0 + 1e-6 to delta = 100 (r/tol <= 0.91; 128 misses
+# it from delta = 5 on).  Its eigh takes 3.5 ms on one thread (128: 1.7 ms),
+# which a miss wastes against 55-85 ms of band solve.
+_BLOCK = 192
 _DELTA0 = delta0()
 
 
@@ -356,9 +361,9 @@ def assemble(grid: RadialGrid, params: ModelParams,
 
 
 def smallest_eigenvalue(matrix: np.ndarray) -> float:
-    """Smallest eigenvalue of an assembled symmetric matrix, by the sweep's
-    band solve (see _lowest_eigenvalue) on a copy: its C upper triangle."""
-    return _lowest_eigenvalue(np.array(matrix, dtype=float))[0]
+    """Smallest eigenvalue of an assembled symmetric matrix, by a positive-regime
+    sweep point's solve (see _sweep_point) on copies of it."""
+    return _sweep_point(functools.partial(np.array, matrix, dtype=float), None)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -627,6 +632,22 @@ def _lanczos(matrix: np.ndarray, start: np.ndarray | None = None) -> tuple[float
     return None
 
 
+def _block_ritz(matrix: np.ndarray) -> tuple[float, float] | None:
+    """(w0, r) as _lanczos gives them, from the lowest eigenpair (w0, x) of
+    the leading _BLOCK x _BLOCK block: r = ||M x - w0 x|| for x padded with
+    zeros, one product with the block's rows.  None when the block is not
+    finite or r exceeds _LANCZOS_TOL max |M_ii|.  The matrix is only read."""
+    a = _square(matrix)
+    m = min(_BLOCK, a.shape[0])
+    if not np.isfinite(a[:m, :m]).all():
+        return None
+    values, vectors = np.linalg.eigh(a[:m, :m])
+    residual = vectors[:, 0] @ a[:m]
+    residual[:m] -= values[0] * vectors[:, 0]
+    r = float(np.linalg.norm(residual))
+    return (float(values[0]), r) if r <= _LANCZOS_TOL * np.abs(a.diagonal()).max() else None
+
+
 def _certified_lower_bound(matrix: np.ndarray, theta: float, r: float) -> float | None:
     """A proven lower bound, theta - 2 (r + c), on the smallest eigenvalue
     of a symmetric matrix M given _lanczos's (theta, r), or None.
@@ -676,17 +697,21 @@ def _restore_upper(a: np.ndarray, diagonal: np.ndarray) -> None:
 
 
 def _sweep_point(build: Callable[[], np.ndarray],
-                 start: np.ndarray | None) -> tuple[float, int, float]:
+                 start: np.ndarray | None) -> tuple[float, int, float | None]:
     """(smallest eigenvalue, number of negative eigenvalues, log|det|) of
-    build()'s matrix: given a start, the certified _lanczos value and the
-    _inertia_logdet pair; else, or when that fails, _lowest_eigenvalue's and,
-    unless that proves the matrix positive definite, the pair of the upper
-    triangle it spent, copied back from the lower one.  Only the certificate
-    spends that one, and only after it is the matrix built again."""
+    build()'s matrix: the certified value of _lanczos from a given start (if
+    negative) or of _block_ritz, with count 0 and log|det| None (deferred)
+    where its bound is positive, else the _inertia_logdet pair; failing that,
+    _lowest_eigenvalue's and, unless that proves the matrix positive definite,
+    the pair of the upper triangle it spent, copied back from the lower one.
+    Only the certificate spends that one; only after it is the matrix built
+    again."""
     matrix = build()
-    ritz = None if start is None else _lanczos(matrix, start)
-    lower = ritz is None or ritz[0] >= 0.0  # no certificate: the C lower triangle is intact
-    if not lower and _certified_lower_bound(matrix, *ritz) is not None:
+    ritz = _block_ritz(matrix) if start is None else _lanczos(matrix, start)
+    lower = ritz is None or (start is not None and ritz[0] >= 0.0)  # no certificate yet
+    if not lower and (bound := _certified_lower_bound(matrix, *ritz)) is not None:
+        if bound > 0.0:
+            return ritz[0], 0, None
         count, logdet = _inertia_logdet(matrix)
         if count:
             return ritz[0], count, logdet
@@ -778,6 +803,8 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     reports the bracket's geometric midpoint.  For delta < delta0 the
     calling thread first computes the middle sweep point's ground state,
     from which every point's _lanczos starts: it changes little with mu.
+    From delta0 up a point's value comes from _block_ritz, and the calling
+    thread factors a proven point (count 0) only where it ends a bracket.
     The sweep points, then each crossing's refinement once both ends of its
     bracket are done, run on one pool of TRIBOS_THREADS threads (default:
     the CPU count), with single-threaded BLAS.
@@ -834,6 +861,8 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
                 lo, hi = sweep[i][1], sweep[i + 1][1]
                 if hi > lo:
                     raise RuntimeError("negative-eigenvalue count increased with mu")
+                if hi < lo and sweep[i + 1][2] is None:  # a proven end: factor it now
+                    sweep[i + 1] = (*sweep[i + 1][:2], _inertia_logdet(build(mus[i + 1]))[1])
                 chains += [pool.submit(refine, i, level - 1) for level in range(hi + 1, lo + 1)]
             crossings = [chain.result() for chain in chains]
         finally:

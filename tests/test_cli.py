@@ -307,17 +307,55 @@ _SMALL_LADDER_SCAN = ["scan", "--delta", "0", "--mu-lo", "1e-4", "--mu-hi", "1e4
 
 
 def test_scan_linalg_error_exits_3(monkeypatch):
-    # delta >= delta0: a failed band solve; delta = 0 (no band solve): a
-    # failed LDL^T factorization
+    # delta >= delta0: a failed certificate, and a failed band solve where
+    # the certificate does not pass; delta = 0 (no band solve): a failed
+    # LDL^T factorization.  The certificate takes a non-finite factor of its
+    # own LDL^T for a failed check, so the error is raised at its call.
     def fail(*args):
         raise np.linalg.LinAlgError("did not converge")
 
+    positive = ["scan", "--delta", "1", "--mu-lo", "1e-2", "--mu-hi", "1e2",
+                "--n-mu", "3", "--grid", "64"]
     with monkeypatch.context() as patch:
+        patch.setattr(stm, "_certified_lower_bound", fail)
+        assert main(positive) == 3
+    with monkeypatch.context() as patch:
+        patch.setattr(stm, "_certified_lower_bound", lambda *args: None)
         patch.setattr(stm, "_lowest_eigenvalue", fail)
-        assert main(["scan", "--delta", "1", "--mu-lo", "1e-2", "--mu-hi", "1e2",
-                     "--n-mu", "3", "--grid", "64"]) == 3
+        assert main(positive) == 3
     monkeypatch.setattr(stm, "_inertia_logdet", fail)
     assert main(_SMALL_LADDER_SCAN) == 3
+
+
+def _band_path_csv(monkeypatch, capsys, args):
+    # (the scan's CSV, that of the band solve at every point): the latter is
+    # the path every point took before the block solve
+    assert main(args) == 0
+    csv = capsys.readouterr().out
+    with monkeypatch.context() as patch:
+        patch.setattr(stm, "_block_ritz", lambda matrix: None)
+        assert main(args) == 0
+    return csv, capsys.readouterr().out
+
+
+def test_scan_whose_block_residual_misses_the_tolerance_takes_the_band(monkeypatch, capsys):
+    # p in [1e-2, 1e2]: the ground state spreads past the leading block at
+    # every point; no certificate runs and the CSV is the band path's
+    calls = []
+    monkeypatch.setattr(stm, "_certified_lower_bound", lambda *args: calls.append(1))
+    csv, band = _band_path_csv(monkeypatch, capsys, [
+        "scan", "--delta", "1", "--p-min", "1e-2", "--p-max", "1e2", "--grid", "300",
+        "--n-mu", "13"])
+    assert csv == band and not calls
+
+
+def test_scan_with_failed_certificates_takes_the_band(monkeypatch, capsys, failed_certificates):
+    # every certificate runs, spends the C lower triangle and fails: the band
+    # solve on the untouched upper triangle gives the band path's CSV
+    csv, band = _band_path_csv(monkeypatch, capsys, [
+        "scan", "--delta", "1", "--mu-lo", "1e-2", "--mu-hi", "1e2", "--n-mu", "5",
+        "--grid", "250"])
+    assert csv == band and len(failed_certificates) == 5
 
 
 def test_scan_with_a_negative_delta_exits_2(capsys):

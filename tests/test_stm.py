@@ -328,6 +328,9 @@ def test_build_grid_caches_panel_rule(monkeypatch):
 # p in [1e-4, 1e4] on 250 nodes has three crossings in [1e-4, 1e4]; with
 # n_mu = 3 the second sweep bracket holds two of them (levels 2 and 3).
 _LADDER_GRID = (1e-4, 1e4, 250)
+# delta = 1: the ground state spreads past the leading block, whose residual
+# misses the tolerance at every mu in [1e-3, 1e3]
+_FALLBACK_GRID = (1e-2, 1e2, 300)
 
 
 def _bisect_crossing(grid, lo, hi, level, refine_rel):
@@ -382,9 +385,11 @@ def _record_calls(monkeypatch, names, record=lambda: None):
 def test_scan_refinement_solve_budget(monkeypatch):
     # delta = 0: each sweep point is a Lanczos iteration and two LDL^T
     # factorizations (the check and the inertia), no band solve, and the
-    # refinement factorizes only; delta >= delta0: one band solve per point
+    # refinement factorizes only; delta >= delta0: one block solve and one
+    # certificate per point, no band solve and no inertia
     grid = build_grid(*_LADDER_GRID)
-    calls = _record_calls(monkeypatch, ("_lowest_eigenvalue", "_ldlt", "_certified_lower_bound"))
+    calls = _record_calls(monkeypatch, ("_lowest_eigenvalue", "_ldlt", "_certified_lower_bound",
+                                        "_block_ritz", "_inertia_logdet"))
     n_mu = 9
     result = scan_spectrum(grid, 0.0, 1e-4, 1e4, n_mu)
     assert len(result.crossings) == 3
@@ -396,8 +401,9 @@ def test_scan_refinement_solve_budget(monkeypatch):
         seen.clear()
     n_mu = 5
     assert not scan_spectrum(grid, 1.0, 1e-2, 1e2, n_mu).crossings
-    assert len(calls["_lowest_eigenvalue"]) == n_mu
-    assert len(calls["_ldlt"]) == len(calls["_certified_lower_bound"]) == 0
+    assert len(calls["_block_ritz"]) == len(calls["_certified_lower_bound"]) == n_mu
+    assert len(calls["_ldlt"]) == n_mu  # the certificates'
+    assert len(calls["_lowest_eigenvalue"]) == len(calls["_inertia_logdet"]) == 0
 
 
 def test_scan_unreachable_refine_rel_raises(monkeypatch):
@@ -763,6 +769,52 @@ def test_give_up_points_assemble_their_matrix_once(monkeypatch):
     assert [len(calls) for calls in builds] == [1] * 5
 
 
+def test_a_proven_bracket_end_is_factored_once(monkeypatch):
+    # delta = 1: every point is proven (count 0, log|det| left out).  The
+    # first point is forced to count 2, with its own LDL^T log|det|, so the
+    # first bracket's upper end is a proven point: the calling thread factors
+    # it once for both levels, and the crossings equal the band path's.
+    grid = build_grid(*_LADDER_GRID)
+    mus = np.geomspace(1e-2, 1e2, 5)
+    sweep_point, assemble_matrix, built = stm._sweep_point, stm.assemble, []
+
+    def forced(build, start):  # build is partial(build, mu)
+        smallest, count, logdet = sweep_point(build, start)
+        if build.args[0] == mus[0]:
+            return smallest, 2, stm._inertia_logdet(build())[1]
+        return smallest, count, logdet
+
+    monkeypatch.setattr(stm, "_sweep_point", forced)
+    monkeypatch.setattr(stm, "assemble", lambda g, params, *a: built.append(params.mu)
+                        or assemble_matrix(g, params, *a))
+    scan = scan_spectrum(grid, 1.0, 1e-2, 1e2, 5)
+    assert list(scan.negative_counts) == [2, 0, 0, 0, 0] and len(scan.crossings) == 2
+    assert [built.count(mu) for mu in mus] == [2, 2, 1, 1, 1]
+    band = stm._lowest_eigenvalue
+    monkeypatch.setattr(stm, "_block_ritz", lambda matrix: None)
+    monkeypatch.setattr(stm, "_lowest_eigenvalue", lambda m: built.append("band") or band(m))
+    reference = scan_spectrum(grid, 1.0, 1e-2, 1e2, 5)
+    assert built.count("band") == 5
+    assert scan.crossings == reference.crossings
+
+
+def test_a_failed_certificate_counts_on_a_matrix_built_again(monkeypatch, failed_certificates):
+    # The ground state (eigenvalue -0.5) lies past the leading block, whose
+    # lowest eigenpair (2, e_0) is exact: the certificate fails and the band
+    # solve runs on the upper triangle, which it spends; the count then comes
+    # from a second build, not from the triangle the certificate spent.
+    n = stm._BLOCK + 60
+    matrix = np.diag(np.linspace(2.0, 3.0, n))
+    matrix[n - 1, n - 1] = -0.5
+    assert stm._block_ritz(matrix) == (2.0, 0.0)
+    builds = []
+    monkeypatch.setattr(stm, "_restore_upper", None)
+    smallest, count, logdet = stm._sweep_point(lambda: builds.append(1) or matrix.copy(), None)
+    assert failed_certificates == [None] and len(builds) == 2
+    assert smallest == pytest.approx(-0.5, abs=4.0 * _U * 3.0) and count == 1
+    assert logdet == pytest.approx(np.sum(np.log(np.abs(matrix.diagonal()))), rel=1e-12)
+
+
 @pytest.mark.parametrize("n", [26, 250, 1000])
 def test_lanczos_value_lies_in_its_certified_interval(n):
     grid = build_grid(1e-4, 1e4, n)
@@ -1022,17 +1074,21 @@ def test_scan_is_identical_under_fast_thread_switching(monkeypatch):
 
 def test_scan_solves_single_threaded_and_restores_blas_threads(monkeypatch):
     # every Lanczos iteration (its matrix-vector products), LDL^T
-    # factorization (delta = 0) and band solve (delta >= delta0) sees one
-    # BLAS thread
+    # factorization (delta = 0, and the certificate), block solve and
+    # certificate (delta >= delta0) and band solve (where the block's
+    # residual misses the tolerance) sees one BLAS thread
     get, put = _blas_controls()
     grid = build_grid(*_LADDER_GRID)
-    calls = _record_calls(monkeypatch, ("_lowest_eigenvalue", "_lanczos", "_ldlt"), record=get)
+    calls = _record_calls(monkeypatch, ("_lowest_eigenvalue", "_lanczos", "_ldlt", "_block_ritz",
+                                        "_certified_lower_bound"), record=get)
     previous = get()
     try:
         put(2)
         scan_spectrum(grid, 0.0, 1e-4, 1e4, 3)
         assert get() == 2
         scan_spectrum(grid, 1.0, 1e-2, 1e2, 3)
+        assert get() == 2
+        scan_spectrum(build_grid(*_FALLBACK_GRID), 1.0, 1e-2, 1e2, 3)
         assert get() == 2
         with monkeypatch.context() as patch, pytest.raises(RuntimeError):
             patch.setattr(stm, "_REFINE_REL", 1e-300)
