@@ -19,7 +19,7 @@ import ctypes
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,6 +56,7 @@ _BAND = 32
 # which a miss wastes against 55-85 ms of band solve.
 _BLOCK = 192
 _DELTA0 = delta0()
+_U = np.finfo(float).eps / 2.0  # unit roundoff
 
 
 @dataclass(frozen=True)
@@ -361,9 +362,13 @@ def assemble(grid: RadialGrid, params: ModelParams,
 
 
 def smallest_eigenvalue(matrix: np.ndarray) -> float:
-    """Smallest eigenvalue of an assembled symmetric matrix, by a positive-regime
-    sweep point's solve (see _sweep_point) on copies of it."""
-    return _sweep_point(functools.partial(np.array, matrix, dtype=float), None)[0]
+    """Smallest eigenvalue of a symmetric matrix, by _checked_value of
+    _block_ritz's pair (whatever its sign) on a copy.  A non-finite entry in
+    either triangle raises LinAlgError."""
+    a = _square(np.array(matrix, dtype=float))
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("non-finite matrix")
+    return _checked_value(a, _block_ritz(a))
 
 
 @functools.lru_cache(maxsize=None)
@@ -419,17 +424,21 @@ def _square(matrix: np.ndarray) -> np.ndarray:
 
 
 def _finite(a: np.ndarray) -> bool:
-    # np.isfinite(a).all() without its n x n boolean temporary
-    return all(np.isfinite(a[lo:lo + _ROW_BLOCK]).all() for lo in range(0, a.shape[0], _ROW_BLOCK))
+    # whether the C upper triangle and the diagonal, all that a solve here
+    # reads, are finite, without an n x n boolean temporary
+    return all(np.isfinite(np.triu(a[lo:lo + _ROW_BLOCK, lo:lo + _ROW_BLOCK])).all()
+               and np.isfinite(a[lo:lo + _ROW_BLOCK, lo + _ROW_BLOCK:]).all()
+               for lo in range(0, a.shape[0], _ROW_BLOCK))
 
 
 def _eigvalsh_solve(matrix: np.ndarray) -> tuple[float, int, float]:
     """(smallest eigenvalue, number of negative eigenvalues, log|det|) of a
-    symmetric matrix by np.linalg.eigvalsh, after a finiteness check (else
-    LinAlgError): the scan's solve where numpy's LAPACK lacks a routine."""
+    symmetric matrix by np.linalg.eigvalsh of its C upper triangle, after a
+    finiteness check of that triangle (else LinAlgError): the scan's solve
+    where numpy's LAPACK lacks a routine."""
     if not _finite(matrix):
         raise np.linalg.LinAlgError("non-finite matrix")
-    ev = np.linalg.eigvalsh(matrix)
+    ev = np.linalg.eigvalsh(matrix, UPLO="U")
     with np.errstate(divide="ignore"):
         return float(ev[0]), int(np.count_nonzero(ev < 0.0)), float(np.sum(np.log(np.abs(ev))))
 
@@ -438,8 +447,8 @@ def _lowest_eigenvalue(matrix: np.ndarray) -> tuple[float, tuple[int, float] | N
     """(smallest eigenvalue, (0, log|det|) when positive definite, else
     None) of a symmetric matrix, which is overwritten.
 
-    LAPACK dsytrd_sy2sb('L') reduces the C upper triangle to an orthogonally
-    similar band B of half-width _BAND.  Banded Cholesky, dpbtrf('L') of
+    LAPACK dsytrd_sy2sb('L') reduces the C upper triangle (the lower one is
+    neither read nor checked) to an orthogonally similar band B of half-width _BAND.  Banded Cholesky, dpbtrf('L') of
     B - sI copied into the reduction's workspace, succeeds exactly when s lies
     below B's smallest eigenvalue (to rounding).  B's smallest diagonal
     entry, a Rayleigh quotient, bounds it from above; from there the shift
@@ -513,7 +522,7 @@ def _ldlt(matrix: np.ndarray, uplo: bytes) -> tuple[np.ndarray, np.ndarray]:
     b"U" the C lower one; dsytrf reads and writes only that triangle and the
     diagonal.  Returns (a, ipiv): the factored array (the matrix itself when
     it is a writable C-contiguous float array) and dsytrf's pivot indices.
-    A non-finite matrix or factor raises LinAlgError.  Needs _dsytrf().
+    A non-finite triangle or factor raises LinAlgError.  Needs _dsytrf().
     """
     dsytrf, integer = _dsytrf()
     a = _square(matrix)
@@ -529,7 +538,7 @@ def _ldlt(matrix: np.ndarray, uplo: bytes) -> tuple[np.ndarray, np.ndarray]:
     factor(query, -1)  # workspace query
     lwork = max(1, int(query[0]))
     factor(np.empty(lwork), lwork)
-    if not _finite(a):
+    if not _finite(a if uplo == b"L" else a.T):
         raise np.linalg.LinAlgError("non-finite matrix or LDL^T factor")
     return a, ipiv
 
@@ -569,9 +578,24 @@ def _inertia_logdet(matrix: np.ndarray) -> tuple[int, float]:
     return int(count), float(logdet)
 
 
+def _symmetric_product(matrix: np.ndarray) -> Callable[[np.ndarray, np.ndarray], object]:
+    """(x, out) -> out = M x by BLAS dsymv('L'), which reads only the C upper
+    triangle and the diagonal, as _inertia_logdet does (np.dot, reading all
+    of M, without a dsymv in numpy's BLAS); out must be finite."""
+    blas = _dsymv()
+    if blas is None:
+        return lambda x, out: np.dot(matrix, x, out=out)
+    dsymv, integer = blas
+    a = np.ascontiguousarray(matrix, dtype=float)
+    size, one = ctypes.byref(integer(a.shape[0])), ctypes.byref(integer(1))
+    unit, zero = ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(0.0))
+    return lambda x, out: dsymv(b"L", size, unit, a.ctypes.data, size, x.ctypes.data, one, zero,
+                                out.ctypes.data, one, 1)
+
+
 def _lanczos(matrix: np.ndarray, start: np.ndarray | None = None) -> tuple[float, float] | None:
     """(theta, r): the smallest Ritz value of a symmetric matrix and its
-    residual bound, or None.
+    residual estimate, or None.
 
     Lanczos from start (default: the vector of ones), normalized, and
     reorthogonalized by classical Gram-Schmidt twice, stops once
@@ -582,10 +606,8 @@ def _lanczos(matrix: np.ndarray, start: np.ndarray | None = None) -> tuple[float
     _LANCZOS_STEPS runs on to n), sooner when the Kaniel-Paige rate
     (sqrt(1 + g) - sqrt(g))^2 of the gap ratio
     g = (theta_1 - theta_0) / (theta_max - theta_1) cannot reach the tolerance
-    in the steps left, and on non-finite values.  The product is BLAS
-    dsymv('L'), which reads only the C upper triangle and the diagonal, as
-    _inertia_logdet does (np.dot, reading all of it, without a dsymv in
-    numpy's BLAS).  The matrix is only read.
+    in the steps left, and on non-finite values.  The product is
+    _symmetric_product's.  The matrix is only read.
     """
     n = matrix.shape[0]
     steps = min(_LANCZOS_STEPS, n)
@@ -594,19 +616,10 @@ def _lanczos(matrix: np.ndarray, start: np.ndarray | None = None) -> tuple[float
     basis[0] /= np.linalg.norm(basis[0])
     alpha, beta = np.empty(steps), np.empty(steps)
     w = np.zeros(n)  # dsymv scales it by beta = 0: finite at every call
-    blas = _dsymv()
-    if blas is not None:
-        dsymv, integer = blas
-        a = np.ascontiguousarray(matrix, dtype=float)
-        size, one = ctypes.byref(integer(n)), ctypes.byref(integer(1))
-        unit, zero = ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(0.0))
+    product = _symmetric_product(matrix)
     for j in range(steps):
         q = basis[:j + 1]
-        if blas is None:
-            np.dot(matrix, basis[j], out=w)
-        else:
-            dsymv(b"L", size, unit, a.ctypes.data, size, basis[j].ctypes.data, one, zero,
-                  w.ctypes.data, one, 1)
+        product(basis[j], w)
         h = q @ w
         if not np.all(np.isfinite(h)):
             return None
@@ -648,6 +661,39 @@ def _block_ritz(matrix: np.ndarray) -> tuple[float, float] | None:
     return (float(values[0]), r) if r <= _LANCZOS_TOL * np.abs(a.diagonal()).max() else None
 
 
+def _ritz_bound(matrix: np.ndarray, theta: float, x: np.ndarray, norm: float) -> float:
+    """rho >= ||M x - theta x|| / ||x|| for the stored M, x and theta, given
+    norm = fl(||M||_F): an eigenvalue of M lies within rho of theta (beta |s|
+    of _lanczos is no bound in floating point).  fl(M x) is off by at most
+    n u |M| |x| / (1 - n u), u the unit roundoff, r = fl(fl(M x) - fl(theta x))
+    by u |theta x| + u |r| / (1 - u) more, || |M| |x| || <= ||M||_F ||x||, and
+    the norms of r, x and M are computed within (n + 2) u, (n + 2) u and
+    (n^2 + 2) u: rho = (fl||r|| / fl||x|| + (n + 2) u (norm + |theta|)) (1 +
+    4 (n + 2) u) covers it all for n up to about 1e5."""
+    r = np.zeros(x.size)
+    _symmetric_product(matrix)(x, r)
+    r -= theta * x
+    g = (x.size + 2) * _U
+    return (float(np.linalg.norm(r)) / float(np.linalg.norm(x)) + g * (norm + abs(theta))) * (
+        1.0 + 4.0 * g)
+
+
+def _assembly_error(norm: float, d: np.ndarray, weights: float) -> float:
+    """eps >= ||fl(M) - M||_2 for an assembled matrix fl(M), given norm =
+    fl(||fl(M)||_F), its diagonal term d and the weight sum.  M is assemble's
+    matrix in exact arithmetic on the stored nodes, weights and mu, with the
+    computed Coulomb entries and subtraction (mu-independent: the same bits
+    in every matrix of a scan).  With np.log within 4 ulp: s = p^2 + q^2 + mu
+    and s + pq carry 3u and 4u, s - pq >= s/2 8u, their quotient in (1, 3]
+    14u, its log under 24u absolute, the TMS entry (times 2/pi) under 17u;
+    the Coulomb sum, sqrt(w_i) sqrt(w_j) and the product add 6u |fl(M)_ij|.
+    On the diagonal d carries 2.5u d_i, w_i K_ii 18u w_i, the sums
+    u (1.01 d_i + 0.71 w_i + |fl(M)_ii|).  So |fl(M) - M| <= u (6 |fl(M)| +
+    19 s s^T + 4 diag(d)), s_i = sqrt(w_i), whose Frobenius norm eps =
+    8u (norm + ||d|| + 3 sum w) exceeds, with room for roundings."""
+    return 8.0 * _U * (norm + float(np.linalg.norm(d)) + 3.0 * weights)
+
+
 def _certified_lower_bound(matrix: np.ndarray, theta: float, r: float) -> float | None:
     """A proven lower bound, theta - 2 (r + c), on the smallest eigenvalue
     of a symmetric matrix M given _lanczos's (theta, r), or None.
@@ -673,8 +719,7 @@ def _certified_lower_bound(matrix: np.ndarray, theta: float, r: float) -> float 
     a = _square(matrix)
     n = a.shape[0]
     diagonal = a.diagonal().copy()
-    u = np.finfo(float).eps / 2.0
-    c = 4.0 * (n + 2) * u * (float(np.sum(np.abs(diagonal - theta))) + 2.0 * n * r)
+    c = 4.0 * (n + 2) * _U * (float(np.sum(np.abs(diagonal - theta))) + 2.0 * n * r)
     np.fill_diagonal(a, diagonal - (theta - 2.0 * r - c))
     try:
         _, ipiv = _ldlt(a, b"U")
@@ -683,6 +728,36 @@ def _certified_lower_bound(matrix: np.ndarray, theta: float, r: float) -> float 
         passed = False
     np.fill_diagonal(a, diagonal)
     return theta - 2.0 * (r + c) if passed else None
+
+
+def _second_eigenvalue_bound(matrix: np.ndarray, x: np.ndarray, theta: float,
+                             target: float) -> float | None:
+    """A proven lower bound (above target if the check passes) on the second
+    smallest eigenvalue of a symmetric matrix M, or None; M is overwritten.
+    For unit x and sigma > 0, lambda_0(M + sigma x x^T) <= lambda_1(M) by
+    rank-one interlacing, whatever x is.  x near the ground state (value
+    theta) and sigma = 2 (t - theta) lift that direction above the shift
+    t = target + 4 c + 8u ||M||_F (c: _certified_lower_bound's term for M at
+    target).  fl(B), formed on the triangle the check reads, lies within
+    spread = 4u (||M||_F + 2 sigma) of B: a pass proves lambda_1(M) >=
+    t - 2 c(fl(B), t) - spread."""
+    n, norm = x.size, float(np.linalg.norm(matrix))
+    t = target + 16.0 * (n + 2) * _U * float(np.sum(np.abs(matrix.diagonal() - target))) + (
+        8.0 * _U * norm)
+    sigma, x = 2.0 * (t - theta), x / np.linalg.norm(x)
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        matrix[lo:hi, :hi] += (sigma * x[lo:hi, None]) * x[:hi]
+    spread = 4.0 * _U * (norm + 2.0 * sigma)
+    bound = _certified_lower_bound(matrix, t, 0.0)
+    return None if bound is None else bound - spread
+
+
+def _checked_value(matrix: np.ndarray, ritz: tuple[float, float] | None) -> float:
+    # theta of ritz = (theta, r) if certified, else _lowest_eigenvalue's value
+    if ritz is not None and _certified_lower_bound(matrix, *ritz) is not None:
+        return ritz[0]
+    return _lowest_eigenvalue(matrix)[0]
 
 
 def _restore_upper(a: np.ndarray, diagonal: np.ndarray) -> None:
@@ -696,18 +771,25 @@ def _restore_upper(a: np.ndarray, diagonal: np.ndarray) -> None:
     np.fill_diagonal(a, diagonal)
 
 
-def _sweep_point(build: Callable[[], np.ndarray],
-                 start: np.ndarray | None) -> tuple[float, int, float | None]:
+def _sweep_point(build: Callable[[], np.ndarray], start: np.ndarray | None,
+                 agree: Callable[[float, float, float, float], int | None] | None = None
+                 ) -> tuple[float, int, float | None]:
     """(smallest eigenvalue, number of negative eigenvalues, log|det|) of
-    build()'s matrix: the certified value of _lanczos from a given start (if
-    negative) or of _block_ritz, with count 0 and log|det| None (deferred)
-    where its bound is positive, else the _inertia_logdet pair; failing that,
-    _lowest_eigenvalue's and, unless that proves the matrix positive definite,
-    the pair of the upper triangle it spent, copied back from the lower one.
-    Only the certificate spends that one; only after it is the matrix built
-    again."""
+    build()'s matrix.  Given agree (a delta < delta0 scan's), a point whose
+    _lanczos value theta plus _ritz_bound rho is negative is pending: no
+    certificate, and it factors only if agree(theta, r, rho, ||M||_F) gives
+    no count (else log|det| is None).  Else: the certified value of _lanczos
+    (if negative) or _block_ritz, with (0, None) where its bound is
+    positive, else the _inertia_logdet pair; failing that,
+    _lowest_eigenvalue's and, unless M is positive definite, the pair of the
+    upper triangle restored from the lower one (or of a new build)."""
     matrix = build()
     ritz = _block_ritz(matrix) if start is None else _lanczos(matrix, start)
+    if agree is not None and ritz is not None and ritz[0] < 0.0:
+        norm = float(np.linalg.norm(matrix))
+        if ritz[0] + (rho := _ritz_bound(matrix, ritz[0], start, norm)) < 0.0:
+            count = agree(*ritz, rho, norm)
+            return ritz[0], *((count, None) if count is not None else _inertia_logdet(matrix))
     lower = ritz is None or (start is not None and ritz[0] >= 0.0)  # no certificate yet
     if not lower and (bound := _certified_lower_bound(matrix, *ritz)) is not None:
         if bound > 0.0:
@@ -790,24 +872,46 @@ class SpectralScan:
     crossings: list[float]
 
 
+def _bisection_order(n: int) -> list[int]:
+    # 0, n - 1, then level by level the midpoint of each span between them
+    order, spans = [0, n - 1], [(0, n - 1)]
+    while spans := [half for lo, hi in spans if hi - lo > 1
+                    for half in ((lo, (lo + hi) // 2), ((lo + hi) // 2, hi))]:
+        order += [mid for _, mid in spans[::2]]
+    return order
+
+
 def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
                   n_mu: int) -> SpectralScan:
     """Sweep mu log-spaced, recording the smallest eigenvalue, the number of
     negative eigenvalues, and every mu at which the operator is singular.
 
-    The operator increases with mu, so each bound state of the cutoff
-    problem is a unit drop of the negative count between consecutive sweep
-    points.  Brent's method refines it, level k, in log mu, one assembly and
-    one LDL^T factorization a step (its inertia gives the sign, its
-    determinant the size), to a bracket _REFINE_REL wide (relative), and
-    reports the bracket's geometric midpoint.  For delta < delta0 the
-    calling thread first computes the middle sweep point's ground state,
-    from which every point's _lanczos starts: it changes little with mu.
-    From delta0 up a point's value comes from _block_ritz, and the calling
-    thread factors a proven point (count 0) only where it ends a bracket.
-    The sweep points, then each crossing's refinement once both ends of its
-    bracket are done, run on one pool of TRIBOS_THREADS threads (default:
-    the CPU count), with single-threaded BLAS.
+    M(mu) increases with mu: dM/dmu = diag(1/(2 d_i)) + S K' S, S = diag(sqrt(w)),
+    where K'(p, q) = (4/pi) pq / ((p^2+q^2+mu)^2 - p^2 q^2) = (4/pi) int_0^inf
+    exp(-t (p^2+q^2+mu)) sinh(t pq) dt is positive definite (sinh has only
+    positive odd Taylor coefficients); the Coulomb terms do not depend on mu.
+    So each bound state of the cutoff problem is a unit drop of the negative
+    count between consecutive sweep points.  Brent's method refines it in
+    log mu (one assembly and LDL^T a step: inertia gives the sign,
+    determinant the size) to a bracket _REFINE_REL wide, and reports its
+    geometric midpoint.  For delta < delta0 every point's _lanczos starts
+    from the middle point's ground state, computed first; points go to the
+    pool ends first, in bisection order, and a pending one (_sweep_point)
+    between two known equal counts has that count.  Then one task proves
+    lambda_1(M(mu0)) > tau (_second_eigenvalue_bound), mu0 the lowest
+    pending mu, tau above eps_0 plus every pending theta_i + rho_i + eps_i
+    (_assembly_error): lambda_1 of point i exceeds theta_i + rho_i, so the
+    eigenvalue within rho_i of theta_i is the smallest.  If the proof fails
+    (or numpy has no dsytrf), each pending point builds again for the
+    certificate, then the band solve.  From delta0 up points solve by
+    _block_ritz.  The calling thread factors a bracket end lacking log|det|;
+    the rest runs on a pool of TRIBOS_THREADS threads (default: the CPU
+    count), with single-threaded BLAS.  Which finished neighbours a pending
+    point sees depends on timing, so no output depends on the thread count
+    or on the order in which tasks finish only if the computed counts, like
+    the exact ones, do not increase with mu; they may not when an eigenvalue
+    lies within rounding of 0 at a sweep mu, and then a count, or whether
+    the scan raises on an increase, can depend on that order.
     """
     if not (0.0 < mu_lo < mu_hi):
         raise ValueError("need 0 < mu_lo < mu_hi")
@@ -817,20 +921,41 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     width = math.log1p(_REFINE_REL)
     workers = min(_thread_count(), n_mu)
     p = grid.nodes
+    thomas, weights = delta < _DELTA0, math.fsum(grid.weights)
     with _single_threaded_blas():
         subtraction = _coulomb_part(p, grid.weights, delta) if delta != 0.0 else None
 
         def build(mu: float) -> np.ndarray:
             return assemble(grid, ModelParams(mu=mu, delta=delta), subtraction)
 
-        start = np.ones(p.size) if delta < _DELTA0 else None
-        if start is not None:  # becomes the middle point's Ritz vector (ones if Lanczos gives up)
+        start = np.ones(p.size) if thomas else None
+        if thomas:  # becomes the middle point's Ritz vector (ones if Lanczos gives up)
             _lanczos(build(float(mus[n_mu // 2])), start)
+        starts = [None if start is None else start.copy() for _ in mus]
+        sweep, points, pending = [None] * n_mu, [None] * n_mu, {}
+
+        def agree(i: int, theta: float, r: float, rho: float, norm: float) -> int | None:
+            # records pending point i; the count of its nearest finished neighbours if equal
+            eps = _assembly_error(norm, _diagonal_term(p, float(mus[i])), weights)
+            pending[i] = theta, r, theta + rho + eps, eps
+            done = [point.result()[1] if point is not None and point.done() else None
+                    for point in points]
+            left, right = ([c for c in side if c is not None] for side in (done[:i], done[i + 1:]))
+            return left[-1] if left and right and left[-1] == right[0] else None
+
+        def prove() -> set[int]:
+            # the pending points covered by one proof at the lowest pending mu
+            j = min(pending)
+            eps = pending[j][3]
+            bound = _second_eigenvalue_bound(build(float(mus[j])), starts[j], pending[j][0],
+                                             max(tau for _, _, tau, _ in pending.values()) + eps)
+            return set() if bound is None else {i for i in pending if pending[i][2] + eps < bound}
 
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
-            points = [pool.submit(_sweep_point, functools.partial(build, float(mu)),
-                                  None if start is None else start.copy()) for mu in mus]
+            for i in _bisection_order(n_mu):
+                points[i] = pool.submit(_sweep_point, functools.partial(build, float(mus[i])),
+                                        starts[i], functools.partial(agree, i) if thomas else None)
 
             def log_size(mu: float, logdet: float) -> float:
                 # log(|det| / prod_j d_j): the diagonal's growth divided out
@@ -854,17 +979,26 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
                 return math.exp(_brent_crossing(f, math.log(mus[i]), fa,
                                                 math.log(mus[i + 1]), fb, width))
 
-            # a bracket's refinements start once both its ends are done
-            sweep, chains = [points[0].result()], []
-            for i in range(n_mu - 1):
-                sweep.append(points[i + 1].result())
-                lo, hi = sweep[i][1], sweep[i + 1][1]
-                if hi > lo:
-                    raise RuntimeError("negative-eigenvalue count increased with mu")
-                if hi < lo and sweep[i + 1][2] is None:  # a proven end: factor it now
-                    sweep[i + 1] = (*sweep[i + 1][:2], _inertia_logdet(build(mus[i + 1]))[1])
-                chains += [pool.submit(refine, i, level - 1) for level in range(hi + 1, lo + 1)]
+            chains = []  # a bracket's refinements start once both its ends are done
+            for point in as_completed(points):
+                j = points.index(point)
+                sweep[j] = point.result()
+                for i in (j - 1, j):
+                    if 0 <= i < n_mu - 1 and None not in (sweep[i], sweep[i + 1]):
+                        lo, hi = sweep[i][1], sweep[i + 1][1]
+                        if hi > lo:
+                            raise RuntimeError("negative-eigenvalue count increased with mu")
+                        for end in (i, i + 1) if hi < lo else ():
+                            if sweep[end][2] is None:  # a proven or agreed end: factor it now
+                                sweep[end] = (*sweep[end][:2], _inertia_logdet(build(mus[end]))[1])
+                        chains += [pool.submit(refine, i, level - 1)
+                                   for level in range(hi + 1, lo + 1)]
+            covered = pool.submit(prove).result() if pending and _dsytrf() is not None else set()
+            rechecks = {i: pool.submit(lambda j: _checked_value(build(mus[j]), pending[j][:2]), i)
+                        for i in sorted(pending) if i not in covered}
             crossings = [chain.result() for chain in chains]
+            for i, value in rechecks.items():
+                sweep[i] = (value.result(), *sweep[i][1:])
         finally:
             pool.shutdown(cancel_futures=True)  # after a failure, drop queued work
     return SpectralScan(mus=mus, smallest=np.array([smallest for smallest, _, _ in sweep]),

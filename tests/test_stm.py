@@ -382,21 +382,42 @@ def _record_calls(monkeypatch, names, record=lambda: None):
     return calls
 
 
+def _factored_points(counts):
+    # the sweep points that factor for their count when every point is
+    # pending and they run one at a time in bisection order: those whose
+    # nearest finished neighbours' counts differ or are missing
+    known, factored = [None] * len(counts), 0
+    for i in stm._bisection_order(len(counts)):
+        left = [c for c in known[:i] if c is not None][-1:]
+        right = [c for c in known[i + 1:] if c is not None][:1]
+        factored += not (left and left == right)
+        known[i] = counts[i]
+    return factored
+
+
 def test_scan_refinement_solve_budget(monkeypatch):
-    # delta = 0: each sweep point is a Lanczos iteration and two LDL^T
-    # factorizations (the check and the inertia), no band solve, and the
+    # delta = 0 on one pool thread: each sweep point is a Lanczos iteration,
+    # an LDL^T inertia only where its neighbours' counts do not settle it,
+    # one proof certificate for the whole scan, no band solve, and the
     # refinement factorizes only; delta >= delta0: one block solve and one
     # certificate per point, no band solve and no inertia
+    monkeypatch.setenv("TRIBOS_THREADS", "1")
     grid = build_grid(*_LADDER_GRID)
     calls = _record_calls(monkeypatch, ("_lowest_eigenvalue", "_ldlt", "_certified_lower_bound",
                                         "_block_ritz", "_inertia_logdet"))
+    steps, brent = [], stm._brent_crossing
+    monkeypatch.setattr(stm, "_brent_crossing", lambda f, *a: brent(
+        lambda t: steps.append(t) or f(t), *a))
     n_mu = 9
     result = scan_spectrum(grid, 0.0, 1e-4, 1e4, n_mu)
     assert len(result.crossings) == 3
     assert len(calls["_lowest_eigenvalue"]) == 0
-    assert len(calls["_certified_lower_bound"]) == n_mu
-    refinement = len(calls["_ldlt"]) - 2 * n_mu
-    assert 0 < refinement <= 8 * len(result.crossings)
+    assert len(calls["_certified_lower_bound"]) == 1
+    factored = _factored_points(result.negative_counts)
+    assert factored == 8  # counts 4 4 4 3 3 3 2 2 1: only the second point is settled
+    assert 0 < len(steps) <= 8 * len(result.crossings)
+    assert len(calls["_inertia_logdet"]) == factored + len(steps)
+    assert len(calls["_ldlt"]) == 1 + factored + len(steps)
     for seen in calls.values():
         seen.clear()
     n_mu = 5
@@ -507,6 +528,18 @@ def test_eigen_solve_fallback_rejects_non_finite_matrices(monkeypatch, bad):
     for solve in (stm._lowest_eigenvalue, stm._inertia_logdet):
         with pytest.raises(np.linalg.LinAlgError):
             solve(a.copy())
+
+
+def test_eigen_solve_fallback_reads_the_upper_triangle(monkeypatch):
+    # as the band solve and the inertia do: a certificate's spent (here NaN)
+    # lower triangle changes nothing
+    _hide_band_routines(monkeypatch)
+    monkeypatch.setattr(stm, "_dsytrf", lambda: None)
+    a = _symmetric(40, 4)
+    spent = a.copy()
+    spent[np.tril_indices(40, -1)] = math.nan
+    assert stm._lowest_eigenvalue(spent.copy()) == stm._lowest_eigenvalue(a.copy())
+    assert stm._inertia_logdet(spent) == stm._inertia_logdet(a)
 
 
 def test_level_value_keeps_its_sign_when_it_underflows():
@@ -651,6 +684,11 @@ def test_in_place_eigenvalues_reject_non_finite_matrices():
             stm._lowest_eigenvalue(a.copy())
         with pytest.raises(np.linalg.LinAlgError, match="non-finite matrix"):
             smallest_eigenvalue(a)
+        # the public solve checks both triangles, also at the scan's size
+        for b in (_symmetric(30, 2), assemble(build_grid(*_LADDER_GRID), ModelParams(mu=1.0))):
+            b[-1, 3] = value  # below the diagonal and, at n 250, the leading block
+            with pytest.raises(np.linalg.LinAlgError, match="non-finite matrix"):
+                smallest_eigenvalue(b)
     # finite entries whose reduction overflows
     with pytest.raises(np.linalg.LinAlgError, match="non-finite band"):
         stm._lowest_eigenvalue(np.full((40, 40), 1e308))
@@ -691,14 +729,18 @@ def test_band_smallest_eigenvalue_of_indefinite_matrices_against_mpmath(n):
 
 
 def test_finiteness_check_reads_every_row_block():
-    # n = 70: three row blocks, the last one clipped
+    # n = 70: three row blocks, the last one clipped; the check reads the C
+    # upper triangle and the diagonal, all that the solves read
     a = _symmetric(70, 2)
     assert stm._finite(a)
-    for i, j in ((4, 9), (50, 3), (69, 69)):
+    for i, j in ((4, 9), (3, 50), (40, 45), (50, 66), (69, 69)):
         for value in (math.inf, -math.inf, math.nan):
             b = a.copy()
             b[i, j] = value
             assert not stm._finite(b)
+            if i != j:  # the mirror entry, below the diagonal, is not read
+                b[i, j], b[j, i] = a[i, j], value
+                assert stm._finite(b)
 
 
 def _assert_matching_scan(a, b, grid, delta):
@@ -758,10 +800,10 @@ def test_give_up_points_assemble_their_matrix_once(monkeypatch):
         assert np.array_equal(spent.view(np.uint64), matrix.view(np.uint64))
     builds, sweep_point = [], stm._sweep_point
 
-    def counted(build, start):
+    def counted(build, start, agree):
         calls = []
         builds.append(calls)
-        return sweep_point(lambda: calls.append(1) or build(), start)
+        return sweep_point(lambda: calls.append(1) or build(), start, agree)
 
     monkeypatch.setattr(stm, "_sweep_point", counted)
     scan = scan_spectrum(grid, 0.6, 1e-4, 1e4, 5)
@@ -778,8 +820,8 @@ def test_a_proven_bracket_end_is_factored_once(monkeypatch):
     mus = np.geomspace(1e-2, 1e2, 5)
     sweep_point, assemble_matrix, built = stm._sweep_point, stm.assemble, []
 
-    def forced(build, start):  # build is partial(build, mu)
-        smallest, count, logdet = sweep_point(build, start)
+    def forced(build, start, agree):  # build is partial(build, mu)
+        smallest, count, logdet = sweep_point(build, start, agree)
         if build.args[0] == mus[0]:
             return smallest, 2, stm._inertia_logdet(build())[1]
         return smallest, count, logdet
@@ -904,35 +946,42 @@ def test_sweep_points_start_from_the_head_ground_state(monkeypatch, delta, max_p
     # Every point starts Lanczos from the middle point's Ritz vector, which
     # the calling thread computes first: 186 (delta = 0) and 278 (delta =
     # 0.3) matrix-vector products in all, against 268 and 364 when each
-    # point started from ones.  Each value stays certified and within 1e-13
-    # of eigvalsh.
+    # point started from ones, and one more a point for its residual bound.
+    # The one proof of the scan covers every value, each within 1e-13 of
+    # eigvalsh: the second eigenvalue at the lowest mu, proven above every
+    # theta + rho, lies below the true one.
     _needs_dsymv()
     dsymv, integer = stm._dsymv()
-    products, points = [], []
-    certify = stm._certified_lower_bound
+    products, proofs, bounds = [], [], {}
+    grid = build_grid(*_LADDER_GRID)
+    prove, ritz_bound = stm._second_eigenvalue_bound, stm._ritz_bound
 
-    def check(matrix, theta, r):
-        lowest = np.linalg.eigvalsh(matrix)[0]
-        low = certify(matrix, theta, r)
-        points.append((theta, low, lowest))
-        return low
+    def proof(matrix, x, theta, target):
+        second = np.linalg.eigvalsh(matrix)[1]
+        proofs.append((second, target, prove(matrix, x, theta, target)))
+        return proofs[-1][2]
 
     monkeypatch.setattr(stm, "_dsymv", lambda: (lambda *a: products.append(1) or dsymv(*a),
                                                 integer))
-    monkeypatch.setattr(stm, "_certified_lower_bound", check)
+    monkeypatch.setattr(stm, "_second_eigenvalue_bound", proof)
+    monkeypatch.setattr(stm, "_ritz_bound", lambda matrix, theta, *a: bounds.setdefault(
+        theta, ritz_bound(matrix, theta, *a)))
+    certify = _record_calls(monkeypatch, ("_certified_lower_bound",))["_certified_lower_bound"]
     n_mu = 9
-    scan = scan_spectrum(build_grid(*_LADDER_GRID), delta, 1e-4, 1e4, n_mu)
-    assert len(points) == n_mu and len(products) <= max_products
-    assert sorted(scan.smallest) == sorted(theta for theta, _, _ in points)
-    for theta, low, lowest in points:
-        assert low is not None and abs(theta - lowest) <= theta - low
-        assert abs(theta / lowest - 1.0) <= 1e-13
+    scan = scan_spectrum(grid, delta, 1e-4, 1e4, n_mu)
+    assert len(bounds) == n_mu and len(products) <= max_products
+    [(second, target, bound)] = proofs
+    assert len(certify) == 1 and target < bound <= second
+    for mu, theta in zip(scan.mus, scan.smallest):
+        ev = np.linalg.eigvalsh(assemble(grid, ModelParams(mu=float(mu), delta=delta)))
+        assert abs(theta / ev[0] - 1.0) <= 1e-13 and theta + bounds[theta] < bound < ev[1]
 
 
 def test_ground_state_comes_first_then_every_point_at_once(monkeypatch):
     # The calling thread runs the middle point's Lanczos iteration before
-    # the pool exists; then every sweep point is submitted, before any
-    # refinement, each with its own copy of that Ritz vector.
+    # the pool exists; then every sweep point is submitted, ends first in
+    # bisection order and before any refinement, each with its own copy of
+    # that Ritz vector; the proof comes last, once every point is done.
     grid = build_grid(*_LADDER_GRID)
     monkeypatch.setenv("TRIBOS_THREADS", "2")
     reference = scan_spectrum(grid, 0.0, 1e-4, 1e4, 5)
@@ -951,7 +1000,8 @@ def test_ground_state_comes_first_then_every_point_at_once(monkeypatch):
         def submit(self, fn, *args):
             if fn is stm._sweep_point:
                 starts.append(args[1])
-            events.append(("submit", fn, np.array(args[1]) if fn is stm._sweep_point else None))
+            events.append(("submit", fn, (args[0].args[0], np.array(args[1]))
+                           if fn is stm._sweep_point else None))
             return super().submit(fn, *args)
 
     monkeypatch.setattr(stm, "_lanczos", run)
@@ -960,10 +1010,12 @@ def test_ground_state_comes_first_then_every_point_at_once(monkeypatch):
     caller = threading.get_ident()
     assert [kind for kind, _, _ in events[:2]] == ["lanczos", "pool"]
     assert events[0][1] == events[1][1] == caller
-    submitted = [(fn, start) for kind, fn, start in events if kind == "submit"]
+    submitted = [(fn, point) for kind, fn, point in events if kind == "submit"]
     assert [fn for fn, _ in submitted[:5]] == [stm._sweep_point] * 5
+    assert [mu for _, (mu, _) in submitted[:5]] == [reference.mus[i] for i in (0, 4, 2, 1, 3)]
     assert stm._sweep_point not in [fn for fn, _ in submitted[5:]]
-    assert all(np.array_equal(start, events[0][2]) for _, start in submitted[:5])
+    assert submitted[-1][0].__name__ == "prove"
+    assert all(np.array_equal(start, events[0][2]) for _, (_, start) in submitted[:5])
     assert len({id(start) for start in starts}) == 5
     assert sum(thread != caller for kind, thread, _ in events if kind == "lanczos") == 5
 
@@ -1112,3 +1164,249 @@ def test_model_params_rejects_non_finite(field, value):
 def test_build_grid_rejects_non_finite_bounds(bounds):
     with pytest.raises(ValueError):
         build_grid(*bounds, 16)
+
+
+def _assert_same_bits(a, b):
+    assert a.mus.tobytes() == b.mus.tobytes()
+    assert a.smallest.tobytes() == b.smallest.tobytes()
+    assert a.negative_counts.tobytes() == b.negative_counts.tobytes()
+    assert np.array(a.crossings).tobytes() == np.array(b.crossings).tobytes()
+
+
+def _tms_derivative(p, q, mu):
+    # K'(p, q) = (4/pi) pq / ((p^2 + q^2 + mu)^2 - p^2 q^2), tms_kernel's mu-derivative
+    s = p * p + q * q + mu
+    return (4.0 / math.pi) * p * q / (s * s - (p * q) ** 2)
+
+
+def test_tms_kernel_derivative_against_a_finite_difference():
+    from scipy.integrate import quad
+
+    p, q = np.exp(np.random.default_rng(3).uniform(-6.0, 6.0, (2, 300)))
+    for mu in (1e-3, 1.0, 1e3):
+        h = 1e-4 * mu
+        central = (tms_kernel(p, q, mu + h) - tms_kernel(p, q, mu - h)) / (2.0 * h)
+        assert np.allclose(central, _tms_derivative(p, q, mu), rtol=1e-6, atol=1e-14 / h)
+    # and its integral form (4/pi) int_0^inf exp(-t (p^2+q^2+mu)) sinh(t pq) dt
+    for pk, qk, mu in ((0.3, 0.5, 0.1), (2.0, 7.0, 1.0), (1.0, 1.0, 1e-3)):
+        s, pq = pk * pk + qk * qk + mu, pk * qk  # exp(-t s) sinh(t pq), without overflow
+        value = quad(lambda t: 0.5 * (math.exp(-t * (s - pq)) - math.exp(-t * (s + pq))),
+                     0.0, math.inf)[0]
+        assert (4.0 / math.pi) * value == pytest.approx(_tms_derivative(pk, qk, mu), rel=1e-9)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.6, 1.0])
+@pytest.mark.parametrize("window, n", [((1e-2, 1e2), 160), ((1e-4, 1e4), 1000)])
+def test_matrix_increases_with_mu(delta, window, n):
+    # M(mu2) - M(mu1), mu2 > mu1, proven positive definite by the LDL^T
+    # certificate, with room for the rounding of both assemblies and of the
+    # difference: the scan's monotonicity holds for the exact matrices.
+    # Its smallest eigenvalue is about (mu2 - mu1) / (2 max d): 5.8e-6 on
+    # [1e-2, 1e2] and 5.8e-8 on [1e-4, 1e4].
+    grid = build_grid(*window, n)
+    subtraction = stm._coulomb_part(grid.nodes, grid.weights, delta) if delta else None
+    lower, upper = (assemble(grid, ModelParams(mu=mu, delta=delta), subtraction)
+                    for mu in (1.0, 1.001))
+    difference = upper - lower
+    smallest = np.linalg.eigvalsh(difference)[0]
+    assert 0.5e-3 / (2.0 * math.sqrt(0.75) * window[1]) < smallest
+    bound = stm._certified_lower_bound(difference.copy(), smallest / 2.0, 0.0)
+    weights = math.fsum(grid.weights)
+    rounding = sum(stm._assembly_error(float(np.linalg.norm(m)), stm._diagonal_term(
+        grid.nodes, mu), weights) for m, mu in ((lower, 1.0), (upper, 1.001)))
+    assert bound is not None and bound > rounding + _U * float(np.linalg.norm(difference))
+
+
+def _long_double_assembly(grid, params):
+    # _reference_assembly's formulas in long double on the same nodes,
+    # weights and mu, with the Coulomb entries and the subtraction term in
+    # double, as assemble computes them
+    ld = np.longdouble
+    p, w = grid.nodes, grid.weights
+    P, Q = p[:, None].astype(ld), p[None, :].astype(ld)
+    s = P * P + Q * Q + ld(params.mu)
+    K = -(2.0 / (4.0 * np.arctan(ld(1.0)))) * np.log((s + P * Q) / (s - P * Q))
+    diag_kernel = np.diag(K).copy()
+    extra = np.zeros(p.size)
+    if params.delta != 0.0:
+        with np.errstate(divide="ignore"):
+            C = (params.delta / math.pi) * np.log((p[:, None] + p) / np.abs(p[:, None] - p))
+        np.fill_diagonal(C, 0.0)
+        K = K + C
+        extra = stm._coulomb_part(p, w, params.delta)
+    sw = np.sqrt(w.astype(ld))
+    M = sw[:, None] * sw * K
+    np.fill_diagonal(M, np.sqrt(0.75 * P[:, 0] ** 2 + ld(params.mu)) + w * diag_kernel + extra)
+    return M
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0])
+def test_assembly_error_bounds_the_rounding_of_assemble(delta):
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("long double is no wider than double here")
+    grid = build_grid(1e-4, 1e4, 120)
+    weights = math.fsum(grid.weights)
+    for mu in (1e-3, 0.7, 1e3):
+        params = ModelParams(mu=mu, delta=delta)
+        built = assemble(grid, params)
+        error = np.linalg.norm((built - _long_double_assembly(grid, params)).astype(float), 2)
+        eps = stm._assembly_error(float(np.linalg.norm(built)), stm._diagonal_term(grid.nodes, mu),
+                                  weights)
+        assert 0.0 < error <= eps
+
+
+def test_ritz_bound_covers_the_exact_residual():
+    # rho against ||M x - theta x|| / ||x|| in 40 digits, for a Lanczos pair
+    # and for a rough one; an eigenvalue lies within rho of theta
+    matrix = assemble(build_grid(1e-4, 1e4, 60), ModelParams(mu=0.7))
+    x = np.ones(60)
+    theta, _ = stm._lanczos(matrix, x)
+    norm = float(np.linalg.norm(matrix))
+    ev = np.linalg.eigvalsh(matrix)
+    for vector, value in ((x, theta), (np.linspace(1.0, 2.0, 60), -3.0)):
+        rho = stm._ritz_bound(matrix, value, vector, norm)
+        with mp.workdps(40):
+            m, v = mp.matrix(matrix.tolist()), mp.matrix(vector.tolist())
+            exact = float(mp.norm(m * v - mp.mpf(value) * v) / mp.norm(v))
+        assert exact <= rho <= exact + 4.0 * (60 + 2) * _U * (norm + abs(value))
+        assert np.min(np.abs(ev - value)) <= rho
+
+
+def test_second_eigenvalue_bound_proves_only_what_holds():
+    matrix = assemble(build_grid(*_LADDER_GRID), ModelParams(mu=0.7))
+    ev = np.linalg.eigvalsh(matrix)
+    x = np.ones(len(matrix))
+    theta, _ = stm._lanczos(matrix, x)
+    for target in (ev[0] + 1.0, 0.5 * (ev[0] + ev[1]), ev[1] - 1e-6 * abs(ev[1])):
+        bound = stm._second_eigenvalue_bound(matrix.copy(), x, theta, target)
+        assert bound is not None and target < bound <= ev[1]
+    for target in (ev[1], ev[1] + 1.0):  # not true: no proof
+        assert stm._second_eigenvalue_bound(matrix.copy(), x, theta, target) is None
+    # a vector far from the ground state proves nothing false either
+    bound = stm._second_eigenvalue_bound(matrix.copy(), np.ones(len(matrix)), theta, ev[0] + 1.0)
+    assert bound is None or bound <= ev[1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9, 25, 31])
+def test_bisection_order_puts_the_ends_first(n):
+    order = stm._bisection_order(n)
+    assert sorted(order) == list(range(n)) and order[:2] == [0, n - 1]
+    for k, i in enumerate(order[2:], 2):  # the midpoint of the span it falls in
+        placed = order[:k]
+        assert i == (max(j for j in placed if j < i) + min(j for j in placed if j > i)) // 2
+
+
+@pytest.mark.parametrize("delta, n_mu", [(0.0, 25), (0.3, 13)])
+def test_scan_counts_match_a_factorization_of_every_point(monkeypatch, delta, n_mu):
+    grid = build_grid(*_LADDER_GRID)
+    points, sweep_point = [], stm._sweep_point
+    monkeypatch.setattr(stm, "_sweep_point",
+                        lambda *a: points.append(sweep_point(*a)) or points[-1])
+    scan = scan_spectrum(grid, delta, 1e-4, 1e4, n_mu)
+    reference = [stm._inertia_logdet(assemble(grid, ModelParams(mu=float(mu), delta=delta)))[0]
+                 for mu in scan.mus]
+    assert list(scan.negative_counts) == reference
+    assert any(logdet is None for _, _, logdet in points)  # some count came from its neighbours
+
+
+class _ReversePool(stm.ThreadPoolExecutor):
+    # runs the n sweep points one at a time, the last submitted first, on
+    # threads of their own; everything else as submitted
+    def __init__(self, n):
+        super().__init__(max_workers=n + 4)
+        self.finished = [threading.Event() for _ in range(n + 1)]
+        self.finished[n].set()
+        self.points = 0
+
+    def submit(self, fn, *args):
+        if fn is not stm._sweep_point:
+            return super().submit(fn, *args)
+        k, self.points = self.points, self.points + 1
+
+        def run():
+            self.finished[k + 1].wait()
+            try:
+                return fn(*args)
+            finally:
+                self.finished[k].set()
+
+        return super().submit(run)
+
+
+def test_scan_bits_independent_of_threads_and_finishing_order(monkeypatch):
+    grid = build_grid(*_LADDER_GRID)
+    cases = [(0.0, 1e-4, 1e4, 25), (0.3, 1e-4, 1e4, 13), (0.0, 1e-2, 1e2, 6)]
+    monkeypatch.setenv("TRIBOS_THREADS", "1")
+    references = [scan_spectrum(grid, *case) for case in cases]
+    for threads in ("2", "4"):
+        monkeypatch.setenv("TRIBOS_THREADS", threads)
+        for case, reference in zip(cases, references):
+            _assert_same_bits(scan_spectrum(grid, *case), reference)
+    for case, reference in zip(cases, references):
+        monkeypatch.setattr(stm, "ThreadPoolExecutor",
+                            lambda max_workers, n=case[3]: _ReversePool(n))
+        _assert_same_bits(scan_spectrum(grid, *case), reference)
+
+
+def test_a_failed_proof_falls_back_with_the_same_bytes(monkeypatch):
+    # the one proof fails: all nine points take the certificate again
+    grid = build_grid(*_LADDER_GRID)
+    reference = scan_spectrum(grid, 0.0, 1e-4, 1e4, 9)
+    attempts = []
+
+    def attempt(*args):
+        attempts.append(1)
+
+    monkeypatch.setattr(stm, "_second_eigenvalue_bound", attempt)
+    checks = _record_calls(monkeypatch, ("_checked_value",))["_checked_value"]
+    _assert_same_bits(scan_spectrum(grid, 0.0, 1e-4, 1e4, 9), reference)
+    assert len(attempts) == 1 and len(checks) == 9
+
+
+@pytest.mark.parametrize("fill", [1e3, math.nan])
+def test_a_spent_lower_triangle_keeps_the_band_fallback(monkeypatch, fill):
+    # Every certificate fails and leaves fill below the diagonal (NaN gave
+    # a non-finite-matrix error, exit 3): the band solve and the inertia read
+    # only the upper triangle, so each point gets the band value of its
+    # fresh matrix and the count of its inertia.
+    grid = build_grid(*_LADDER_GRID)
+    certify = stm._certified_lower_bound
+
+    def fail(matrix, theta, r):
+        certify(matrix, theta, r)
+        matrix[np.tril_indices(len(matrix), -1)] = fill
+
+    monkeypatch.setattr(stm, "_certified_lower_bound", fail)
+    for delta, mu_lo, mu_hi in ((1.0, 1e-2, 1e2), (0.0, 1e-4, 1e4)):
+        scan = scan_spectrum(grid, delta, mu_lo, mu_hi, 5)
+        for mu, smallest, count in zip(scan.mus, scan.smallest, scan.negative_counts):
+            matrix = assemble(grid, ModelParams(mu=float(mu), delta=delta))
+            with stm._single_threaded_blas():  # as the scan solves
+                assert smallest == stm._lowest_eigenvalue(matrix.copy())[0]
+            assert count == stm._inertia_logdet(matrix)[0]
+        assert len(scan.crossings) == (0 if delta else 3)
+    op = assemble(grid, ModelParams(mu=0.7, delta=1.0))
+    assert smallest_eigenvalue(op) == stm._lowest_eigenvalue(op.copy())[0]
+
+
+def test_smallest_eigenvalue_pays_for_no_count(monkeypatch):
+    # test_smallest_eigenvalue_shift_identity's matrix: the block's residual
+    # misses, and the value is the band solve's, with no inertia and no
+    # restored triangle; at n <= _BLOCK the block is the whole matrix and its
+    # negative Ritz value is certified, again without an inertia
+    root = math.sqrt(2.0)
+    band = {}
+    for n in (200, 150):
+        op = assemble(build_grid(1e-4 * root, 1e4 * root, n), ModelParams(mu=2.0))
+        band[n] = stm._lowest_eigenvalue(op.copy())[0]
+        calls = _record_calls(monkeypatch, ("_inertia_logdet", "_restore_upper",
+                                            "_lowest_eigenvalue"))
+        value = smallest_eigenvalue(op)
+        assert not calls["_inertia_logdet"] and not calls["_restore_upper"]
+        assert len(calls["_lowest_eigenvalue"]) == (n > stm._BLOCK)
+        if n > stm._BLOCK:
+            assert value == band[n]
+        else:
+            assert value < 0.0
+            _assert_near_eigvalsh(value, op)
+        monkeypatch.undo()
