@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -50,6 +51,8 @@ _PARAMS: dict[str, dict[str, tuple[type, object]]] = {
 # rejects every draw; an h accepting one draw in 100 gives up with
 # probability 0.99^10000 < 1e-43.
 _THOMAS_MAX_MISSES = 10000
+_THOMAS_BLOCK = 256  # Thomas points per array pass: memory bounded at any --n-points
+_CSV_BLOCK = 4096  # CSV rows formatted by one %-template
 
 # The one output format of each command.
 _FORMATS = {"s0": "json", "delta0": "json", "residual": "json",
@@ -98,14 +101,10 @@ class RunConfig:
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
 
 
-def _spec(cls: type) -> str:
+def _fmt(x) -> str:
     # "%.17g" % x is format(x, ".17g") for floats (np.float64 included);
     # "%s" % (x,) is str(x)
-    return "%.17g" if issubclass(cls, float) else "%s"
-
-
-def _fmt(x) -> str:
-    return _spec(type(x)) % (x,)
+    return ("%.17g" if isinstance(x, float) else "%s") % (x,)
 
 
 def _meta_lines(config: RunConfig, s0: float) -> list[str]:
@@ -133,25 +132,29 @@ def _write_atomic(path: str | None, text: str) -> None:
         raise
 
 
-def emit_csv(config: RunConfig, s0: float, columns: list[str], rows: list[tuple],
+def emit_csv(config: RunConfig, s0: float, table: dict[str, object],
              notes: tuple[str, ...] = ()) -> None:
-    """Write the metadata header, a "# note" line per note, then the table.
-
-    Each row is formatted as _fmt formats its values, by one %-template per
-    row type signature.
-    """
-    lines = _meta_lines(config, s0) + [f"# {note}" for note in notes]
-    lines.append(",".join(columns))
-    templates: dict[tuple[type, ...], str] = {}
-    for row in rows:
-        signature = tuple(map(type, row))
-        template = templates.get(signature)
-        if template is None:
-            if len(signature) != len(columns):
-                raise ValueError("row does not match the column schema")
-            template = templates[signature] = ",".join(map(_spec, signature))
-        lines.append(template % row)
-    _write_atomic(config.output_path, "\n".join(lines) + "\n")
+    """Write the metadata header, a "# note" line per note, then the table
+    {column name: values}.  Float64 and integer array columns are formatted
+    by %.17g and %d, _CSV_BLOCK rows per %-template, other columns value by
+    value by _fmt: every cell has the bytes _fmt gives its value."""
+    columns = list(table.values())
+    n = len(columns[0]) if columns else 0
+    if any(len(values) != n for values in columns):
+        raise ValueError("table columns differ in length")
+    specs = ["%.17g" if isinstance(v, np.ndarray) and v.dtype == np.float64 else
+             "%d" if isinstance(v, np.ndarray) and v.dtype.kind in "iu" else "%s" for v in columns]
+    template = ",".join(specs) + "\n"
+    lines = _meta_lines(config, s0) + [f"# {note}" for note in notes] + [",".join(table)]
+    text = ["\n".join(lines) + "\n"]
+    for lo in range(0, n, _CSV_BLOCK):
+        hi = min(lo + _CSV_BLOCK, n)
+        flat = [None] * ((hi - lo) * len(columns))
+        for j, (spec, values) in enumerate(zip(specs, columns)):
+            flat[j::len(columns)] = (list(map(_fmt, values[lo:hi])) if spec == "%s"
+                                     else values[lo:hi].tolist())
+        text.append(template * (hi - lo) % tuple(flat))
+    _write_atomic(config.output_path, "".join(text))
 
 
 def emit_json(config: RunConfig, s0: float, doc: dict) -> None:
@@ -198,14 +201,11 @@ def _run_ladder(config: RunConfig, s0: float) -> None:
     p = config.parameters
     n_lo, n_hi = _parse_range(p["n"])
     found = symbols.find_s0(p["tol"])
-    built = ladder_mod.build_ladder(p["beta"], n_lo, n_hi, found.s0)
-    ratio = math.exp(2.0 * math.pi / found.s0)
-    rows = []
-    for n, mu, energy in built:
-        rows.append((n, mu, energy, ratio,
-                     ladder_mod.quantization_residual(mu, p["beta"], found.s0)))
-    emit_csv(config, found.s0,
-             ["n", "mu", "energy", "ratio", "quantization_residual"], rows)
+    n, mu, energy = zip(*ladder_mod.build_ladder(p["beta"], n_lo, n_hi, found.s0))
+    ratio = [math.exp(2.0 * math.pi / found.s0)] * len(n)
+    residual = [ladder_mod.quantization_residual(m, p["beta"], found.s0) for m in mu]
+    emit_csv(config, found.s0, {"n": n, "mu": mu, "energy": energy, "ratio": ratio,
+                                "quantization_residual": residual})
 
 
 def _run_symbol(config: RunConfig, s0: float) -> None:
@@ -214,9 +214,9 @@ def _run_symbol(config: RunConfig, s0: float) -> None:
     s = symbols.symbol_samples(p["s_max"], p["n"])
     bracket = np.zeros(s.size, dtype=int)
     bracket[np.searchsorted(s, [lo for lo, _ in scan.sign_changes])] = 1
-    rows = list(zip(s.tolist(), symbols.eval_g(s).tolist(),
-                    symbols.eval_reg_symbol(s, p["delta"]).tolist(), bracket.tolist()))
-    emit_csv(config, s0, ["s", "g", "reg_symbol", "sign_change_bracket"], rows,
+    emit_csv(config, s0, {"s": s, "g": symbols.eval_g(s),
+                          "reg_symbol": symbols.eval_reg_symbol(s, p["delta"]),
+                          "sign_change_bracket": bracket},
              notes=(f"scan: min_value={_fmt(scan.min_value)} argmin={_fmt(scan.argmin)} "
                     f"n_sign_changes={len(scan.sign_changes)}",))
 
@@ -225,16 +225,10 @@ def _run_scan(config: RunConfig, s0: float) -> None:
     p = config.parameters
     grid = stm.build_grid(p["p_min"], p["p_max"], p["grid"])
     result = stm.scan_spectrum(grid, p["delta"], p["mu_lo"], p["mu_hi"], p["n_mu"])
-    rows = []
-    for i, mu in enumerate(result.mus):
-        inside = ""
-        if i + 1 < len(result.mus):
-            hits = [c for c in result.crossings
-                    if result.mus[i] <= c < result.mus[i + 1]]
-            inside = ";".join(_fmt(c) for c in hits)
-        rows.append((float(mu), float(result.smallest[i]),
-                     int(result.negative_counts[i]), inside))
-    emit_csv(config, s0, ["mu", "smallest_eigenvalue", "negative_count", "crossing"], rows)
+    crossing = [";".join(_fmt(c) for c in result.crossings if lo <= c < hi)
+                for lo, hi in zip(result.mus, result.mus[1:])] + [""]  # n_mu >= 2
+    emit_csv(config, s0, {"mu": result.mus, "smallest_eigenvalue": result.smallest,
+                          "negative_count": result.negative_counts, "crossing": crossing})
 
 
 def _run_residual(config: RunConfig, s0: float) -> None:
@@ -244,41 +238,58 @@ def _run_residual(config: RunConfig, s0: float) -> None:
                            "residual": value})
 
 
-def _run_thomas(config: RunConfig, s0: float) -> None:
-    p = config.parameters
-    if not p["eta"] > 0.0:
-        raise ValueError("eta must be positive")
-    if not p["n_points"] > 0:
-        raise ValueError("n_points must be positive")
-    rng = np.random.default_rng(p["seed"])
-    rows = []
-    count = 0
+def _thomas_draws(rng: np.random.Generator, eta: float, h: float):
+    """The draws (s1, s2) farther than 12 h from the degenerate sets, in order."""
     misses = 0  # consecutive rejected draws
-    while count < p["n_points"]:
-        if misses == _THOMAS_MAX_MISSES:
-            raise ValueError(
-                f"h = {p['h']} too large: {misses} draws in a row found no point "
-                f"of [-2, 2]^3 x [-2, 2]^3 farther than 12 h from a coincidence set")
+    while misses < _THOMAS_MAX_MISSES:
         s1 = rng.uniform(-2.0, 2.0, size=3)
         s2 = rng.uniform(-2.0, 2.0, size=3)
         misses += 1
         try:
-            pt = thomas.ThomasPoint(s1=s1, s2=s2, eta=p["eta"])
+            pt = thomas.ThomasPoint(s1=s1, s2=s2, eta=eta)
         except ValueError:
             continue
-        if pt.min_separation() <= 12.0 * p["h"]:
-            continue
-        misses = 0
-        psi = thomas.thomas_psi(pt)
-        res = thomas.pde_residual(pt, p["h"])
-        bc_est = thomas.boundary_coefficient(s2, p["eta"], p["eps"])
-        r2 = float(np.linalg.norm(s2))
-        bc_ref = (math.pi / math.sqrt(3.0)) * k0(p["eta"] * r2) / r2
-        rows.append((*s1, *s2, psi, res, bc_est, bc_ref))
-        count += 1
-    emit_csv(config, s0,
-             ["s1x", "s1y", "s1z", "s2x", "s2y", "s2z",
-              "psi", "pde_residual", "bc_estimate", "bc_reference"], rows)
+        if pt.min_separation() > 12.0 * h:
+            misses = 0
+            yield s1, s2
+
+
+def _thomas_rows(s1: np.ndarray, s2: np.ndarray, eta: float, h: float, eps: float) -> np.ndarray:
+    """The table rows of sampled points (s1, s2)."""
+    try:
+        residual = thomas.pde_residuals(s1, s2, eta, h)
+        estimate = thomas.boundary_coefficients(s2, eta, eps)
+    except ValueError:  # the first failing point's error, its PDE check first
+        for i in range(len(s1)):
+            thomas.pde_residuals(s1[i:i + 1], s2[i:i + 1], eta, h)
+            thomas.boundary_coefficients(s2[i:i + 1], eta, eps)
+        raise
+    r2 = np.array([np.linalg.norm(v) for v in s2])
+    reference = (math.pi / math.sqrt(3.0)) * k0(eta * r2) / r2
+    return np.column_stack([s1, s2, thomas.psi(s1, s2, eta), residual, estimate, reference])
+
+
+def _run_thomas(config: RunConfig, s0: float) -> None:
+    p = config.parameters
+    eta, h, n_points = p["eta"], p["h"], p["n_points"]
+    if not eta > 0.0:
+        raise ValueError("eta must be positive")
+    if not n_points > 0:
+        raise ValueError("n_points must be positive")
+    draws = _thomas_draws(np.random.default_rng(p["seed"]), eta, h)
+    blocks = []
+    for start in range(0, n_points, _THOMAS_BLOCK):
+        size = min(_THOMAS_BLOCK, n_points - start)
+        block = list(itertools.islice(draws, size))
+        if block:
+            blocks.append(_thomas_rows(*map(np.array, zip(*block)), eta, h, p["eps"]))
+        if len(block) < size:
+            raise ValueError(
+                f"h = {h} too large: {_THOMAS_MAX_MISSES} draws in a row found no point "
+                f"of [-2, 2]^3 x [-2, 2]^3 farther than 12 h from a coincidence set")
+    emit_csv(config, s0, dict(zip(["s1x", "s1y", "s1z", "s2x", "s2y", "s2z", "psi",
+                                   "pde_residual", "bc_estimate", "bc_reference"],
+                                  np.concatenate(blocks).T)))
 
 
 def _run_oracle(config: RunConfig, s0: float) -> None:
@@ -304,8 +315,8 @@ def _run_oracle(config: RunConfig, s0: float) -> None:
         bal = oracle_mod.convolution_balance(s0, x)
         rows.append(("balance_at_s0", x, bal, 0.0, abs(bal),
                      "pass" if abs(bal) <= 1e-6 else "fail"))
-    emit_csv(config, s0, ["check", "param", "numeric", "analytic", "abs_err", "status"],
-             rows)
+    emit_csv(config, s0, dict(zip(["check", "param", "numeric", "analytic", "abs_err", "status"],
+                                  zip(*rows))))
 
 
 _RUNNERS = {"s0": _run_s0, "delta0": _run_delta0, "ladder": _run_ladder,

@@ -2,7 +2,7 @@
 
 Provides the Macdonald function K0 (modified Bessel function of the second
 kind, order zero) and numerically stable hyperbolic ratios needed by the
-symbol evaluations.  k0 is scalar, the ratios broadcast; all are pure and reentrant.
+symbol evaluations.  All broadcast, and all are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -45,49 +45,51 @@ _K0_CHEB = (
 )
 
 
-def _k0_series(x: float) -> float:
-    # K0(x) = -(log(x/2) + gamma) I0(x) + sum_k H_k (x^2/4)^k / (k!)^2,
-    # summed to machine precision (converges in < 20 terms for x <= 2).
+def _k0_series(x: np.ndarray) -> np.ndarray:
+    # K0(x) = -(log(x/2) + gamma) I0(x) + sum_k H_k (x^2/4)^k / (k!)^2, each element
+    # summed until its own term is below machine precision (< 20 terms for x <= 2)
     q = 0.25 * x * x
-    term = 1.0
-    i0 = 1.0
-    acc = 0.0
+    term, i0, acc = np.ones_like(q), np.ones_like(q), np.zeros_like(q)
+    live = np.arange(q.size)  # the elements still summing
     hk = 0.0
     for k in range(1, 40):
-        term *= q / (k * k)
-        hk += 1.0 / k
-        i0 += term
-        acc += term * hk
-        if term * max(1.0, hk) < 1e-18 * (i0 + abs(acc)):
+        if not live.size:
             break
-    return -(math.log(0.5 * x) + EULER_GAMMA) * i0 + acc
+        term[live] *= q[live] / (k * k)
+        hk += 1.0 / k
+        i0[live] += term[live]
+        acc[live] += term[live] * hk
+        live = live[~(term[live] * max(1.0, hk) < 1e-18 * (i0[live] + np.abs(acc[live])))]
+    log = np.array([math.log(v) for v in (0.5 * x).tolist()])  # libm's bits, not np.log's
+    return -(log + EULER_GAMMA) * i0 + acc
 
 
-def _k0_cheb(x: float) -> float:
+def _k0_cheb(x: np.ndarray) -> np.ndarray:
     # Clenshaw recurrence for sqrt(x) e^x K0(x) at t = 4/x - 1.
     t = 4.0 / x - 1.0
-    b0 = 0.0
-    b1 = 0.0
+    b0 = b1 = 0.0
     for c in reversed(_K0_CHEB[1:]):
         b0, b1 = 2.0 * t * b0 - b1 + c, b0
     f = t * b0 - b1 + 0.5 * _K0_CHEB[0]
-    return math.exp(-x) * f / math.sqrt(x)
+    return np.array([math.exp(-v) for v in x.tolist()]) * f / np.sqrt(x)  # libm's exp
 
 
-def k0(x: float) -> float:
-    """Macdonald function K0(x) for x > 0.
+def k0(x):
+    """Macdonald function K0(x) for x > 0; broadcasts (a float for a scalar).
 
     Power series with log term for x <= 2, Chebyshev expansion of the
     exponentially scaled function for x > 2.  Relative error is below
     1e-10 on [1e-6, 700]; for x large enough that exp(-x) underflows the
-    result is 0.0.
+    result is 0.0.  An array gives at each element the bits of a scalar call.
     """
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"k0 requires x > 0, got {x!r}")
-    if x <= 2.0:
-        return _k0_series(x)
-    return _k0_cheb(x)
+    a = np.asarray(x, dtype=float)
+    if not np.all(a > 0.0):
+        raise ValueError(f"k0 requires x > 0, got {float(a[~(a > 0.0)].flat[0])!r}")
+    out = np.empty_like(a)
+    for branch, where in ((_k0_series, a <= 2.0), (_k0_cheb, a > 2.0)):
+        if where.any():
+            out[where] = branch(a[where])
+    return out if out.ndim else float(out)
 
 
 def tanh_over_s(s):

@@ -257,11 +257,13 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
 
 
 def coulomb_row_integral(p, a: float, b: float, delta: float):
-    """Closed form of int_a^b coulomb_kernel(p, q, delta) dq for p in [a, b]."""
+    """Closed form of int_a^b coulomb_kernel(p, q, delta) dq for p in [a, b]; its
+    upper end in log1p form (its two b log b terms lost 1e-7 absolute at b = 1e8)."""
     p = np.asarray(p, dtype=float)
-    plus = _xlogx(p + b) - _xlogx(p + a)
-    minus = _xlogx(b - p) + _xlogx(p - a)
-    out = (delta / math.pi) * (plus - minus)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log1p(-1) at p = b
+        upper = (2.0 * p * math.log(b) + (b + p) * np.log1p(p / b)
+                 - np.where(p < b, (b - p) * np.log1p(-p / b), 0.0))
+    out = (delta / math.pi) * (upper - _xlogx(p + a) - _xlogx(p - a))
     return out if out.ndim else float(out)
 
 
@@ -690,7 +692,9 @@ def _assembly_error(norm: float, d: np.ndarray, weights: float) -> float:
     On the diagonal d carries 2.5u d_i, w_i K_ii 18u w_i, the sums
     u (1.01 d_i + 0.71 w_i + |fl(M)_ii|).  So |fl(M) - M| <= u (6 |fl(M)| +
     19 s s^T + 4 diag(d)), s_i = sqrt(w_i), whose Frobenius norm eps =
-    8u (norm + ||d|| + 3 sum w) exceeds, with room for roundings."""
+    8u (norm + ||d|| + 3 sum w) exceeds, with room for roundings.  eps
+    excludes the rounding of the subtraction term, which M takes as
+    computed: coulomb_row_integral has to keep that small."""
     return 8.0 * _U * (norm + float(np.linalg.norm(d)) + 3.0 * weights)
 
 

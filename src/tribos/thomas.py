@@ -54,17 +54,8 @@ class ThomasPoint:
             raise ValueError("s1 and s2 must be 3-vectors")
         if not self.eta > 0.0:
             raise ValueError("eta must be positive")
-        s1, s2 = self.s1, self.s2
-        with np.errstate(over="ignore", invalid="ignore"):
-            distances = (_norm(s1), _norm(s2),
-                         _norm(s1 - 2.0 * s2) / SQRT5, _norm(s2 - 2.0 * s1) / SQRT5)
-        if not all(math.isfinite(d) for d in distances):
-            # psi divides by these norms: |s1|^2 overflowing to inf gave xi2 = 0
-            raise ValueError("point too far out or not finite: a squared distance to a "
-                             "degenerate set leaves double range")
-        object.__setattr__(self, "_separation", min(distances))
-        if self._separation == 0.0:
-            raise ValueError("point lies on a coincidence/degeneracy set")
+        separation = _min_separations(self.s1[None], self.s2[None])
+        object.__setattr__(self, "_separation", float(separation[0]))
 
     def min_separation(self) -> float:
         """Euclidean distance to the nearest of the four degenerate sets
@@ -72,16 +63,36 @@ class ThomasPoint:
         return self._separation
 
 
-def _norm(v: np.ndarray) -> float:
-    # the BLAS ddot and sqrt that np.linalg.norm runs on a contiguous
-    # 3-vector, without its dispatch cost: the same bits
-    return math.sqrt(float(v.dot(v)))
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # row dot products of (m, 3) arrays, each the bits of the BLAS ddot that
+    # a[i].dot(b[i]) and np.linalg.norm run (einsum and sum(1) differ)
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _pair_term(xi: float) -> float:
-    # (pi/2 - arctan xi)(1 + xi^2)/xi, written with atan(1/xi) to stay
-    # accurate for large xi (the term tends to 1 there).
-    return math.atan(1.0 / xi) * (1.0 + xi * xi) / xi
+def _norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dots(v, v))
+
+
+def _min_separations(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    # min_separation of each row; raises for the first row on a degenerate set or
+    # whose squared distances leave double range (|s1|^2 = inf gave psi xi2 = 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        distances = _norms(np.concatenate([s1, s2, s1 - 2.0 * s2, s2 - 2.0 * s1])).reshape(4, -1)
+        distances[2:] /= SQRT5
+    finite = distances.max(axis=0) < math.inf  # false for inf and NaN
+    separation = distances.min(axis=0)
+    if finite.all() and separation.all():
+        return separation
+    if not finite[np.flatnonzero(~finite | (separation == 0.0))[0]]:
+        raise ValueError("point too far out or not finite: a squared distance to a "
+                         "degenerate set leaves double range")
+    raise ValueError("point lies on a coincidence/degeneracy set")
+
+
+def _pair_term(xi: np.ndarray) -> np.ndarray:
+    # (pi/2 - arctan xi)(1 + xi^2)/xi, written with atan(1/xi) to stay accurate for
+    # large xi (the term tends to 1 there); libm's atan, whose bits np.arctan lacks
+    return np.array([math.atan(v) for v in (1.0 / xi).tolist()]) * (1.0 + xi * xi) / xi
 
 
 def thomas_psi(pt: ThomasPoint) -> float:
@@ -89,17 +100,17 @@ def thomas_psi(pt: ThomasPoint) -> float:
 
     Positive away from the coincidence sets and symmetric under s1 <-> s2.
     """
-    return _psi(pt.s1, pt.s2, pt.eta)
+    return float(psi(pt.s1[None], pt.s2[None], pt.eta)[0])
 
 
-def _psi(s1: np.ndarray, s2: np.ndarray, eta: float) -> float:
-    # psi at contiguous 3-vectors the caller keeps off the degenerate sets
-    a1 = _norm(s1)
-    a2 = _norm(s2)
-    s_sq = a1 * a1 + a2 * a2 - float(s1.dot(s2))
-    xi1 = SQRT3 * a1 / _norm(s1 - 2.0 * s2)
-    xi2 = SQRT3 * a2 / _norm(s2 - 2.0 * s1)
-    return k0(eta * math.sqrt(s_sq)) / s_sq * (_pair_term(xi1) + _pair_term(xi2))
+def psi(s1: np.ndarray, s2: np.ndarray, eta: float) -> np.ndarray:
+    """thomas_psi, with its bits, at each row of (m, 3) arrays s1, s2, which
+    the caller keeps off the degenerate sets (unvalidated)."""
+    a1, a2 = _norms(s1), _norms(s2)
+    s_sq = a1 * a1 + a2 * a2 - _dots(s1, s2)
+    xi1 = SQRT3 * a1 / _norms(s1 - 2.0 * s2)
+    xi2 = SQRT3 * a2 / _norms(s2 - 2.0 * s1)
+    return k0(eta * np.sqrt(s_sq)) / s_sq * (_pair_term(xi1) + _pair_term(xi2))
 
 
 def pde_residual(pt: ThomasPoint, h: float) -> float:
@@ -123,29 +134,39 @@ def pde_residual(pt: ThomasPoint, h: float) -> float:
     h <= 0.1 min_separation each lies at least 0.86 min_separation from the
     degenerate sets.
     """
+    return float(pde_residuals(pt.s1[None], pt.s2[None], pt.eta, h)[0])
+
+
+def pde_residuals(s1: np.ndarray, s2: np.ndarray, eta: float, h: float) -> np.ndarray:
+    """pde_residual, with its bits and errors, at each row of (m, 3) arrays
+    s1, s2 off the degenerate sets; an error is the first failing row's."""
     if not h > 0.0:
         raise ValueError("h must be positive")
-    if (pt.eta * h) ** 2 < 512.0 * math.ulp(1.0):
+    if (eta * h) ** 2 < 512.0 * math.ulp(1.0):
         raise ValueError(f"step {h} too small: stencil rounding 512 eps/(eta h)^2 exceeds 1")
-    if h > 0.1 * pt.min_separation():
+    separation = _min_separations(s1, s2)
+    f0 = psi(s1, s2, eta)
+    bad = np.flatnonzero((h > 0.1 * separation) | ~(np.abs(f0) >= sys.float_info.min))
+    if bad.size and h > 0.1 * separation[bad[0]]:
         raise ValueError(
-            f"step {h} too large: point is {pt.min_separation():.3g} from a coincidence set")
-    s1, s2, eta = pt.s1, pt.s2, pt.eta
-    f0 = _psi(s1, s2, eta)
-    if not abs(f0) >= sys.float_info.min:
-        raise ValueError(f"psi = {f0:.3g} underflows the normal doubles at this point: "
+            f"step {h} too large: point is {separation[bad[0]]:.3g} from a coincidence set")
+    if bad.size:
+        raise ValueError(f"psi = {f0[bad[0]]:.3g} underflows the normal doubles at this point: "
                          f"eta = {eta:.17g} too large for its distance from the origin")
-    lap = 0.0
-    mix = 0.0
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        lap += _psi(s1 + e, s2, eta) - 2.0 * f0 + _psi(s1 - e, s2, eta)
-        lap += _psi(s1, s2 + e, eta) - 2.0 * f0 + _psi(s1, s2 - e, eta)
-        mix += (_psi(s1 + e, s2 + e, eta) - _psi(s1 + e, s2 - e, eta)
-                - _psi(s1 - e, s2 + e, eta) + _psi(s1 - e, s2 - e, eta))
+    # per axis: psi at (s1 +- e, s2), (s1, s2 +- e) and the four (s1 +- e, s2 +- e)
+    rows1, rows2 = [], []
+    for e in np.eye(3) * h:
+        plus1, minus1, plus2, minus2 = s1 + e, s1 - e, s2 + e, s2 - e
+        rows1 += [plus1, minus1, s1, s1, plus1, plus1, minus1, minus1]
+        rows2 += [s2, s2, plus2, minus2, plus2, minus2, plus2, minus2]
+    f = psi(np.concatenate(rows1), np.concatenate(rows2), eta).reshape(24, -1)
+    lap = mix = 0.0
+    for i in range(0, 24, 8):
+        lap += f[i] - 2.0 * f0 + f[i + 1]
+        lap += f[i + 2] - 2.0 * f0 + f[i + 3]
+        mix += f[i + 4] - f[i + 5] - f[i + 6] + f[i + 7]
     lhs = (4.0 / 3.0) * (lap / (h * h) + mix / (4.0 * h * h))
-    return abs(lhs - eta * eta * f0) / (eta * eta * abs(f0))
+    return np.abs(lhs - eta * eta * f0) / (eta * eta * np.abs(f0))
 
 
 def boundary_coefficient(s2, eta: float, eps: float) -> float:
@@ -155,13 +176,15 @@ def boundary_coefficient(s2, eta: float, eps: float) -> float:
     |s1| = eps; for small eps this approaches
     (pi/sqrt(3)) K0(eta |s2|) / |s2|.
     """
+    return float(boundary_coefficients(np.asarray(s2, dtype=float)[None], eta, eps)[0])
+
+
+def boundary_coefficients(s2: np.ndarray, eta: float, eps: float) -> np.ndarray:
+    """boundary_coefficient, with its bits and errors, at each row of an
+    (m, 3) array s2; an error is the first failing row's."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    total = 0.0
-    for i in range(3):
-        for sign in (1.0, -1.0):
-            s1 = np.zeros(3)
-            s1[i] = sign * eps
-            pt = ThomasPoint(s1=s1, s2=s2, eta=eta)  # raises on a degenerate set
-            total += eps * _psi(pt.s1, pt.s2, eta)
-    return total / 6.0
+    axes = eps * np.kron(np.eye(3, dtype=int), [[1], [-1]])  # s1 = +-eps on each axis
+    s1, s2 = np.tile(axes, (len(s2), 1)), np.repeat(s2, 6, axis=0)
+    _min_separations(s1, s2)
+    return sum(eps * psi(s1, s2, eta).reshape(-1, 6).T) / 6.0  # the six in order

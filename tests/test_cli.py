@@ -172,28 +172,79 @@ _CELLS = st.one_of(
     st.integers(), st.integers(-(2**63), 2**63 - 1).map(np.int64), st.text(max_size=5))
 
 
+def _columns(n):
+    # a column of n cells: mixed kinds as in the scan crossing column ("" or
+    # "a;b") and the oracle table, or a float64 or int64 array
+    return st.one_of(st.lists(_CELLS, min_size=n, max_size=n),
+                     st.lists(st.floats(), min_size=n, max_size=n).map(np.array),
+                     st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)
+                     .map(lambda v: np.array(v, dtype=np.int64)))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.integers(1, 6).flatmap(lambda width: st.lists(st.tuples(*[_CELLS] * width),
-                                                         max_size=12)))
-def test_emit_csv_matches_per_value_formatting(rows):
-    # the cell types change from row to row, as in the scan crossing column
-    # ("" or "a;b") and the oracle rows
+@given(st.tuples(st.integers(1, 6), st.integers(0, 12)).flatmap(
+    lambda shape: st.lists(_columns(shape[1]), min_size=shape[0], max_size=shape[0])))
+def test_emit_csv_matches_per_value_formatting(columns):
     config = RunConfig(command="ladder")
-    columns = [f"c{i}" for i in range(len(rows[0]) if rows else 1)]
+    table = {f"c{j}": values for j, values in enumerate(columns)}
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli.emit_csv(config, 1.0, columns, rows)
-    expected = cli._meta_lines(config, 1.0) + [",".join(columns)]
+        cli.emit_csv(config, 1.0, table)
+    rows = list(zip(*columns))
+    expected = cli._meta_lines(config, 1.0) + [",".join(table)]
     assert out.getvalue() == "\n".join(expected + [_reference_csv_row(r) for r in rows]) + "\n"
     assert all(",".join(map(cli._fmt, r)) == _reference_csv_row(r) for r in rows)
 
 
-@pytest.mark.parametrize("rows", [[(1.0,)], [(1.0, 2), (1.0,)], [(1.0, 2), ("x", 2, 3)]])
-def test_emit_csv_rejects_rows_off_the_schema(rows):
+def test_emit_csv_formats_across_row_blocks():
+    rng = np.random.default_rng(3)
+    n = 2 * cli._CSV_BLOCK + 7
+    columns = [rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n),
+               rng.integers(-(2**62), 2**62, size=n), [str(v) for v in range(n)]]
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), pytest.raises(ValueError, match="column schema"):
-        cli.emit_csv(RunConfig(command="ladder"), 1.0, ["a", "b"], rows)
+    with contextlib.redirect_stdout(out):
+        cli.emit_csv(RunConfig(command="ladder"), 1.0, dict(zip("abc", columns)))
+    lines = out.getvalue().splitlines()[-n:]
+    assert lines == [_reference_csv_row(r) for r in zip(*columns)]
+
+
+@pytest.mark.parametrize("rows", [(1, 0), (2, 1), (2, 2, 3)])
+def test_emit_csv_rejects_rows_off_the_schema(rows, tmp_path):
+    # rows holds the length of each column: a ragged table raises before
+    # anything is written
+    table = {f"c{j}": np.ones(k) if j % 2 else ["x"] * k for j, k in enumerate(rows)}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(ValueError, match="differ in length"):
+        cli.emit_csv(RunConfig(command="ladder"), 1.0, table)
     assert out.getvalue() == ""
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match="differ in length"):
+        cli.emit_csv(RunConfig(command="ladder", output_path=str(path)), 1.0, table)
+    assert list(tmp_path.iterdir()) == []
+
+
+# SHA-256 of the CSV body (the lines after the "#" header), as the
+# row-at-a-time formatting and the point-at-a-time Thomas loop wrote it.
+# s below 1e-6 keeps the symbol in its Taylor branches, plain arithmetic
+# whose bits do not depend on the platform's vectorized exp and tanh.
+_CSV_BODY_SHA256 = {
+    ("symbol", "--delta", "0.5", "--s-max", "5e-7", "--n", "5000"):
+        "cc68eea5fa8d352bce1aeeafb631d59201f10d6d020a6f22997d7f8e07be2971",
+    ("thomas", "--n-points", "300", "--seed", "7"):
+        "46d296ee11c07f0e7bcfabfcb203d404e3b0b1bd449262c64bcc364c11b9ca48",
+    ("oracle", "--s", "0.5,1", "--x", "1"):
+        "9ab6fe8902a9eff1a4d7de8f98fab8e772e73c2ad94abf2ad3de05ed16eafbc9",
+    ("ladder", "--n=-3..3", "--beta", "0.3"):
+        "e640e40afaef26f8668d8c9b752cc047f553dcc0f70f06ffc77dec24f26ded48",
+}
+
+
+@pytest.mark.parametrize("argv", list(_CSV_BODY_SHA256))
+def test_csv_body_bytes_are_unchanged(argv):
+    code, text = _main_output(list(argv))
+    assert code == 0
+    body = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("#"))
+    assert hashlib.sha256(body.encode()).hexdigest() == _CSV_BODY_SHA256[argv]
 
 
 def test_residual_command(tmp_path):

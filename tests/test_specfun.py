@@ -67,7 +67,46 @@ def test_k0_branch_seam_and_spot_values():
     assert abs(k0(2.0) - 0.1138938727495334356527196) < 1e-15
     assert abs(k0(650.0) / 2.512502884662839176899081e-284 - 1.0) < 1e-12
     # both branches agree at the switch point
-    assert abs(_k0_series(2.0) - _k0_cheb(2.0)) < 2e-16
+    two = np.array([2.0])
+    assert abs(_k0_series(two) - _k0_cheb(two))[0] < 2e-16
+
+
+def _k0_scalar_reference(x):
+    # k0 as a scalar loop, before it broadcast: the series stops at each
+    # argument's own term; math.log and math.exp throughout
+    if x <= 2.0:
+        q = 0.25 * x * x
+        term, i0, acc, hk = 1.0, 1.0, 0.0, 0.0
+        for k in range(1, 40):
+            term *= q / (k * k)
+            hk += 1.0 / k
+            i0 += term
+            acc += term * hk
+            if term * max(1.0, hk) < 1e-18 * (i0 + abs(acc)):
+                break
+        return -(math.log(0.5 * x) + EULER_GAMMA) * i0 + acc
+    from tribos.specfun import _K0_CHEB
+
+    t = 4.0 / x - 1.0
+    b0 = b1 = 0.0
+    for c in reversed(_K0_CHEB[1:]):
+        b0, b1 = 2.0 * t * b0 - b1 + c, b0
+    return math.exp(-x) * (t * b0 - b1 + 0.5 * _K0_CHEB[0]) / math.sqrt(x)
+
+
+def test_k0_array_is_the_scalar_loop_bitwise():
+    # both branches, the seam, and arguments where exp(-x) underflows
+    rng = np.random.default_rng(5)
+    x = np.concatenate([np.geomspace(1e-300, 2.0, 40000), rng.uniform(0.0, 2.0, 20000),
+                        rng.uniform(2.0, 800.0, 30000), np.geomspace(2.0, 1e300, 10000),
+                        [2.0, np.nextafter(2.0, 3.0), np.nextafter(2.0, 1.0), 745.0, 746.0]])
+    x = rng.permutation(x[x > 0.0]).reshape(-1, 5)
+    expected = np.array([_k0_scalar_reference(v) for v in x.ravel().tolist()])
+    assert np.array_equal(k0(x).ravel().view(np.int64), expected.view(np.int64))
+    for v in x.ravel()[:200].tolist():
+        assert k0(v) == _k0_scalar_reference(v) and type(k0(v)) is float
+    with pytest.raises(ValueError, match="got -2.0"):
+        k0(np.array([1.0, -2.0, 0.0]))
 
 
 def test_k0_positive_and_monotone_decreasing():

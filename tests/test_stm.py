@@ -119,6 +119,30 @@ def test_coulomb_row_integral_closed_form():
     assert math.isfinite(float(coulomb_row_integral(0.01, 0.01, 80.0, 1.3)))
 
 
+def test_coulomb_row_integral_is_accurate_far_below_the_upper_end():
+    # on [1e-8, 1e8] the two b log b sized terms of the upper end cancelled
+    # to 1e-7 absolute, 60 % of the integral at p = 1e-8; the closed form
+    # here in 40 digits
+    a, b = 1e-8, 1e8
+    ratios = [10.0 ** -k for k in range(16, 0, -1)] + [0.5, 1.0 - 2.0**-40, 1.0]
+    p = np.array([max(a, r * b) for r in ratios])
+    value = coulomb_row_integral(p, a, b, 1.0)
+    with mp.workdps(40):
+        xlogx = lambda x: x * mp.log(x) if x > 0 else mp.mpf(0)  # noqa: E731
+        for p_i, v in zip(p.tolist(), value.tolist()):
+            P = mp.mpf(p_i)
+            ref = (xlogx(P + b) - xlogx(P + a) - xlogx(b - P) - xlogx(P - a)) / mp.pi
+            assert v == pytest.approx(float(ref), rel=1e-14)
+
+
+def test_scan_above_threshold_on_a_wide_window_has_no_bound_state():
+    # delta = 1 > delta0 on 16 decades of momenta: the cancellation above
+    # gave counts 15, 14, 3, 0, 0 and 15 crossings
+    result = scan_spectrum(build_grid(1e-8, 1e8, 640), 1.0, 1e-16, 1e-12, 5)
+    assert result.negative_counts.tolist() == [0] * 5
+    assert result.crossings == []
+
+
 def test_model_params_validation():
     with pytest.raises(ValueError):
         ModelParams(mu=0.0)
@@ -1180,8 +1204,6 @@ def _tms_derivative(p, q, mu):
 
 
 def test_tms_kernel_derivative_against_a_finite_difference():
-    from scipy.integrate import quad
-
     p, q = np.exp(np.random.default_rng(3).uniform(-6.0, 6.0, (2, 300)))
     for mu in (1e-3, 1.0, 1e3):
         h = 1e-4 * mu
@@ -1190,8 +1212,8 @@ def test_tms_kernel_derivative_against_a_finite_difference():
     # and its integral form (4/pi) int_0^inf exp(-t (p^2+q^2+mu)) sinh(t pq) dt
     for pk, qk, mu in ((0.3, 0.5, 0.1), (2.0, 7.0, 1.0), (1.0, 1.0, 1e-3)):
         s, pq = pk * pk + qk * qk + mu, pk * qk  # exp(-t s) sinh(t pq), without overflow
-        value = quad(lambda t: 0.5 * (math.exp(-t * (s - pq)) - math.exp(-t * (s + pq))),
-                     0.0, math.inf)[0]
+        value = float(mp.quad(lambda t: 0.5 * (mp.exp(-t * (s - pq)) - mp.exp(-t * (s + pq))),
+                              [0, mp.inf]))
         assert (4.0 / math.pi) * value == pytest.approx(_tms_derivative(pk, qk, mu), rel=1e-9)
 
 

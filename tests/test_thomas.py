@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tribos.specfun import k0
-from tribos.thomas import ThomasPoint, boundary_coefficient, pde_residual, thomas_psi
+from tribos.thomas import (ThomasPoint, boundary_coefficient, boundary_coefficients,
+                           pde_residual, pde_residuals, psi, thomas_psi)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -199,8 +200,10 @@ def _ref_boundary_coefficient(s2, eta, eps):
 
 def test_psi_stencil_and_boundary_bits_match_reference():
     # 100 points anywhere and 100 scaled to just outside the CLI sampler's
-    # 12 h cut (min_separation is homogeneous of degree 1 in (s1, s2))
+    # 12 h cut (min_separation is homogeneous of degree 1 in (s1, s2)); one
+    # point at a time, then all points of an (eta, h) in one array pass
     rng = np.random.default_rng(61)
+    batches = {}
     for k in range(200):
         pt = random_admissible_point(rng, eta=float(rng.choice([0.5, 1.0, 2.5])), min_sep=0.0)
         h = float(rng.choice([1e-3, 1e-4]))
@@ -212,7 +215,30 @@ def test_psi_stencil_and_boundary_bits_match_reference():
         assert thomas_psi(pt) == _ref_psi(s1, s2, eta)
         if h <= 0.1 * pt.min_separation():
             assert pde_residual(pt, h) == _ref_pde_residual(s1, s2, eta, h)
+            batches.setdefault((eta, h), []).append((s1, s2))
         assert boundary_coefficient(s2, eta, 1e-3) == _ref_boundary_coefficient(s2, eta, 1e-3)
+    assert sum(map(len, batches.values())) == 200
+    for (eta, h), points in batches.items():
+        s1, s2 = (np.array(side) for side in zip(*points))
+        assert psi(s1, s2, eta).tolist() == [_ref_psi(a, b, eta) for a, b in points]
+        assert pde_residuals(s1, s2, eta, h).tolist() == [
+            _ref_pde_residual(a, b, eta, h) for a, b in points]
+        assert boundary_coefficients(s2, eta, 1e-3).tolist() == [
+            _ref_boundary_coefficient(b, eta, 1e-3) for _, b in points]
+
+
+def test_array_passes_raise_for_the_first_failing_row():
+    ok = ([0.9, -0.4, 0.3], [-0.5, 0.8, 0.6])
+    far = ([200.0, 0.0, 0.0], [0.0, 300.0, 0.0])  # psi underflows at eta = 4
+    near = ([1e-3, 0.0, 0.0], [0.5, 0.5, 0.5])  # 1e-3 from s1 = 0
+    for rows, message in (([ok, far, near], "underflows"), ([ok, near, far], "too large")):
+        s1, s2 = (np.array(side) for side in zip(*rows))
+        with pytest.raises(ValueError, match=message):
+            pde_residuals(s1, s2, 4.0, 1e-3)
+    for rows, message in (([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [math.nan] * 3], "degeneracy"),
+                          ([[1.0, 0.0, 0.0], [math.nan] * 3, [0.0, 0.0, 0.0]], "double range")):
+        with pytest.raises(ValueError, match=message):
+            boundary_coefficients(np.array(rows), 1.0, 1e-3)
 
 
 def test_boundary_coefficient_rejects_degenerate_boundary_points():
