@@ -27,25 +27,6 @@ from . import oracle as oracle_mod
 from . import stm, symbols, thomas
 from .specfun import k0
 
-_COMMANDS = ("s0", "delta0", "ladder", "symbol", "scan", "residual", "thomas", "oracle")
-
-# command -> {parameter: (type, default)}; None default means required.
-# No parameter takes a boolean, and an int parameter no non-integral number.
-_PARAMS: dict[str, dict[str, tuple[type, object]]] = {
-    "s0": {"tol": (float, 1e-12)},
-    "delta0": {},
-    "ladder": {"beta": (float, 0.0), "n": (str, "-3..3"), "tol": (float, 1e-12)},
-    "symbol": {"delta": (float, None), "s_max": (float, 50.0), "n": (int, 5000)},
-    "scan": {"delta": (float, None), "mu_lo": (float, 1e-3), "mu_hi": (float, 1e3),
-             "n_mu": (int, 31), "grid": (int, 1000), "p_min": (float, 1e-4),
-             "p_max": (float, 1e4)},
-    "residual": {"mu": (float, 1.0), "n": (int, 2000), "delta": (float, 0.0)},
-    "thomas": {"eta": (float, 1.0), "n_points": (int, 10), "h": (float, 1e-3),
-               "eps": (float, 1e-3), "seed": (int, 12345)},
-    "oracle": {"s": (str, "0.25,0.5,1,2,5,10"), "x": (str, "0.5,1,2"),
-               "tol": (float, 1e-9)},
-}
-
 # The Thomas sampler gives up after this many rejected draws in a row.  No
 # point is farther than 2 sqrt(3) from a coincidence set, so h >= sqrt(3)/6
 # rejects every draw; an h accepting one draw in 100 gives up with
@@ -53,12 +34,6 @@ _PARAMS: dict[str, dict[str, tuple[type, object]]] = {
 _THOMAS_MAX_MISSES = 10000
 _THOMAS_BLOCK = 256  # Thomas points per array pass: memory bounded at any --n-points
 _CSV_BLOCK = 4096  # CSV rows formatted by one %-template
-
-# The one output format of each command.
-_FORMATS = {"s0": "json", "delta0": "json", "residual": "json",
-            "ladder": "csv", "symbol": "csv", "scan": "csv",
-            "thomas": "csv", "oracle": "csv"}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -71,7 +46,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        spec = _PARAMS[self.command]
+        _, _, spec = _COMMANDS[self.command]
         clean: dict[str, object] = {}
         for key, raw in self.parameters.items():
             if key not in spec:
@@ -94,7 +69,7 @@ class RunConfig:
         object.__setattr__(self, "parameters", clean)
 
     def canonical(self) -> str:
-        return json.dumps({"command": self.command, "format": _FORMATS[self.command],
+        return json.dumps({"command": self.command, "format": _COMMANDS[self.command][1],
                            "parameters": self.parameters}, sort_keys=True)
 
     def sha256(self) -> str:
@@ -264,8 +239,8 @@ def _thomas_rows(s1: np.ndarray, s2: np.ndarray, eta: float, h: float, eps: floa
             thomas.pde_residuals(s1[i:i + 1], s2[i:i + 1], eta, h)
             thomas.boundary_coefficients(s2[i:i + 1], eta, eps)
         raise
-    r2 = np.array([np.linalg.norm(v) for v in s2])
-    reference = (math.pi / math.sqrt(3.0)) * k0(eta * r2) / r2
+    r2 = thomas._norms(s2)
+    reference = (math.pi / thomas.SQRT3) * k0(eta * r2) / r2
     return np.column_stack([s1, s2, thomas.psi(s1, s2, eta), residual, estimate, reference])
 
 
@@ -319,16 +294,35 @@ def _run_oracle(config: RunConfig, s0: float) -> None:
                                   zip(*rows))))
 
 
-_RUNNERS = {"s0": _run_s0, "delta0": _run_delta0, "ladder": _run_ladder,
-            "symbol": _run_symbol, "scan": _run_scan, "residual": _run_residual,
-            "thomas": _run_thomas, "oracle": _run_oracle}
+# command -> (runner, output format, {parameter: (type, default)}); a None
+# default means required.  No parameter takes a boolean, and an int parameter
+# no non-integral number.
+_COMMANDS: dict[str, tuple] = {
+    "s0": (_run_s0, "json", {"tol": (float, 1e-12)}),
+    "delta0": (_run_delta0, "json", {}),
+    "ladder": (_run_ladder, "csv",
+               {"beta": (float, 0.0), "n": (str, "-3..3"), "tol": (float, 1e-12)}),
+    "symbol": (_run_symbol, "csv",
+               {"delta": (float, None), "s_max": (float, 50.0), "n": (int, 5000)}),
+    "scan": (_run_scan, "csv",
+             {"delta": (float, None), "mu_lo": (float, 1e-3), "mu_hi": (float, 1e3),
+              "n_mu": (int, 31), "grid": (int, 1000), "p_min": (float, 1e-4),
+              "p_max": (float, 1e4)}),
+    "residual": (_run_residual, "json",
+                 {"mu": (float, 1.0), "n": (int, 2000), "delta": (float, 0.0)}),
+    "thomas": (_run_thomas, "csv",
+               {"eta": (float, 1.0), "n_points": (int, 10), "h": (float, 1e-3),
+                "eps": (float, 1e-3), "seed": (int, 12345)}),
+    "oracle": (_run_oracle, "csv",
+               {"s": (str, "0.25,0.5,1,2,5,10"), "x": (str, "0.5,1,2"), "tol": (float, 1e-9)}),
+}
 
 
 def run(config: RunConfig) -> int:
     """Execute a validated config; returns the process exit code."""
     try:
         s0 = symbols.default_s0()
-        _RUNNERS[config.command](config, s0)
+        _COMMANDS[config.command][0](config, s0)
     except (np.linalg.LinAlgError, RuntimeError, OverflowError) as exc:
         # before ValueError, a base of LinAlgError; QuadratureBudgetError is a RuntimeError
         print(f"error: {exc}", file=sys.stderr)
@@ -350,14 +344,12 @@ def build_config(argv: list[str]) -> RunConfig:
         prog="tribos",
         description="Spectral structure of three-boson zero-range models")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, spec in _PARAMS.items():
+    for command, (_, _, spec) in _COMMANDS.items():
         p = sub.add_parser(command)
-        for name, (typ, default) in spec.items():
-            flag = "--" + name.replace("_", "-")
-            p.add_argument(flag, type=typ, default=None, required=False)
-        p.add_argument("--out", default=None)
-        p.add_argument("--config", default=None,
-                       help="JSON file with a parameters object")
+        for name, (typ, _) in spec.items():
+            p.add_argument("--" + name.replace("_", "-"), type=typ)
+        p.add_argument("--out")
+        p.add_argument("--config", help="JSON file with a parameters object")
     ns = parser.parse_args(argv)
     params: dict[str, object] = {}
     if ns.config is not None:
@@ -366,8 +358,8 @@ def build_config(argv: list[str]) -> RunConfig:
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
         params.update(loaded)
-    for name in _PARAMS[ns.command]:
-        value = getattr(ns, name.replace("-", "_"))
+    for name in _COMMANDS[ns.command][2]:
+        value = getattr(ns, name)
         if value is not None:
             params[name] = value
     return RunConfig(command=ns.command, parameters=params, output_path=ns.out)

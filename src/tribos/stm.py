@@ -659,7 +659,8 @@ def _block_ritz(matrix: np.ndarray) -> tuple[float, float] | None:
     values, vectors = np.linalg.eigh(a[:m, :m])
     residual = vectors[:, 0] @ a[:m]
     residual[:m] -= values[0] * vectors[:, 0]
-    r = float(np.linalg.norm(residual))
+    with np.errstate(over="ignore"):  # inf fails the tolerance: the caller's fallback
+        r = float(np.linalg.norm(residual))
     return (float(values[0]), r) if r <= _LANCZOS_TOL * np.abs(a.diagonal()).max() else None
 
 

@@ -309,13 +309,13 @@ def test_config_integral_float_is_an_int():
     assert cfg.parameters["delta"] == 1.0 and type(cfg.parameters["delta"]) is float
 
 
-@pytest.mark.parametrize("command", sorted(cli._PARAMS))
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_cli_flags_are_the_parameters(capsys, command):
     with pytest.raises(SystemExit) as done:
         cli.build_config([command, "--help"])
     assert done.value.code == 0
     flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
-    assert flags == {"--" + name.replace("_", "-") for name in cli._PARAMS[command]} | {
+    assert flags == {"--" + name.replace("_", "-") for name in cli._COMMANDS[command][2]} | {
         "--out", "--config"}
 
 
@@ -465,7 +465,7 @@ def test_memory_error_exits_2(monkeypatch, capsys):
     def fail(config, s0):
         raise MemoryError
 
-    monkeypatch.setitem(cli._RUNNERS, "delta0", fail)
+    monkeypatch.setitem(cli._COMMANDS, "delta0", (fail, *cli._COMMANDS["delta0"][1:]))
     assert main(["delta0"]) == 2
     assert capsys.readouterr().err.startswith("error: out of memory")
 
@@ -578,3 +578,16 @@ def test_overflowing_scan_exits_3_without_a_warning(argv, capsys):
     # check, not a RuntimeWarning, ends the scan
     assert main(["scan", *argv, "--grid=40", "--n-mu=3"]) == 3
     assert capsys.readouterr().err == "error: non-finite matrix\n"
+
+
+def test_scan_at_a_huge_delta_takes_the_band_without_a_warning(monkeypatch, capsys):
+    # the leading block's residual norm overflows at delta = 1e300: r = inf
+    # fails the tolerance and every point takes the band solve, silently
+    argv = ["scan", "--delta=1e300", "--grid=40", "--n-mu=3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    csv, err = capsys.readouterr()
+    monkeypatch.setattr(stm, "_block_ritz", lambda matrix: None)
+    assert main(argv) == 0
+    assert err == "" and csv == capsys.readouterr().out

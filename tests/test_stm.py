@@ -289,13 +289,19 @@ def test_scan_empty_above_threshold():
 
 
 def test_scan_independent_of_thread_count(monkeypatch):
-    grid = build_grid(1e-2, 1e2, 200)
-    results = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("TRIBOS_THREADS", threads)
-        results.append(scan_spectrum(grid, 0.0, 1e-2, 1e2, 7))
-    assert results[0].crossings == results[1].crossings
-    assert np.array_equal(results[0].smallest, results[1].smallest)
+    # every sweep path: on this grid delta = 0 certifies Lanczos values,
+    # delta = 0.6 gives up on Lanczos and takes the band solve, and delta = 1
+    # certifies the leading block's Ritz pair
+    grid = build_grid(*_LADDER_GRID)
+    for delta in (0.0, 0.6, 1.0):
+        results = []
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("TRIBOS_THREADS", threads)
+            results.append(scan_spectrum(grid, delta, 1e-4, 1e4, 7))
+        for other in results[1:]:
+            assert other.crossings == results[0].crossings
+            assert np.array_equal(other.smallest, results[0].smallest)
+            assert np.array_equal(other.negative_counts, results[0].negative_counts)
     monkeypatch.setenv("TRIBOS_THREADS", "0")
     with pytest.raises(ValueError):
         scan_spectrum(grid, 0.0, 1e-2, 1e2, 3)
