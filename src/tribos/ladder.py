@@ -70,6 +70,13 @@ def quantization_residual(mu: float, beta: float, s0: float) -> float:
     return math.cos(half_log) - beta * math.sin(half_log)
 
 
+def diagonal_term(p, mu: float) -> np.ndarray:
+    """sqrt(3 p^2/4 + mu) of an array of momenta: the radial operator's
+    diagonal term, inf (without a warning) where p^2 overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(0.75 * p * p + mu)
+
+
 def xi_mu(p, mu: float, s0: float):
     """Closed-form charge density xihat_mu(p); p = 0 takes the limit s0 sqrt(3)/(2 mu).
 
@@ -80,7 +87,7 @@ def xi_mu(p, mu: float, s0: float):
     p = np.asarray(p, dtype=float)
     if np.any(p < 0.0):
         raise ValueError("momenta must be nonnegative")
-    root = np.sqrt(0.75 * p * p + mu)
+    root = diagonal_term(p, mu)
     arg = (SQRT3 * p / 2.0 + root) / math.sqrt(mu)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(p > 0.0, np.sin(s0 * np.log(arg)) / (p * root), s0 * SQRT3 / (2.0 * mu))
@@ -125,5 +132,5 @@ def xi_from_theta(theta_fn, p, mu: float):
     """xihat(p) = (2/sqrt(3)) theta(x(p)) / (p sqrt(3 p^2/4 + mu)), p > 0."""
     p = np.asarray(p, dtype=float)
     x = x_of_p(p, mu)
-    out = (2.0 / SQRT3) * np.asarray(theta_fn(x), dtype=float) / (p * np.sqrt(0.75 * p * p + mu))
+    out = (2.0 / SQRT3) * np.asarray(theta_fn(x), dtype=float) / (p * diagonal_term(p, mu))
     return out if out.ndim else float(out)

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ladder import xi_mu
+from .ladder import diagonal_term as _diagonal_term, xi_mu
 from .symbols import default_s0, delta0
 
 _GL_POINTS_PER_PANEL = 16
@@ -323,12 +323,6 @@ def _kernel_matrix(p: np.ndarray, w: np.ndarray, params: ModelParams, lo: int = 
     return K, diag_kernel, np.zeros(K.shape[0]) if extra is None else extra
 
 
-def _diagonal_term(p: np.ndarray, mu: float) -> np.ndarray:
-    # sqrt(3 p^2/4 + mu), the operator's diagonal term (inf where p^2 overflows)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.sqrt(0.75 * p * p + mu)
-
-
 def assemble(grid: RadialGrid, params: ModelParams,
              subtraction: np.ndarray | None = None) -> np.ndarray:
     """The symmetric n x n Nystrom matrix of the radial operator on phi(p) = p xihat(p).
@@ -378,8 +372,8 @@ def _lapack_routine(name: str, arguments: str):
     """(BLAS or LAPACK routine name, its integer type) from numpy's LAPACK
     module: the ILP64 symbols first, then the LP64 one; None when none
     resolves (as on MKL or Accelerate builds of numpy).  arguments spells the
-    argument list, a letter each: c a character, i an integer, d a double, a
-    an array, h the hidden length of a character argument."""
+    argument list, a letter each: c a character, i an integer, a an array,
+    h the hidden length of a character argument."""
     lib = _lapack_library()
     if lib is None:
         return None
@@ -387,8 +381,7 @@ def _lapack_routine(name: str, arguments: str):
                             (f"{name}_64_", ctypes.c_int64), (f"{name}_", ctypes.c_int32)):
         routine = getattr(lib, symbol, None)
         if routine is not None:
-            kinds = {"c": ctypes.c_char_p, "i": ctypes.POINTER(integer),
-                     "d": ctypes.POINTER(ctypes.c_double), "a": ctypes.c_void_p,
+            kinds = {"c": ctypes.c_char_p, "i": ctypes.POINTER(integer), "a": ctypes.c_void_p,
                      "h": ctypes.c_size_t}
             routine.argtypes = [kinds[kind] for kind in arguments]
             routine.restype = None
@@ -399,11 +392,6 @@ def _lapack_routine(name: str, arguments: str):
 def _dsytrf():
     # uplo, n, a, lda, ipiv, work, lwork, info, hidden length of uplo
     return _lapack_routine("dsytrf", "ciaiaaiih")
-
-
-def _dsymv():
-    # uplo, n, alpha, a, lda, x, incx, beta, y, incy, hidden length of uplo
-    return _lapack_routine("dsymv", "cidaiaidaih")
 
 
 def _dsytrd_sy2sb():
@@ -580,21 +568,6 @@ def _inertia_logdet(matrix: np.ndarray) -> tuple[int, float]:
     return int(count), float(logdet)
 
 
-def _symmetric_product(matrix: np.ndarray) -> Callable[[np.ndarray, np.ndarray], object]:
-    """(x, out) -> out = M x by BLAS dsymv('L'), which reads only the C upper
-    triangle and the diagonal, as _inertia_logdet does (np.dot, reading all
-    of M, without a dsymv in numpy's BLAS); out must be finite."""
-    blas = _dsymv()
-    if blas is None:
-        return lambda x, out: np.dot(matrix, x, out=out)
-    dsymv, integer = blas
-    a = np.ascontiguousarray(matrix, dtype=float)
-    size, one = ctypes.byref(integer(a.shape[0])), ctypes.byref(integer(1))
-    unit, zero = ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(0.0))
-    return lambda x, out: dsymv(b"L", size, unit, a.ctypes.data, size, x.ctypes.data, one, zero,
-                                out.ctypes.data, one, 1)
-
-
 def _lanczos(matrix: np.ndarray, start: np.ndarray | None = None) -> tuple[float, float] | None:
     """(theta, r): the smallest Ritz value of a symmetric matrix and its
     residual estimate, or None.
@@ -608,20 +581,17 @@ def _lanczos(matrix: np.ndarray, start: np.ndarray | None = None) -> tuple[float
     _LANCZOS_STEPS runs on to n), sooner when the Kaniel-Paige rate
     (sqrt(1 + g) - sqrt(g))^2 of the gap ratio
     g = (theta_1 - theta_0) / (theta_max - theta_1) cannot reach the tolerance
-    in the steps left, and on non-finite values.  The product is
-    _symmetric_product's.  The matrix is only read.
+    in the steps left, and on non-finite values.  The matrix is only read.
     """
     n = matrix.shape[0]
     steps = min(_LANCZOS_STEPS, n)
     basis = np.empty((steps + 1, n))  # rows are touched (and resident) one step at a time
     basis[0] = 1.0 if start is None else start
     basis[0] /= np.linalg.norm(basis[0])
-    alpha, beta = np.empty(steps), np.empty(steps)
-    w = np.zeros(n)  # dsymv scales it by beta = 0: finite at every call
-    product = _symmetric_product(matrix)
+    alpha, beta, w = np.empty(steps), np.empty(steps), np.empty(n)
     for j in range(steps):
         q = basis[:j + 1]
-        product(basis[j], w)
+        np.dot(matrix, basis[j], out=w)
         h = q @ w
         if not np.all(np.isfinite(h)):
             return None
@@ -673,12 +643,9 @@ def _ritz_bound(matrix: np.ndarray, theta: float, x: np.ndarray, norm: float) ->
     the norms of r, x and M are computed within (n + 2) u, (n + 2) u and
     (n^2 + 2) u: rho = (fl||r|| / fl||x|| + (n + 2) u (norm + |theta|)) (1 +
     4 (n + 2) u) covers it all for n up to about 1e5."""
-    r = np.zeros(x.size)
-    _symmetric_product(matrix)(x, r)
-    r -= theta * x
     g = (x.size + 2) * _U
-    return (float(np.linalg.norm(r)) / float(np.linalg.norm(x)) + g * (norm + abs(theta))) * (
-        1.0 + 4.0 * g)
+    return (float(np.linalg.norm(matrix @ x - theta * x)) / float(np.linalg.norm(x))
+            + g * (norm + abs(theta))) * (1.0 + 4.0 * g)
 
 
 def _assembly_error(norm: float, d: np.ndarray, weights: float) -> float:
@@ -1060,15 +1027,24 @@ def closed_form_residual(mu: float, n: int = 2000, delta: float = 0.0,
                          s0: float | None = None) -> float:
     """Residual of the closed-form charge density on the canonical wide grid.
 
-    The grid spans n/125 decades starting two decades below the
-    evaluation window [1e-4, 1e3] * sqrt(mu); widening the window together
-    with n keeps the measurement truncation-limited rather than
-    quadrature-limited.
+    The grid spans n/125 decades starting two decades below the evaluation
+    window [1e-4, 1e3] * sqrt(mu); widening the window together with n keeps
+    the measurement truncation-limited rather than quadrature-limited.  A
+    grid end or a density sample beyond double range raises OverflowError.
     """
     params = ModelParams(mu=mu, delta=delta)
     root = math.sqrt(mu)
     p_min = 1e-6 * root
-    p_max = p_min * 10.0 ** (n / 125.0)
+    span = f"the canonical grid of {n} nodes from p = {p_min:.3g} over {n / 125.0:g} decades"
+    try:
+        p_max = p_min * 10.0 ** (n / 125.0)
+    except OverflowError:
+        p_max = math.inf
+    if p_max == math.inf:
+        raise OverflowError(f"{span} leaves double range")
     grid = build_grid(p_min, p_max, n)
-    values = xi_mu(grid.nodes, mu, default_s0() if s0 is None else s0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = xi_mu(grid.nodes, mu, default_s0() if s0 is None else s0)
+    if not np.isfinite(values).all():
+        raise OverflowError(f"the closed-form density leaves double range on {span}")
     return residual(grid, values, params, eval_lo=1e-4 * root, eval_hi=1e3 * root)

@@ -47,14 +47,15 @@ class SymbolScan:
 
 
 def eval_g(s: float) -> float:
-    """The TMS symbol g(s); even, g(0) = 1 - 4 pi/(3 sqrt(3)) < 0, g -> 1."""
-    return 1.0 - (8.0 / SQRT3) * sinh_ratio(s)
+    """The TMS symbol g(s) = 1 - (8/sqrt(3)) sinh_ratio(s), eval_reg_symbol at
+    delta = 0; even, g(0) = 1 - 4 pi/(3 sqrt(3)) < 0, g -> 1."""
+    return eval_reg_symbol(s, 0.0)
 
 
 def eval_reg_symbol(s: float, delta: float) -> float:
     """Symbol of the delta/|y|-regularized charge equation.
 
-    Even in s; reduces to eval_g at delta = 0.  The s = 0 limit,
+    Even in s; eval_g at delta = 0.  The s = 0 limit,
     1 + (delta pi - 4 pi/3)/sqrt(3), is built in analytically, so the
     threshold behaviour at delta0 is decided exactly.  Values beyond double
     range come out infinite, without a warning.

@@ -568,6 +568,20 @@ def test_residual_overflow_exits_3(capsys):
     assert capsys.readouterr().err.startswith("error: residual left double range")
 
 
+@pytest.mark.parametrize("argv", [["--mu=3e288"], ["--mu=1e300"], ["--mu=1e308"],
+                                  ["--mu=5e-324"], ["--n=100000"]])
+def test_residual_beyond_double_range_exits_3_naming_the_grid(argv, capsys):
+    # the canonical grid reaches p = 1e10 sqrt(mu), where the closed-form
+    # samples overflow from mu about 3e288 on (two RuntimeWarnings, then
+    # exit 2) and underflow at 5e-324 (exit 2); at n = 100000 the grid end
+    # 1e-6 sqrt(mu) 10^(n/125) overflows (an errno message)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["residual", *argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "canonical grid of " in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["--delta=1", "--p-max=1e200"],
     ["--delta=0", "--p-max=1e200"],

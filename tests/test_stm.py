@@ -943,34 +943,6 @@ def test_lanczos_sweep_point_is_bitwise_repeatable():
     assert next(iter(points))[0] == next(iter(ritz))[0]
 
 
-def _needs_dsymv():
-    if stm._dsymv() is None:
-        pytest.skip("numpy's BLAS exports no dsymv")
-
-
-def test_lanczos_reads_only_the_upper_triangle():
-    # dsymv('L') reads the C upper triangle and the diagonal, as the LDL^T
-    # inertia does; np.dot read the NaN below them and gave up
-    _needs_dsymv()
-    matrix = assemble(build_grid(*_LADDER_GRID), ModelParams(mu=0.7))
-    with stm._single_threaded_blas():
-        ritz = stm._lanczos(matrix)
-        matrix[np.tril_indices(matrix.shape[0], -1)] = math.nan
-        assert ritz is not None and stm._lanczos(matrix) == ritz
-
-
-def test_scan_without_dsymv_matches(monkeypatch):
-    # np.dot forms the product in another order: only the Ritz values move
-    grid = build_grid(*_LADDER_GRID)
-    scans = [scan_spectrum(grid, delta, 1e-4, 1e4, 9) for delta in (0.0, 0.3)]
-    monkeypatch.setattr(stm, "_dsymv", lambda: None)
-    for delta, scan in zip((0.0, 0.3), scans):
-        dotted = scan_spectrum(grid, delta, 1e-4, 1e4, 9)
-        assert dotted.crossings == scan.crossings
-        assert np.array_equal(dotted.negative_counts, scan.negative_counts)
-        assert np.allclose(dotted.smallest, scan.smallest, rtol=1e-13, atol=0.0)
-
-
 @pytest.mark.parametrize("delta, max_products", [(0.0, 200), (0.3, 300)])
 def test_sweep_points_start_from_the_head_ground_state(monkeypatch, delta, max_products):
     # Every point starts Lanczos from the middle point's Ritz vector, which
@@ -980,22 +952,28 @@ def test_sweep_points_start_from_the_head_ground_state(monkeypatch, delta, max_p
     # The one proof of the scan covers every value, each within 1e-13 of
     # eigvalsh: the second eigenvalue at the lowest mu, proven above every
     # theta + rho, lies below the true one.
-    _needs_dsymv()
-    dsymv, integer = stm._dsymv()
     products, proofs, bounds = [], [], {}
     grid = build_grid(*_LADDER_GRID)
-    prove, ritz_bound = stm._second_eigenvalue_bound, stm._ritz_bound
+    prove, ritz_bound, dot = stm._second_eigenvalue_bound, stm._ritz_bound, np.dot
+
+    def counted_dot(a, *args, **kwargs):
+        # the Lanczos products: np.dot of the matrix and a vector
+        if np.ndim(a) == 2:
+            products.append(1)
+        return dot(a, *args, **kwargs)
+
+    def counted_bound(matrix, theta, *args):
+        products.append(1)  # its product with the Ritz vector
+        return bounds.setdefault(theta, ritz_bound(matrix, theta, *args))
 
     def proof(matrix, x, theta, target):
         second = np.linalg.eigvalsh(matrix)[1]
         proofs.append((second, target, prove(matrix, x, theta, target)))
         return proofs[-1][2]
 
-    monkeypatch.setattr(stm, "_dsymv", lambda: (lambda *a: products.append(1) or dsymv(*a),
-                                                integer))
+    monkeypatch.setattr(np, "dot", counted_dot)
     monkeypatch.setattr(stm, "_second_eigenvalue_bound", proof)
-    monkeypatch.setattr(stm, "_ritz_bound", lambda matrix, theta, *a: bounds.setdefault(
-        theta, ritz_bound(matrix, theta, *a)))
+    monkeypatch.setattr(stm, "_ritz_bound", counted_bound)
     certify = _record_calls(monkeypatch, ("_certified_lower_bound",))["_certified_lower_bound"]
     n_mu = 9
     scan = scan_spectrum(grid, delta, 1e-4, 1e4, n_mu)
@@ -1079,11 +1057,11 @@ def test_a_failing_head_point_ends_the_scan(monkeypatch):
 
 
 def test_every_routine_binds_on_scipy_openblas():
-    # a routine that did not resolve would fall back to np.dot or eigvalsh
+    # a routine that did not resolve would fall back to eigvalsh
     # silently, at a fraction of the speed
     if np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"] != "scipy-openblas":
         pytest.skip("numpy is not built with scipy-openblas")
-    for routine in (stm._dsytrf, stm._dsymv, stm._dsytrd_sy2sb, stm._dpbtrf):
+    for routine in (stm._dsytrf, stm._dsytrd_sy2sb, stm._dpbtrf):
         assert routine() is not None, routine.__name__
 
 

@@ -74,6 +74,18 @@ def test_reg_symbol_reduces_to_g_at_zero_delta():
         assert eval_reg_symbol(float(s), 0.0) == pytest.approx(eval_g(float(s)), abs=1e-15)
 
 
+def test_g_keeps_the_bits_of_its_former_formula():
+    # eval_g is eval_reg_symbol at delta = 0, which gives the bits of the
+    # former 1 - (8/sqrt(3)) sinh_ratio(s): 8/sqrt(3) = 4 (2/sqrt(3)) exactly
+    rng = np.random.default_rng(23)
+    s = np.concatenate([np.linspace(-60.0, 60.0, 100001), [0.0, -0.0, 1e300, -1e300, math.inf],
+                        np.nextafter(1e-6, [0.0, 1.0]), [1e-6, -1e-6, 1e-7, 5e-324],
+                        rng.uniform(-1e-5, 1e-5, 10000), np.exp(rng.uniform(-700.0, 700.0, 10000))])
+    former = 1.0 - (8.0 / math.sqrt(3.0)) * sinh_ratio(s)
+    assert np.array_equal(eval_g(s).view(np.int64), former.view(np.int64))
+    assert all(eval_g(float(x)) == f for x, f in zip(s[::97], former[::97]))
+
+
 def test_reg_symbol_even():
     rng = np.random.default_rng(9)
     for s in rng.uniform(-30.0, 30.0, size=20):
