@@ -33,6 +33,7 @@ _ABS_TOL = 1e-9  # of integrate, shared by its panels
 _TAIL_CUT = 80
 # Halvings of the width toward the endpoint in _graded_breakpoints.
 _GRADED_LEVELS = 45
+_HYPERBOLIC_MAX = 700.0  # beyond it the kernels avoid math.cosh and math.sinh (overflow: 710.5)
 
 
 class QuadratureBudgetError(RuntimeError):
@@ -124,7 +125,9 @@ def coth_log_kernel(x: float) -> float:
 
 
 def m_log_kernel(x: float) -> float:
-    """log[(2 cosh x + 1)/(2 cosh x - 1)] for x >= 0."""
+    """log[(2 cosh x + 1)/(2 cosh x - 1)] for x >= 0 (2 e^-x beyond _HYPERBOLIC_MAX)."""
+    if x > _HYPERBOLIC_MAX:
+        return 2.0 * math.exp(-x)
     return math.log1p(2.0 / (2.0 * math.cosh(x) - 1.0))
 
 
@@ -193,10 +196,14 @@ def odd_extension_check(theta, x: float) -> float:
     and returns the larger of the two absolute discrepancies, each integral
     truncated at distance _TAIL_CUT from x.  The regularization kernel is
     log-singular at y = x; panels are split there and graded toward the
-    singular point.
+    singular point.  Raises RuntimeError from x = 2^23 - _TAIL_CUT on, where
+    a node near x rounds by more than the quadrature tolerance.
     """
     if not x > 0.0:
         raise ValueError("x must be positive")
+    if math.ulp(x + _TAIL_CUT) > _ABS_TOL:
+        raise RuntimeError(f"x = {x:.17g} is not below {2 ** 23 - _TAIL_CUT}: a quadrature node "
+                           f"near x rounds by more than the tolerance {_ABS_TOL:g}")
     budget = 60000
     hi = x + _TAIL_CUT
     theta_odd = lambda y: theta(y) if y >= 0.0 else -theta(-y)
@@ -211,6 +218,8 @@ def odd_extension_check(theta, x: float) -> float:
     # the log singularity at y = x sits on panel boundaries of a graded mesh;
     # a node colliding with it in floating point is a measure-zero accident
     def half_l_kernel(y: float) -> float:
+        if max(x, y) > _HYPERBOLIC_MAX:  # the same, as log|tanh((x+y)/2) / tanh((x-y)/2)|
+            return full_l_kernel(y) - coth_log_kernel(x + y)
         num = math.sinh(x) + math.sinh(y)
         den = math.sinh(x) - math.sinh(y)
         if den == 0.0:

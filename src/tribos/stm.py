@@ -413,58 +413,61 @@ def _square(matrix: np.ndarray) -> np.ndarray:
     return a
 
 
-def _finite(a: np.ndarray) -> bool:
-    # whether the C upper triangle and the diagonal, all that a solve here
-    # reads, are finite, without an n x n boolean temporary
+def _finite(a: np.ndarray, uplo: bytes = b"L") -> bool:
+    # whether the triangle uplo names (see _ldlt) and the diagonal, all that
+    # a solve here reads, are finite, without an n x n boolean temporary
+    a = a if uplo == b"L" else a.T
     return all(np.isfinite(np.triu(a[lo:lo + _ROW_BLOCK, lo:lo + _ROW_BLOCK])).all()
                and np.isfinite(a[lo:lo + _ROW_BLOCK, lo + _ROW_BLOCK:]).all()
                for lo in range(0, a.shape[0], _ROW_BLOCK))
 
 
-def _eigvalsh_solve(matrix: np.ndarray) -> tuple[float, int, float]:
+def _eigvalsh_solve(matrix: np.ndarray, uplo: bytes) -> tuple[float, int, float]:
     """(smallest eigenvalue, number of negative eigenvalues, log|det|) of a
-    symmetric matrix by np.linalg.eigvalsh of its C upper triangle, after a
-    finiteness check of that triangle (else LinAlgError): the scan's solve
-    where numpy's LAPACK lacks a routine."""
-    if not _finite(matrix):
+    symmetric matrix by np.linalg.eigvalsh of the finite (else LinAlgError)
+    triangle uplo names: the scan's solve where numpy's LAPACK lacks a routine."""
+    if not _finite(matrix, uplo):
         raise np.linalg.LinAlgError("non-finite matrix")
-    ev = np.linalg.eigvalsh(matrix, UPLO="U")
+    ev = np.linalg.eigvalsh(matrix, UPLO="U" if uplo == b"L" else "L")
     with np.errstate(divide="ignore"):
         return float(ev[0]), int(np.count_nonzero(ev < 0.0)), float(np.sum(np.log(np.abs(ev))))
 
 
-def _lowest_eigenvalue(matrix: np.ndarray) -> tuple[float, tuple[int, float] | None]:
+def _lowest_eigenvalue(matrix: np.ndarray, uplo: bytes = b"L"
+                       ) -> tuple[float, tuple[int, float] | None]:
     """(smallest eigenvalue, (0, log|det|) when positive definite, else
-    None) of a symmetric matrix, which is overwritten.
+    None) of a symmetric matrix.
 
-    LAPACK dsytrd_sy2sb('L') reduces the C upper triangle (the lower one is
-    neither read nor checked) to an orthogonally similar band B of half-width _BAND.  Banded Cholesky, dpbtrf('L') of
-    B - sI copied into the reduction's workspace, succeeds exactly when s lies
-    below B's smallest eigenvalue (to rounding).  B's smallest diagonal
-    entry, a Rayleigh quotient, bounds it from above; from there the shift
-    gallops down (2^-30 of that entry's size, then 16 times further each
-    step) until Cholesky succeeds, and bisection closes the bracket to
-    adjacent doubles, returning its lower end.  Cholesky at s = 0 gives
-    log|det| = 2 sum log L_ii.  A non-finite matrix or band raises
-    LinAlgError.  Without the two routines this is _eigvalsh_solve, with
-    the pair always given.
+    LAPACK dsytrd_sy2sb(uplo) reduces the triangle uplo names (see _ldlt),
+    which it overwrites with the diagonal, to an orthogonally similar band B
+    of half-width _BAND; the other triangle is neither read nor written.
+    Banded Cholesky, dpbtrf(uplo) of B - sI copied into the reduction's
+    workspace, succeeds exactly when s lies below B's smallest eigenvalue (to
+    rounding).  B's smallest diagonal entry, a Rayleigh quotient, bounds it
+    from above; from there the shift gallops down (2^-30 of that entry's
+    size, then 16 times further each step) until Cholesky succeeds, and
+    bisection closes the bracket to adjacent doubles, returning its lower
+    end.  Cholesky at s = 0 gives log|det| = 2 sum log L_ii.  A non-finite
+    matrix or band raises LinAlgError.  Without the two routines this is
+    _eigvalsh_solve, with the pair always given.
     """
     a = _square(matrix)
     reduce, factor = _dsytrd_sy2sb(), _dpbtrf()
     if reduce is None or factor is None:
-        smallest, count, logdet = _eigvalsh_solve(a)
+        smallest, count, logdet = _eigvalsh_solve(a, uplo)
         return smallest, (count, logdet)
-    if not _finite(a):
+    if not _finite(a, uplo):
         raise np.linalg.LinAlgError("non-finite matrix")
     (dsytrd_sy2sb, integer), (dpbtrf, _) = reduce, factor
     size = a.shape[0]
     kd = min(_BAND, size - 1)
-    band = np.zeros((size, kd + 1))  # row j: B[j:j + kd + 1, j]; past n - 1 zeros, unread
+    d = 0 if uplo == b"L" else kd  # B's diagonal column
+    band = np.zeros((size, kd + 1))  # row j: B[j - d:j - d + kd + 1, j]; beyond B zeros, unread
     tau = np.empty(max(1, size - kd))
     n, width, ldab, info = integer(size), integer(kd), integer(kd + 1), integer(0)
 
     def reduction(work: np.ndarray, lwork: int) -> None:
-        dsytrd_sy2sb(b"L", ctypes.byref(n), ctypes.byref(width), a.ctypes.data,
+        dsytrd_sy2sb(uplo, ctypes.byref(n), ctypes.byref(width), a.ctypes.data,
                      ctypes.byref(n), band.ctypes.data, ctypes.byref(ldab), tau.ctypes.data,
                      work.ctypes.data, ctypes.byref(integer(lwork)), ctypes.byref(info), 1)
 
@@ -481,15 +484,15 @@ def _lowest_eigenvalue(matrix: np.ndarray) -> tuple[float, tuple[int, float] | N
         # whether B - shift I is numerically positive definite
         np.copyto(shifted, band)
         with np.errstate(over="ignore"):  # inf: the factor is not finite, a failure
-            np.subtract(band[:, 0], shift, out=shifted[:, 0])
-        dpbtrf(b"L", ctypes.byref(n), ctypes.byref(width), shifted.ctypes.data,
+            np.subtract(band[:, d], shift, out=shifted[:, d])
+        dpbtrf(uplo, ctypes.byref(n), ctypes.byref(width), shifted.ctypes.data,
                ctypes.byref(ldab), ctypes.byref(info), 1)
-        return info.value == 0 and math.isfinite(float(np.sum(shifted[:, 0])))
+        return info.value == 0 and math.isfinite(float(np.sum(shifted[:, d])))
 
     inertia = None
     if cholesky(0.0):
-        inertia = 0, 2.0 * float(np.sum(np.log(shifted[:, 0])))
-    hi = float(band[:, 0].min())
+        inertia = 0, 2.0 * float(np.sum(np.log(shifted[:, d])))
+    hi = float(band[:, d].min())
     step = 2.0 ** -30 * abs(hi) or math.ulp(0.0)
     lo = hi - step
     while not cholesky(lo):
@@ -528,7 +531,7 @@ def _ldlt(matrix: np.ndarray, uplo: bytes) -> tuple[np.ndarray, np.ndarray]:
     factor(query, -1)  # workspace query
     lwork = max(1, int(query[0]))
     factor(np.empty(lwork), lwork)
-    if not _finite(a if uplo == b"L" else a.T):
+    if not _finite(a, uplo):
         raise np.linalg.LinAlgError("non-finite matrix or LDL^T factor")
     return a, ipiv
 
@@ -544,7 +547,7 @@ def _inertia_logdet(matrix: np.ndarray) -> tuple[int, float]:
     numpy's LAPACK both come from _eigvalsh_solve.
     """
     if _dsytrf() is None:
-        return _eigvalsh_solve(_square(matrix))[1:]
+        return _eigvalsh_solve(_square(matrix), b"L")[1:]
     a, ipiv = _ldlt(matrix, b"L")
     size = a.shape[0]
     # ipiv < 0 marks the rows of 2x2 pivot blocks; runs of them pair up from
@@ -732,17 +735,6 @@ def _checked_value(matrix: np.ndarray, ritz: tuple[float, float] | None) -> floa
     return _lowest_eigenvalue(matrix)[0]
 
 
-def _restore_upper(a: np.ndarray, diagonal: np.ndarray) -> None:
-    # the C upper triangle copied back from the lower one, in blocks as
-    # assemble mirrors, and the diagonal put back
-    for lo in range(0, a.shape[0], _ROW_BLOCK):
-        hi = lo + _ROW_BLOCK
-        block = a[lo:hi, lo:hi]
-        np.copyto(block, block.T, where=np.triu(np.ones(block.shape, dtype=bool), 1))
-        a[lo:hi, hi:] = a[hi:, lo:hi].T
-    np.fill_diagonal(a, diagonal)
-
-
 def _sweep_point(build: Callable[[], np.ndarray], start: np.ndarray | None,
                  agree: Callable[[float, float, float, float], int | None] | None = None
                  ) -> tuple[float, int, float | None]:
@@ -752,9 +744,9 @@ def _sweep_point(build: Callable[[], np.ndarray], start: np.ndarray | None,
     certificate, and it factors only if agree(theta, r, rho, ||M||_F) gives
     no count (else log|det| is None).  Else: the certified value of _lanczos
     (if negative) or _block_ritz, with (0, None) where its bound is
-    positive, else the _inertia_logdet pair; failing that,
-    _lowest_eigenvalue's and, unless M is positive definite, the pair of the
-    upper triangle restored from the lower one (or of a new build)."""
+    positive, else the _inertia_logdet pair; failing that, _lowest_eigenvalue's
+    of the lower triangle (the upper if a certificate spent it) and, unless M
+    is positive definite, the pair of the upper one (or of a new build)."""
     matrix = build()
     ritz = _block_ritz(matrix) if start is None else _lanczos(matrix, start)
     if agree is not None and ritz is not None and ritz[0] < 0.0:
@@ -772,15 +764,13 @@ def _sweep_point(build: Callable[[], np.ndarray], start: np.ndarray | None,
         del matrix
         matrix, lower = build(), True
     diagonal = matrix.diagonal().copy()
-    smallest, inertia = _lowest_eigenvalue(matrix)
-    if inertia is None:
-        if lower:
-            _restore_upper(matrix, diagonal)
-        else:
-            del matrix
-            matrix = build()
-        inertia = _inertia_logdet(matrix)
-    return smallest, *inertia
+    smallest, inertia = _lowest_eigenvalue(matrix, b"U" if lower else b"L")
+    if inertia is None and lower:
+        np.fill_diagonal(matrix, diagonal)  # the upper triangle is still the assembled one
+    elif inertia is None:
+        del matrix
+        matrix = build()
+    return smallest, *(inertia or _inertia_logdet(matrix))
 
 
 def _level_value(count: int, k: int, log_size: float) -> float:
@@ -883,7 +873,8 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     or on the order in which tasks finish only if the computed counts, like
     the exact ones, do not increase with mu; they may not when an eigenvalue
     lies within rounding of 0 at a sweep mu, and then a count, or whether
-    the scan raises on an increase, can depend on that order.
+    the scan raises on an increase, can depend on that order.  The proofs
+    (counts, ground states, positivity) are of the n x n matrix, not the operator.
     """
     if not (0.0 < mu_lo < mu_hi):
         raise ValueError("need 0 < mu_lo < mu_hi")

@@ -61,7 +61,8 @@ def eval_reg_symbol(s: float, delta: float) -> float:
     range come out infinite, without a warning.
     """
     with np.errstate(over="ignore"):
-        return 1.0 + (2.0 / SQRT3) * (delta * tanh_over_s(s) - 4.0 * sinh_ratio(s))
+        regularization = delta * tanh_over_s(s) if delta else 0.0  # exactly 0 at delta = 0
+        return 1.0 + (2.0 / SQRT3) * (regularization - 4.0 * sinh_ratio(s))
 
 
 def delta0() -> float:
@@ -97,21 +98,16 @@ def find_s0(tol: float = 1e-12) -> EfimovConstant:
     """Locate the Efimov constant s0 by deterministic bisection on g.
 
     The bisection starts from the first sign change of g on the steps
-    0.1 k, k = 1..200.  Raises RuntimeError if there is none (an
-    implementation bug, not a data condition: g(0) < 0 < g(20)).
+    0.1 k, k = 0..200, evaluated as one array.  Raises RuntimeError if there
+    is none (an implementation bug, not a data condition: g(0) < 0 < g(20)).
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    lo = 0.0
-    hi = None
-    for k in range(1, 201):
-        s = 0.1 * k
-        if eval_g(s) > 0.0:
-            hi = s
-            break
-        lo = s
-    if hi is None:
+    steps = 0.1 * np.arange(201)
+    k = int(np.argmax(eval_g(steps) > 0.0))  # 0: no sign change, as g(0) < 0
+    if not k:
         raise RuntimeError("no sign change of g on (0, 20]")
+    lo, hi = float(steps[k - 1]), float(steps[k])
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:

@@ -110,7 +110,9 @@ def psi(s1: np.ndarray, s2: np.ndarray, eta: float) -> np.ndarray:
     s_sq = a1 * a1 + a2 * a2 - _dots(s1, s2)
     xi1 = SQRT3 * a1 / _norms(s1 - 2.0 * s2)
     xi2 = SQRT3 * a2 / _norms(s2 - 2.0 * s1)
-    return k0(eta * np.sqrt(s_sq)) / s_sq * (_pair_term(xi1) + _pair_term(xi2))
+    with np.errstate(over="ignore"):  # eta s = inf gives K0 = 0, which pde_residuals rejects
+        r = eta * np.sqrt(s_sq)
+    return k0(r) / s_sq * (_pair_term(xi1) + _pair_term(xi2))
 
 
 def pde_residual(pt: ThomasPoint, h: float) -> float:
@@ -142,7 +144,7 @@ def pde_residuals(s1: np.ndarray, s2: np.ndarray, eta: float, h: float) -> np.nd
     s1, s2 off the degenerate sets; an error is the first failing row's."""
     if not h > 0.0:
         raise ValueError("h must be positive")
-    if (eta * h) ** 2 < 512.0 * math.ulp(1.0):
+    if eta * h * (eta * h) < 512.0 * math.ulp(1.0):  # inf, not OverflowError, for a huge eta
         raise ValueError(f"step {h} too small: stencil rounding 512 eps/(eta h)^2 exceeds 1")
     separation = _min_separations(s1, s2)
     f0 = psi(s1, s2, eta)

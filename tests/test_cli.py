@@ -471,9 +471,29 @@ def test_memory_error_exits_2(monkeypatch, capsys):
 
 
 def test_oracle_overflow_exits_3(capsys):
-    # cosh overflows in the odd-extension kernels for x beyond about 315
+    # the odd-extension check cannot resolve its quadrature nodes near x
     assert main(["oracle", "--s", "1", "--x", "1e300"]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_oracle_beyond_the_range_of_cosh_passes(tmp_path):
+    # the half-line integrals evaluate the kernels up to 2x + 80, beyond
+    # 710.5, where math.cosh (and from x = 630 on math.sinh) overflowed: exit 3
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", "--s", "1", "--x", "320,640", "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert [r[0] for r in rows[-4:]] == ["odd_extension", "balance_at_s0"] * 2
+    assert all(r[-1] == "pass" for r in rows)
+
+
+@pytest.mark.parametrize("eta", ["1e155", "1e160", "1.7e308"])
+def test_thomas_at_a_huge_eta_exits_2_naming_it(eta, capsys):
+    # psi underflows at every point; (eta h)^2 in the step guard overflowed
+    # from eta = 1.3e157 on, an exit 3 with an errno tuple
+    assert main(["thomas", "--eta", eta, "--n-points", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: psi = 0 underflows the normal doubles")
+    assert f"eta = {float(eta):.17g} too large" in err
 
 
 def test_scan_output_independent_of_thread_variables(tmp_path):

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from tribos.oracle import (QuadratureBudgetError, check_transforms, convolution_balance,
-                           cosine_transform, coth_log_kernel, coth_transform_analytic,
-                           factorization_check, integrate, m_log_kernel,
-                           m_transform_analytic, odd_extension_check)
+from tribos.oracle import (_TAIL_CUT, QuadratureBudgetError, check_transforms,
+                           convolution_balance, cosine_transform, coth_log_kernel,
+                           coth_transform_analytic, factorization_check, integrate,
+                           m_log_kernel, m_transform_analytic, odd_extension_check)
 from tribos.symbols import eval_g
 
 
@@ -101,3 +101,18 @@ def test_kernels_positive_and_decaying():
     assert all(v > 0.0 for v in cv)
     assert all(a > b for a, b in zip(mv, mv[1:]))
     assert all(a > b for a, b in zip(cv, cv[1:]))
+
+
+def test_kernels_past_the_range_of_cosh(s0):
+    # from x = 700 on m_log_kernel is 2 e^-x, its log1p form's value to
+    # rounding there; the odd-extension check then runs where cosh and sinh
+    # of its nodes overflow, and stops where x + _TAIL_CUT rounds by more
+    # than the quadrature tolerance
+    assert m_log_kernel(700.0) == pytest.approx(2.0 * math.exp(-700.0), rel=4e-16)
+    assert m_log_kernel(math.nextafter(700.0, math.inf)) < m_log_kernel(700.0)
+    assert m_log_kernel(1e4) == 0.0
+    for x in (320.0, 640.0):
+        assert odd_extension_check(lambda y: math.sin(s0 * y), x) <= 1e-8
+    odd_extension_check(lambda y: 0.0, math.nextafter(2.0 ** 23 - _TAIL_CUT, 0.0))
+    with pytest.raises(RuntimeError, match="8388528"):
+        odd_extension_check(lambda y: 0.0, 2.0 ** 23 - _TAIL_CUT)

@@ -561,15 +561,19 @@ def test_eigen_solve_fallback_rejects_non_finite_matrices(monkeypatch, bad):
 
 
 def test_eigen_solve_fallback_reads_the_upper_triangle(monkeypatch):
-    # as the band solve and the inertia do: a certificate's spent (here NaN)
-    # lower triangle changes nothing
+    # as the band solve and the inertia do: a spent (here NaN) lower
+    # triangle changes nothing for b"L", the C upper one, and a spent upper
+    # triangle nothing for b"U"
     _hide_band_routines(monkeypatch)
     monkeypatch.setattr(stm, "_dsytrf", lambda: None)
     a = _symmetric(40, 4)
     spent = a.copy()
     spent[np.tril_indices(40, -1)] = math.nan
-    assert stm._lowest_eigenvalue(spent.copy()) == stm._lowest_eigenvalue(a.copy())
+    assert stm._lowest_eigenvalue(spent.copy(), b"L") == stm._lowest_eigenvalue(a.copy(), b"L")
     assert stm._inertia_logdet(spent) == stm._inertia_logdet(a)
+    assert stm._lowest_eigenvalue(spent.T.copy(), b"U") == stm._lowest_eigenvalue(a.copy(), b"U")
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite matrix"):
+        stm._lowest_eigenvalue(spent.copy(), b"U")
 
 
 def test_level_value_keeps_its_sign_when_it_underflows():
@@ -731,16 +735,17 @@ def _mp_smallest(matrix):
         return min(ev), max(abs(min(ev)), abs(max(ev)))
 
 
-def _assert_near_mp_reference(matrix, bound):
-    smallest = stm._lowest_eigenvalue(matrix.copy())[0]
+def _assert_near_mp_reference(matrix, bound, uplo):
+    smallest = stm._lowest_eigenvalue(matrix.copy(), uplo)[0]
     reference, norm = _mp_smallest(matrix)
     error = float(abs(mp.mpf(smallest) - reference) / norm) / np.finfo(float).eps
     assert error <= bound
 
 
 # The band value lay within 0.20 eps ||M||_2 of a 30-digit reference on these
-# assembled matrices (eigvalsh: within 1.1) and within 0.99 eps ||A||_2 on
-# the random ones (eigvalsh: 6.5); n = 1 reports the double below the entry.
+# assembled matrices from the upper triangle (lower: 0.06; eigvalsh: within
+# 1.1) and within 0.99 eps ||A||_2 on the random ones (lower: 1.14;
+# eigvalsh: 6.5); n = 1 reports the double below the entry.
 _BAND_BOUND = 1.25
 
 
@@ -748,14 +753,17 @@ _BAND_BOUND = 1.25
 def test_band_smallest_eigenvalue_against_mpmath(delta):
     grid = build_grid(1e-4, 1e4, 40)
     for mu in (1e-3, 1.0, 1e3):
-        _assert_near_mp_reference(assemble(grid, ModelParams(mu=mu, delta=delta)), _BAND_BOUND)
+        for uplo in (b"L", b"U"):
+            _assert_near_mp_reference(assemble(grid, ModelParams(mu=mu, delta=delta)),
+                                      _BAND_BOUND, uplo)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 33, 34, 50])
 def test_band_smallest_eigenvalue_of_indefinite_matrices_against_mpmath(n):
     # n <= 33 = _BAND + 1 is a band already, copied without a reduction
     for seed in range(2):
-        _assert_near_mp_reference(_symmetric(n, seed), _BAND_BOUND)
+        for uplo in (b"L", b"U"):
+            _assert_near_mp_reference(_symmetric(n, seed), _BAND_BOUND, uplo)
 
 
 def test_finiteness_check_reads_every_row_block():
@@ -795,19 +803,20 @@ def test_scan_without_band_routines_matches(monkeypatch):
 
 
 def test_give_up_points_with_bound_states_count_by_inertia(monkeypatch):
-    # delta = 0.6: Lanczos gives up in the calling thread and at every point;
+    # delta = 0.6: Lanczos gives up in the calling thread and at every point,
+    # so no certificate spends the lower triangle and the band reduces it;
     # where the band is not positive definite the count and log|det| come
-    # from LDL^T on the matrix restored from its lower triangle.  Counts and
-    # crossings as with the full eigen-solve.
+    # from LDL^T on the upper triangle it left.  Counts and crossings as with
+    # the full eigen-solve.
     grid = build_grid(*_LADDER_GRID)
-    gave_up, pairs = [], []
+    gave_up, pairs, triangles = [], [], []
     lanczos, lowest = stm._lanczos, stm._lowest_eigenvalue
     monkeypatch.setattr(stm, "_lanczos", lambda *a: (lambda r: gave_up.append(r is None) or r)(
         lanczos(*a)))
-    monkeypatch.setattr(stm, "_lowest_eigenvalue",
-                        lambda m: (lambda r: pairs.append(r[1]) or r)(lowest(m)))
+    monkeypatch.setattr(stm, "_lowest_eigenvalue", lambda m, uplo: triangles.append(uplo) or (
+        lambda r: pairs.append(r[1]) or r)(lowest(m, uplo)))
     scan = scan_spectrum(grid, 0.6, 1e-4, 1e4, 5)
-    assert gave_up == [True] * 6 and len(pairs) == 5
+    assert gave_up == [True] * 6 and len(pairs) == 5 and triangles == [b"U"] * 5
     assert list(scan.negative_counts) == [2, 1, 1, 1, 0]
     assert sum(pair is None for pair in pairs) == 4
     # the full eigen-solve's crossings, to the refinement's width
@@ -818,16 +827,18 @@ def test_give_up_points_with_bound_states_count_by_inertia(monkeypatch):
 
 
 def test_give_up_points_assemble_their_matrix_once(monkeypatch):
-    # delta = 0.6: the band solve spends the C upper triangle and the
-    # diagonal; copied back from the lower one, the matrix is bit for bit a
-    # fresh assembly, so no sweep point assembles twice
+    # delta = 0.6: the band solve on the C lower triangle spends it and the
+    # diagonal; with the diagonal put back, the upper triangle the inertia
+    # reads is bit for bit a fresh assembly's, so no sweep point assembles
+    # twice
     grid = build_grid(*_LADDER_GRID)
     for mu in (1e-4, 0.7):
         matrix = assemble(grid, ModelParams(mu=mu, delta=0.6))
         spent, diagonal = matrix.copy(), matrix.diagonal().copy()
-        assert stm._lowest_eigenvalue(spent)[1] is None
-        stm._restore_upper(spent, diagonal)
-        assert np.array_equal(spent.view(np.uint64), matrix.view(np.uint64))
+        assert stm._lowest_eigenvalue(spent, b"U")[1] is None
+        np.fill_diagonal(spent, diagonal)
+        assert np.array_equal(np.triu(spent).view(np.uint64), np.triu(matrix).view(np.uint64))
+        assert stm._inertia_logdet(spent) == stm._inertia_logdet(matrix.copy())
     builds, sweep_point = [], stm._sweep_point
 
     def counted(build, start, agree):
@@ -864,7 +875,7 @@ def test_a_proven_bracket_end_is_factored_once(monkeypatch):
     assert [built.count(mu) for mu in mus] == [2, 2, 1, 1, 1]
     band = stm._lowest_eigenvalue
     monkeypatch.setattr(stm, "_block_ritz", lambda matrix: None)
-    monkeypatch.setattr(stm, "_lowest_eigenvalue", lambda m: built.append("band") or band(m))
+    monkeypatch.setattr(stm, "_lowest_eigenvalue", lambda *a: built.append("band") or band(*a))
     reference = scan_spectrum(grid, 1.0, 1e-2, 1e2, 5)
     assert built.count("band") == 5
     assert scan.crossings == reference.crossings
@@ -879,10 +890,11 @@ def test_a_failed_certificate_counts_on_a_matrix_built_again(monkeypatch, failed
     matrix = np.diag(np.linspace(2.0, 3.0, n))
     matrix[n - 1, n - 1] = -0.5
     assert stm._block_ritz(matrix) == (2.0, 0.0)
-    builds = []
-    monkeypatch.setattr(stm, "_restore_upper", None)
+    builds, triangles, band = [], [], stm._lowest_eigenvalue
+    monkeypatch.setattr(stm, "_lowest_eigenvalue",
+                        lambda m, uplo: triangles.append(uplo) or band(m, uplo))
     smallest, count, logdet = stm._sweep_point(lambda: builds.append(1) or matrix.copy(), None)
-    assert failed_certificates == [None] and len(builds) == 2
+    assert failed_certificates == [None] and len(builds) == 2 and triangles == [b"L"]
     assert smallest == pytest.approx(-0.5, abs=4.0 * _U * 3.0) and count == 1
     assert logdet == pytest.approx(np.sum(np.log(np.abs(matrix.diagonal()))), rel=1e-12)
 
@@ -1397,18 +1409,17 @@ def test_a_spent_lower_triangle_keeps_the_band_fallback(monkeypatch, fill):
 
 def test_smallest_eigenvalue_pays_for_no_count(monkeypatch):
     # test_smallest_eigenvalue_shift_identity's matrix: the block's residual
-    # misses, and the value is the band solve's, with no inertia and no
-    # restored triangle; at n <= _BLOCK the block is the whole matrix and its
-    # negative Ritz value is certified, again without an inertia
+    # misses, and the value is the band solve's, with no inertia; at n <=
+    # _BLOCK the block is the whole matrix and its negative Ritz value is
+    # certified, again without an inertia
     root = math.sqrt(2.0)
     band = {}
     for n in (200, 150):
         op = assemble(build_grid(1e-4 * root, 1e4 * root, n), ModelParams(mu=2.0))
         band[n] = stm._lowest_eigenvalue(op.copy())[0]
-        calls = _record_calls(monkeypatch, ("_inertia_logdet", "_restore_upper",
-                                            "_lowest_eigenvalue"))
+        calls = _record_calls(monkeypatch, ("_inertia_logdet", "_lowest_eigenvalue"))
         value = smallest_eigenvalue(op)
-        assert not calls["_inertia_logdet"] and not calls["_restore_upper"]
+        assert not calls["_inertia_logdet"]
         assert len(calls["_lowest_eigenvalue"]) == (n > stm._BLOCK)
         if n > stm._BLOCK:
             assert value == band[n]

@@ -56,6 +56,13 @@ def test_find_s0_against_bisection_oracle():
     assert abs(find_s0(1e-12).s0 - oracle) < 1e-10
 
 
+def test_find_s0_keeps_its_bits():
+    # the coarse 0.1 k scan runs as one array, bit for bit the scalar calls
+    # of its former loop, so the bracket and every bisection step are theirs
+    assert find_s0(1e-12).s0 == 1.0062378251027444
+    assert find_s0(1e-14).s0 == 1.006237825102782
+
+
 def test_find_s0_errors():
     with pytest.raises(ValueError):
         find_s0(0.0)
