@@ -239,6 +239,16 @@ def odd_extension_check(theta, x: float) -> float:
     return max(abs(half_m - full_m), abs(half_l - full_l))
 
 
+def mirror_bound(x: float) -> float:
+    """1/sinh(x) for x > 0, overflow-free: a bound on each mirror integral
+    int_0^inf |theta(y)| K(x + y) dy, K = M or L, for |theta| <= 1, which is all
+    that tells odd_extension_check's half-line integrals from its full-line
+    ones.  L(u) = 2 artanh(e^-u) = 2 sum_k e^(-(2k+1) u) / (2k+1) and
+    M(u) = L(u) - L(3u) <= L(u), so both integrals are at most
+    2 sum_k e^(-(2k+1) x) = 1/sinh(x)."""
+    return -2.0 * math.exp(-x) / math.expm1(-2.0 * x)
+
+
 def convolution_balance(s: float, x: float) -> float:
     """theta(x) - (4/(sqrt(3) pi)) (M * theta)(x) for theta = sin(s .).
 

@@ -19,7 +19,7 @@ import ctypes
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable
 
@@ -736,41 +736,54 @@ def _checked_value(matrix: np.ndarray, ritz: tuple[float, float] | None) -> floa
 
 
 def _sweep_point(build: Callable[[], np.ndarray], start: np.ndarray | None,
-                 agree: Callable[[float, float, float, float], int | None] | None = None
-                 ) -> tuple[float, int, float | None]:
-    """(smallest eigenvalue, number of negative eigenvalues, log|det|) of
-    build()'s matrix.  Given agree (a delta < delta0 scan's), a point whose
-    _lanczos value theta plus _ritz_bound rho is negative is pending: no
-    certificate, and it factors only if agree(theta, r, rho, ||M||_F) gives
-    no count (else log|det| is None).  Else: the certified value of _lanczos
+                 ends: tuple[Future, ...] | None = None
+                 ) -> tuple[float, int, float | None, tuple[float, float, float] | None]:
+    """(smallest eigenvalue, number of negative eigenvalues, log|det|,
+    pending) of build()'s matrix.  ends, a delta < delta0 scan's, holds the
+    futures of the point's two span ends in _bisection_order (none at the
+    scan's ends).  There a point whose _lanczos value theta plus
+    _ritz_bound rho is negative is pending: no certificate, and pending is
+    (r, rho, ||M||_F) (else None).  Else: the certified value of _lanczos
     (if negative) or _block_ritz, with (0, None) where its bound is
     positive, else the _inertia_logdet pair; failing that, _lowest_eigenvalue's
     of the lower triangle (the upper if a certificate spent it) and, unless M
-    is positive definite, the pair of the upper one (or of a new build)."""
+    is positive definite, the pair of the upper one (or of a new build).  A
+    pending point, and a band solve that is not positive definite, take the
+    count of their span ends instead, with log|det| None, if both ends give
+    the same one; waiting for them cannot deadlock, since the scan submits
+    the ends first and ThreadPoolExecutor starts tasks in submission order."""
     matrix = build()
     ritz = _block_ritz(matrix) if start is None else _lanczos(matrix, start)
-    if agree is not None and ritz is not None and ritz[0] < 0.0:
+
+    def agreed() -> int | None:
+        counts = {end.result()[1] for end in ends or ()}
+        return counts.pop() if len(counts) == 1 else None
+
+    if ends is not None and ritz is not None and ritz[0] < 0.0:
         norm = float(np.linalg.norm(matrix))
         if ritz[0] + (rho := _ritz_bound(matrix, ritz[0], start, norm)) < 0.0:
-            count = agree(*ritz, rho, norm)
-            return ritz[0], *((count, None) if count is not None else _inertia_logdet(matrix))
+            count = agreed()
+            inertia = (count, None) if count is not None else _inertia_logdet(matrix)
+            return ritz[0], *inertia, (ritz[1], rho, norm)
     lower = ritz is None or (start is not None and ritz[0] >= 0.0)  # no certificate yet
     if not lower and (bound := _certified_lower_bound(matrix, *ritz)) is not None:
         if bound > 0.0:
-            return ritz[0], 0, None
+            return ritz[0], 0, None, None
         count, logdet = _inertia_logdet(matrix)
         if count:
-            return ritz[0], count, logdet
+            return ritz[0], count, logdet, None
         del matrix
         matrix, lower = build(), True
     diagonal = matrix.diagonal().copy()
     smallest, inertia = _lowest_eigenvalue(matrix, b"U" if lower else b"L")
-    if inertia is None and lower:
+    if inertia is None and (count := agreed()) is not None:
+        inertia = count, None
+    elif inertia is None and lower:
         np.fill_diagonal(matrix, diagonal)  # the upper triangle is still the assembled one
     elif inertia is None:
         del matrix
         matrix = build()
-    return smallest, *(inertia or _inertia_logdet(matrix))
+    return smallest, *(inertia or _inertia_logdet(matrix)), None
 
 
 def _level_value(count: int, k: int, log_size: float) -> float:
@@ -834,12 +847,13 @@ class SpectralScan:
     crossings: list[float]
 
 
-def _bisection_order(n: int) -> list[int]:
-    # 0, n - 1, then level by level the midpoint of each span between them
-    order, spans = [0, n - 1], [(0, n - 1)]
-    while spans := [half for lo, hi in spans if hi - lo > 1
-                    for half in ((lo, (lo + hi) // 2), ((lo + hi) // 2, hi))]:
-        order += [mid for _, mid in spans[::2]]
+def _bisection_order(n: int) -> list[tuple[int, tuple[int, ...]]]:
+    # (point, its span ends): 0 and n - 1 (no span ends), then level by level
+    # the midpoint of each span between them
+    order, spans = [(0, ()), (n - 1, ())], [(0, n - 1)]
+    while spans := [(lo, hi) for lo, hi in spans if hi - lo > 1]:
+        order += [((lo + hi) // 2, (lo, hi)) for lo, hi in spans]
+        spans = [half for lo, hi in spans for half in ((lo, (lo + hi) // 2), ((lo + hi) // 2, hi))]
     return order
 
 
@@ -858,8 +872,9 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     determinant the size) to a bracket _REFINE_REL wide, and reports its
     geometric midpoint.  For delta < delta0 every point's _lanczos starts
     from the middle point's ground state, computed first; points go to the
-    pool ends first, in bisection order, and a pending one (_sweep_point)
-    between two known equal counts has that count.  Then one task proves
+    pool ends first, in bisection order, and a pending point, or one whose
+    band solve is not positive definite (_sweep_point), between span ends
+    of equal count has that count.  Then one task proves
     lambda_1(M(mu0)) > tau (_second_eigenvalue_bound), mu0 the lowest
     pending mu, tau above eps_0 plus every pending theta_i + rho_i + eps_i
     (_assembly_error): lambda_1 of point i exceeds theta_i + rho_i, so the
@@ -868,13 +883,12 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     certificate, then the band solve.  From delta0 up points solve by
     _block_ritz.  The calling thread factors a bracket end lacking log|det|;
     the rest runs on a pool of TRIBOS_THREADS threads (default: the CPU
-    count), with single-threaded BLAS.  Which finished neighbours a pending
-    point sees depends on timing, so no output depends on the thread count
-    or on the order in which tasks finish only if the computed counts, like
-    the exact ones, do not increase with mu; they may not when an eigenvalue
-    lies within rounding of 0 at a sweep mu, and then a count, or whether
-    the scan raises on an increase, can depend on that order.  The proofs
-    (counts, ground states, positivity) are of the n x n matrix, not the operator.
+    count), with single-threaded BLAS.  No output depends on the thread
+    count or on the order in which tasks finish.  Where the computed counts
+    rise with mu (an eigenvalue within rounding of 0 at a sweep mu), a point
+    whose span ends agree has their count, which may differ from its own
+    factorization's.  The proofs (counts, ground states, positivity) are of
+    the n x n matrix, not the operator.
     """
     if not (0.0 < mu_lo < mu_hi):
         raise ValueError("need 0 < mu_lo < mu_hi")
@@ -897,15 +911,6 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
         starts = [None if start is None else start.copy() for _ in mus]
         sweep, points, pending = [None] * n_mu, [None] * n_mu, {}
 
-        def agree(i: int, theta: float, r: float, rho: float, norm: float) -> int | None:
-            # records pending point i; the count of its nearest finished neighbours if equal
-            eps = _assembly_error(norm, _diagonal_term(p, float(mus[i])), weights)
-            pending[i] = theta, r, theta + rho + eps, eps
-            done = [point.result()[1] if point is not None and point.done() else None
-                    for point in points]
-            left, right = ([c for c in side if c is not None] for side in (done[:i], done[i + 1:]))
-            return left[-1] if left and right and left[-1] == right[0] else None
-
         def prove() -> set[int]:
             # the pending points covered by one proof at the lowest pending mu
             j = min(pending)
@@ -916,9 +921,10 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
 
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
-            for i in _bisection_order(n_mu):
+            for i, span in _bisection_order(n_mu):  # a span's ends before its midpoint
+                ends = tuple(points[j] for j in span) if thomas else None
                 points[i] = pool.submit(_sweep_point, functools.partial(build, float(mus[i])),
-                                        starts[i], functools.partial(agree, i) if thomas else None)
+                                        starts[i], ends)
 
             def log_size(mu: float, logdet: float) -> float:
                 # log(|det| / prod_j d_j): the diagonal's growth divided out
@@ -945,7 +951,10 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
             chains = []  # a bracket's refinements start once both its ends are done
             for point in as_completed(points):
                 j = points.index(point)
-                sweep[j] = point.result()
+                *sweep[j], ritz = point.result()
+                if ritz is not None:  # pending: (theta, r, theta + rho + eps, eps)
+                    eps = _assembly_error(ritz[2], _diagonal_term(p, float(mus[j])), weights)
+                    pending[j] = sweep[j][0], ritz[0], sweep[j][0] + ritz[1] + eps, eps
                 for i in (j - 1, j):
                     if 0 <= i < n_mu - 1 and None not in (sweep[i], sweep[i + 1]):
                         lo, hi = sweep[i][1], sweep[i + 1][1]

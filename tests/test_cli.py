@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tribos import cli, stm
+from tribos import cli, oracle, stm
 from tribos.cli import RunConfig, main, run
 
 
@@ -483,7 +483,25 @@ def test_oracle_beyond_the_range_of_cosh_passes(tmp_path):
     assert main(["oracle", "--s", "1", "--x", "320,640", "--out", str(out)]) == 0
     _, rows = read_rows(out)
     assert [r[0] for r in rows[-4:]] == ["odd_extension", "balance_at_s0"] * 2
-    assert all(r[-1] == "pass" for r in rows)
+    assert [r[-1] for r in rows[-4:]] == ["vacuous", "pass"] * 2  # see the test below
+    assert all(r[-1] == "pass" for r in rows[:-4])
+
+
+@pytest.mark.parametrize("x", ["20", "1e5"])
+def test_oracle_marks_an_odd_extension_row_that_cannot_fail(x, tmp_path):
+    # from x = asinh(1e6) = 14.5087 on, the mirror terms that tell the
+    # half-line integrals from the full-line ones integrate to at most
+    # 1/sinh(x) <= 1e-6, the row's tolerance: it would pass whatever the
+    # code did (at 1e5 both sides are exactly 0), so it is not a pass
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", "--s", "1", "--x", f"3,14.5,{x}", "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    status = {(r[0], float(r[1])): r[-1] for r in rows if r[0] in ("odd_extension",
+                                                                    "balance_at_s0")}
+    assert status == {("odd_extension", 3.0): "pass", ("odd_extension", 14.5): "pass",
+                      ("odd_extension", float(x)): "vacuous", ("balance_at_s0", 3.0): "pass",
+                      ("balance_at_s0", 14.5): "pass", ("balance_at_s0", float(x)): "pass"}
+    assert oracle.mirror_bound(14.5) > 1e-6 >= oracle.mirror_bound(14.51)
 
 
 @pytest.mark.parametrize("eta", ["1e155", "1e160", "1.7e308"])

@@ -6,7 +6,8 @@ import pytest
 from tribos.oracle import (_TAIL_CUT, QuadratureBudgetError, check_transforms,
                            convolution_balance, cosine_transform, coth_log_kernel,
                            coth_transform_analytic, factorization_check, integrate,
-                           m_log_kernel, m_transform_analytic, odd_extension_check)
+                           m_log_kernel, m_transform_analytic, mirror_bound,
+                           odd_extension_check)
 from tribos.symbols import eval_g
 
 
@@ -116,3 +117,21 @@ def test_kernels_past_the_range_of_cosh(s0):
     odd_extension_check(lambda y: 0.0, math.nextafter(2.0 ** 23 - _TAIL_CUT, 0.0))
     with pytest.raises(RuntimeError, match="8388528"):
         odd_extension_check(lambda y: 0.0, 2.0 ** 23 - _TAIL_CUT)
+
+
+@pytest.mark.parametrize("x", [0.05, 1.0, 3.0, 14.5, 40.0])
+def test_mirror_bound_bounds_both_mirror_integrals(x):
+    # int_x^inf L and int_x^inf M against 30 digits, M = L - L(3 .) <= L:
+    # 1/sinh(x) bounds both and is their limit as x grows
+    import mpmath as mp
+    with mp.workdps(30):
+        big_l = lambda u: mp.log(mp.coth(u / 2))
+        big_m = lambda u: big_l(u) - big_l(3 * u)
+        assert float(big_m(mp.mpf(x))) == pytest.approx(m_log_kernel(x), rel=1e-14)
+        for kernel in (big_l, big_m):
+            exact = float(mp.quad(kernel, [x, x + 1, mp.inf]))
+            assert exact <= mirror_bound(x)
+            if x >= 14.5:
+                assert exact == pytest.approx(mirror_bound(x), rel=1e-6)
+    assert mirror_bound(x) == pytest.approx(1.0 / math.sinh(x), rel=1e-15)
+    assert mirror_bound(1e5) == 0.0
