@@ -750,12 +750,14 @@ def _sweep_point(build: Callable[[], np.ndarray], start: np.ndarray | None,
     is positive definite, the pair of the upper one (or of a new build).  A
     pending point, and a band solve that is not positive definite, take the
     count of their span ends instead, with log|det| None, if both ends give
-    the same one; waiting for them cannot deadlock, since the scan submits
-    the ends first and ThreadPoolExecutor starts tasks in submission order."""
+    the same one.  Waiting for them cannot deadlock: the scan submits a
+    point after its span ends, and ThreadPoolExecutor starts tasks in
+    submission order, so a task waits only on tasks already started."""
     matrix = build()
     ritz = _block_ritz(matrix) if start is None else _lanczos(matrix, start)
 
     def agreed() -> int | None:
+        # the count both span ends give, once they are done, else None
         counts = {end.result()[1] for end in ends or ()}
         return counts.pop() if len(counts) == 1 else None
 
