@@ -208,9 +208,8 @@ def _run_scan(config: RunConfig, s0: float) -> None:
 
 def _run_residual(config: RunConfig, s0: float) -> None:
     p = config.parameters
-    value = stm.closed_form_residual(p["mu"], n=p["n"], delta=p["delta"], s0=s0)
-    emit_json(config, s0, {"mu": p["mu"], "n": p["n"], "delta": p["delta"],
-                           "residual": value})
+    value = stm.closed_form_residual(p["mu"], n=p["n"], s0=s0)
+    emit_json(config, s0, {"mu": p["mu"], "n": p["n"], "residual": value})
 
 
 def _thomas_draws(rng: np.random.Generator, eta: float, h: float):
@@ -310,8 +309,7 @@ _COMMANDS: dict[str, tuple] = {
              {"delta": (float, None), "mu_lo": (float, 1e-3), "mu_hi": (float, 1e3),
               "n_mu": (int, 31), "grid": (int, 1000), "p_min": (float, 1e-4),
               "p_max": (float, 1e4)}),
-    "residual": (_run_residual, "json",
-                 {"mu": (float, 1.0), "n": (int, 2000), "delta": (float, 0.0)}),
+    "residual": (_run_residual, "json", {"mu": (float, 1.0), "n": (int, 2000)}),
     "thomas": (_run_thomas, "csv",
                {"eta": (float, 1.0), "n_points": (int, 10), "h": (float, 1e-3),
                 "eps": (float, 1e-3), "seed": (int, 12345)}),

@@ -292,35 +292,31 @@ def _coulomb_part(p: np.ndarray, w: np.ndarray, delta: float) -> np.ndarray:
 
 
 def _kernel_rows(out: np.ndarray, pq: np.ndarray, spare: np.ndarray, p: np.ndarray,
-                 params: ModelParams, lo: int, first: int = 0,
-                 w: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Build kernel rows lo:lo + len(out) against the nodes from first (<= lo) on, in out.
+                 params: ModelParams, lo: int) -> np.ndarray:
+    """Build assemble's kernel rows lo:lo + len(out) against the nodes from lo on, in out.
 
     out gets tms_kernel plus, for delta != 0, the Coulomb rows of
     _coulomb_rows, built in pq.  pq and spare are scratch of out's shape;
     spare is written once and read once per kernel, so it may be a strided
     view (a ufunc costs several times as much on one).  Returns the TMS
-    kernel on that diagonal and, for delta != 0 and given w, the rows'
-    subtraction term (else None).
+    kernel on that diagonal.
     """
-    _tms_log(p[lo:lo + out.shape[0], None], p[first:], params.mu, out, pq, spare)
-    diag_kernel = out.diagonal(lo - first).copy()
-    if params.delta == 0.0:
-        return diag_kernel, None
-    subtraction = _coulomb_rows(pq, spare, p, params.delta, lo, first, w)
-    out += pq
-    return diag_kernel, subtraction
+    _tms_log(p[lo:lo + out.shape[0], None], p[lo:], params.mu, out, pq, spare)
+    diag_kernel = out.diagonal().copy()
+    if params.delta != 0.0:
+        _coulomb_rows(pq, spare, p, params.delta, lo, lo)
+        out += pq
+    return diag_kernel
 
 
-def _kernel_matrix(p: np.ndarray, w: np.ndarray, params: ModelParams, lo: int = 0,
-                   hi: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(K, diag_kernel, diag_extra) of kernel rows lo:hi (default: all), as
-    _kernel_rows builds them: K a new array, diag_extra their subtraction
-    term (zero when delta = 0)."""
+def _kernel_matrix(p: np.ndarray, params: ModelParams, lo: int = 0,
+                   hi: int | None = None) -> np.ndarray:
+    """tms_kernel rows lo:hi (default: all) against every node, a new array:
+    residual's row blocks."""
     K = np.empty((p[lo:hi].size, p.size))
-    coulomb, spare = np.empty((2, *K.shape))
-    diag_kernel, extra = _kernel_rows(K, coulomb, spare, p, params, lo, w=w)
-    return K, diag_kernel, np.zeros(K.shape[0]) if extra is None else extra
+    pq, spare = np.empty((2, *K.shape))
+    _tms_log(p[lo:hi, None], p, params.mu, K, pq, spare)
+    return K
 
 
 def assemble(grid: RadialGrid, params: ModelParams,
@@ -349,7 +345,7 @@ def assemble(grid: RadialGrid, params: ModelParams,
     for lo in range(0, n, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n)
         kernel, pq = scratch[:, :(hi - lo) * (n - lo)].reshape(2, hi - lo, n - lo)
-        diag_kernel[lo:hi] = _kernel_rows(kernel, pq, M[lo:hi, lo:], p, params, lo, lo)[0]
+        diag_kernel[lo:hi] = _kernel_rows(kernel, pq, M[lo:hi, lo:], p, params, lo)
         np.multiply(sw[lo:hi, None], sw[lo:], out=pq)  # sw_i sw_j: exactly symmetric
         np.multiply(kernel, pq, out=M[lo:hi, lo:])
         M[hi:, lo:hi] = M[lo:hi, hi:].T
@@ -988,8 +984,10 @@ def scan_bound_states(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float
 
 def residual(grid: RadialGrid, values, params: ModelParams, eval_lo: float,
              eval_hi: float) -> float:
-    """Relative L2 residual of the radial equation on samples of xihat.
+    """Relative L2 residual of the delta = 0 radial equation on samples of xihat.
 
+    Only that equation is checked: the closed-form density solves it, and
+    at delta != 0 it solves nothing, so params.delta != 0 raises ValueError.
     values are xihat at the grid nodes, taken at params.mu.  The residual
     rows are evaluated only at the nodes p in [eval_lo, eval_hi], to be
     chosen away from the grid ends, where hard truncation of the half-line
@@ -999,6 +997,8 @@ def residual(grid: RadialGrid, values, params: ModelParams, eval_lo: float,
     the same nodes; zero samples give residual 0, non-finite ones raise
     ValueError, and a residual that leaves double range raises OverflowError.
     """
+    if params.delta != 0.0:
+        raise ValueError(f"residual checks the delta = 0 equation, got delta = {params.delta}")
     p, w = grid.nodes, grid.weights
     values = np.asarray(values, dtype=float)
     if values.shape != p.shape or not np.all(np.isfinite(values)):
@@ -1017,16 +1017,14 @@ def residual(grid: RadialGrid, values, params: ModelParams, eval_lo: float,
     # so BLAS forms each row bit for bit as in the full matrix product.
     for lo in range(window[0] - window[0] % _ROW_BLOCK, window[-1] + 1, _ROW_BLOCK):
         hi = lo + _ROW_BLOCK
-        K, _, diag_extra = _kernel_matrix(p, w, params, lo=lo, hi=hi)
-        r[lo:hi] = d[lo:hi] * phi[lo:hi] + K @ wphi + diag_extra * phi[lo:hi]
+        r[lo:hi] = d[lo:hi] * phi[lo:hi] + _kernel_matrix(p, params, lo=lo, hi=hi) @ wphi
     value = float(np.linalg.norm(r[window]) / scale)
     if not math.isfinite(value):
         raise OverflowError(f"residual left double range: {value}")
     return value
 
 
-def closed_form_residual(mu: float, n: int = 2000, delta: float = 0.0,
-                         s0: float | None = None) -> float:
+def closed_form_residual(mu: float, n: int = 2000, s0: float | None = None) -> float:
     """Residual of the closed-form charge density on the canonical wide grid.
 
     The grid spans n/125 decades starting two decades below the evaluation
@@ -1034,7 +1032,7 @@ def closed_form_residual(mu: float, n: int = 2000, delta: float = 0.0,
     the measurement truncation-limited rather than quadrature-limited.  A
     grid end or a density sample beyond double range raises OverflowError.
     """
-    params = ModelParams(mu=mu, delta=delta)
+    params = ModelParams(mu=mu)
     root = math.sqrt(mu)
     p_min = 1e-6 * root
     span = f"the canonical grid of {n} nodes from p = {p_min:.3g} over {n / 125.0:g} decades"

@@ -252,6 +252,18 @@ def test_residual_command(tmp_path):
     assert main(["residual", "--mu", "1.0", "--n", "2000", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["result"]["residual"] <= 1e-6
+    assert sorted(doc["result"]) == ["mu", "n", "residual"]
+
+
+def test_residual_takes_no_delta(tmp_path, capsys):
+    # residual checks the delta = 0 equation, the one the closed-form density
+    # solves; delta is neither a flag nor a config field of it
+    assert main(["residual", "--delta", "1"]) == 2
+    assert "unrecognized arguments: --delta 1" in capsys.readouterr().err
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"delta": 0.0}))
+    assert main(["residual", "--config", str(path)]) == 2
+    assert "unknown parameter 'delta'" in capsys.readouterr().err
 
 
 def test_thomas_command_rows(tmp_path):
@@ -262,6 +274,20 @@ def test_thomas_command_rows(tmp_path):
     for r in rows:
         assert float(r[7]) <= 1e-4  # pde residual
         assert float(r[8]) == pytest.approx(float(r[9]), rel=0.01)  # bc vs reference
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: the sampler's 12 h distance cut does "
+                   "not bound the stencil error near the coincidence sets")
+def test_thomas_rows_meet_the_pde_bound_for_seeds_1_to_30():
+    # seeds 4, 17 and 19 give a worst pde_residual of 4.8, 1.3e-4 and 1.5e-3
+    worst = {}
+    for seed in range(1, 31):
+        code, text = _main_output(["thomas", "--n-points", "10", "--seed", str(seed)])
+        assert code == 0
+        lines = [line for line in text.splitlines() if not line.startswith("#")]
+        column = lines[0].split(",").index("pde_residual")
+        worst[seed] = max(float(line.split(",")[column]) for line in lines[1:])
+    assert {seed: r for seed, r in worst.items() if not r <= 1e-4} == {}
 
 
 def test_oracle_command_all_pass(tmp_path):
@@ -558,8 +584,7 @@ _ARGV = st.one_of(
         f"--grid={grid}", f"--p-min={p_min}", f"--p-max={p_max}"],
               _FLOATS, _FLOATS, _FLOATS, st.integers(-1, 4), st.integers(-2, 64),
               _FLOATS, _FLOATS),
-    st.builds(lambda mu, n, delta: ["residual", f"--mu={mu}", f"--n={n}", f"--delta={delta}"],
-              _FLOATS, st.integers(-2, 400), _FLOATS),
+    st.builds(lambda mu, n: ["residual", f"--mu={mu}", f"--n={n}"], _FLOATS, st.integers(-2, 400)),
     st.builds(lambda n, h, eps, seed: ["thomas", f"--n-points={n}", f"--h={h}", f"--eps={eps}",
                                        f"--seed={seed}"],
               st.integers(-1, 3), _FLOATS, _FLOATS, st.integers(0, 2**31 - 1)),
@@ -589,21 +614,6 @@ def test_scan_at_subnormal_scales_exits_cleanly():
     argv = ["scan", "--delta=0", "--mu-lo=5e-324", "--mu-hi=48.9", "--n-mu=3", "--grid=26",
             "--p-min=5e-324", "--p-max=1.1e-124"]
     assert _main_output(argv)[0] == 0
-
-
-def test_residual_at_subnormal_delta_is_silent():
-    # delta / pi underflows to 0, and the infinite Coulomb diagonal gave inf * 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, text = _main_output(["residual", "--mu=8.87", "--n=283", "--delta=5e-324"])
-    assert code == 0
-    assert math.isfinite(json.loads(text)["result"]["residual"])
-
-
-def test_residual_overflow_exits_3(capsys):
-    # the Coulomb part at delta = 1e300 overflows; the JSON held NaN before
-    assert main(["residual", "--mu=1e300", "--n=308", "--delta=1e300"]) == 3
-    assert capsys.readouterr().err.startswith("error: residual left double range")
 
 
 @pytest.mark.parametrize("argv", [["--mu=3e288"], ["--mu=1e300"], ["--mu=1e308"],
