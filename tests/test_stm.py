@@ -235,17 +235,19 @@ def _dense_residual(grid, values, mu, eval_lo, eval_hi):
     return float(np.linalg.norm(r[mask]) / np.linalg.norm((d * phi)[mask]))
 
 
-@pytest.mark.parametrize("n, window", [
-    (2000, (1e-4, 1e3)),  # rows 249..1125
+@pytest.mark.parametrize("n, log10_mu, window", [
+    (2000, 0.0, (1e-4, 1e3)),  # rows 249..1125
+    (2000, 0.37, (1e-4, 1e3)),
     # rows 161..999: the first row and n are not multiples of the block
     # size, and the last block is clipped at n
-    (1000, (3e-4, 1e10)),
+    (1000, 1.0, (3e-4, 1e10)),
 ])
-def test_residual_matches_dense_product(s0, n, window):
+def test_residual_matches_dense_product(s0, n, log10_mu, window):
+    mu = 10.0 ** log10_mu
     grid = build_grid(1e-6, 1e10, n)
-    values = xi_mu(grid.nodes, 1.0, s0)
-    expected = _dense_residual(grid, values, 1.0, *window)
-    assert residual(grid, values, ModelParams(mu=1.0), *window) == expected
+    values = xi_mu(grid.nodes, mu, s0)
+    expected = _dense_residual(grid, values, mu, *window)
+    assert residual(grid, values, ModelParams(mu=mu), *window) == expected
 
 
 def test_residual_memory_is_linear_in_n():
