@@ -212,20 +212,28 @@ def _run_residual(config: RunConfig, s0: float) -> None:
     emit_json(config, s0, {"mu": p["mu"], "n": p["n"], "residual": value})
 
 
-def _thomas_draws(rng: np.random.Generator, eta: float, h: float):
-    """The draws (s1, s2) farther than 12 h from the degenerate sets, in order."""
+def _thomas_draws(rng: np.random.Generator, h: float):
+    """The draws (s1, s2) farther than 12 h from the degenerate sets, in order.
+
+    Candidates are drawn _THOMAS_BLOCK at a time, as rows of six uniform
+    doubles (the doubles of two 3-vector draws per candidate, in order), and
+    tested in one array pass; a candidate that ThomasPoint would reject is a
+    miss.  Ends after _THOMAS_MAX_MISSES misses in a row."""
     misses = 0  # consecutive rejected draws
-    while misses < _THOMAS_MAX_MISSES:
-        s1 = rng.uniform(-2.0, 2.0, size=3)
-        s2 = rng.uniform(-2.0, 2.0, size=3)
-        misses += 1
-        try:
-            pt = thomas.ThomasPoint(s1=s1, s2=s2, eta=eta)
-        except ValueError:
-            continue
-        if pt.min_separation() > 12.0 * h:
-            misses = 0
-            yield s1, s2
+    while True:
+        block = rng.uniform(-2.0, 2.0, size=(_THOMAS_BLOCK, 6))
+        s1, s2 = block[:, :3], block[:, 3:]
+        separation, finite = thomas._separations(s1, s2)
+        last = -1
+        for i in np.flatnonzero(finite & (separation != 0.0) & (separation > 12.0 * h)).tolist():
+            misses += i - last - 1
+            if misses >= _THOMAS_MAX_MISSES:
+                return
+            misses, last = 0, i
+            yield s1[i], s2[i]
+        misses += _THOMAS_BLOCK - 1 - last
+        if misses >= _THOMAS_MAX_MISSES:
+            return
 
 
 def _thomas_rows(s1: np.ndarray, s2: np.ndarray, eta: float, h: float, eps: float) -> np.ndarray:
@@ -250,7 +258,7 @@ def _run_thomas(config: RunConfig, s0: float) -> None:
         raise ValueError("eta must be positive")
     if not n_points > 0:
         raise ValueError("n_points must be positive")
-    draws = _thomas_draws(np.random.default_rng(p["seed"]), eta, h)
+    draws = _thomas_draws(np.random.default_rng(p["seed"]), h)
     blocks = []
     for start in range(0, n_points, _THOMAS_BLOCK):
         size = min(_THOMAS_BLOCK, n_points - start)
@@ -282,13 +290,14 @@ def _run_oracle(config: RunConfig, s0: float) -> None:
         worst = max(worst, plus / scale, minus / scale)
     rows.append(("factorization", 0.0, worst, 0.0, worst,
                  "pass" if worst <= 1e-10 else "fail"))
-    for x in _parse_floats(p["x"]):
-        err = oracle_mod.odd_extension_check(lambda y: math.sin(s0 * y), x)
+    xs = _parse_floats(p["x"])
+    odd = oracle_mod.odd_extension_check(lambda y: np.sin(s0 * y), xs).tolist()
+    balance = oracle_mod.convolution_balance(s0, xs).tolist()
+    for x, err, bal in zip(xs, odd, balance):
         # vacuous: the mirror terms cannot reach the tolerance, so no error could fail the row
         vacuous = oracle_mod.mirror_bound(x) <= 1e-6
         rows.append(("odd_extension", x, err, 0.0, err,
                      "fail" if not err <= 1e-6 else "vacuous" if vacuous else "pass"))
-        bal = oracle_mod.convolution_balance(s0, x)
         rows.append(("balance_at_s0", x, bal, 0.0, abs(bal),
                      "pass" if abs(bal) <= 1e-6 else "fail"))
     emit_csv(config, s0, dict(zip(["check", "param", "numeric", "analytic", "abs_err", "status"],

@@ -45,6 +45,12 @@ _K0_CHEB = (
 )
 
 
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """fn at each element of the 1-D array x, with libm's bits, which numpy's
+    exp, log, log1p, tanh, cosh, sinh and arctan do not always give."""
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+
+
 def _k0_series(x: np.ndarray) -> np.ndarray:
     # K0(x) = -(log(x/2) + gamma) I0(x) + sum_k H_k (x^2/4)^k / (k!)^2, each element
     # summed until its own term is below machine precision (< 20 terms for x <= 2)
@@ -60,8 +66,7 @@ def _k0_series(x: np.ndarray) -> np.ndarray:
         i0[live] += term[live]
         acc[live] += term[live] * hk
         live = live[~(term[live] * max(1.0, hk) < 1e-18 * (i0[live] + np.abs(acc[live])))]
-    log = np.array([math.log(v) for v in (0.5 * x).tolist()])  # libm's bits, not np.log's
-    return -(log + EULER_GAMMA) * i0 + acc
+    return -(_libm(math.log, 0.5 * x) + EULER_GAMMA) * i0 + acc
 
 
 def _k0_cheb(x: np.ndarray) -> np.ndarray:
@@ -71,7 +76,7 @@ def _k0_cheb(x: np.ndarray) -> np.ndarray:
     for c in reversed(_K0_CHEB[1:]):
         b0, b1 = 2.0 * t * b0 - b1 + c, b0
     f = t * b0 - b1 + 0.5 * _K0_CHEB[0]
-    return np.array([math.exp(-v) for v in x.tolist()]) * f / np.sqrt(x)  # libm's exp
+    return _libm(math.exp, -x) * f / np.sqrt(x)
 
 
 def k0(x):

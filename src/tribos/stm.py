@@ -1009,16 +1009,21 @@ def residual(grid: RadialGrid, values, params: ModelParams, eval_lo: float,
     phi = p * values
     wphi = w * phi
     d = _diagonal_term(p, params.mu)
-    scale = float(np.linalg.norm((d * phi)[window]))
-    if scale == 0.0:
+    dphi = (d * phi)[window]
+    top = float(np.max(np.abs(dphi)))
+    if top == 0.0:
         return 0.0
+    # both norms are taken of vectors scaled by 2^-k, exactly, k the exponent of
+    # the largest |d phi|: their squares neither overflow nor underflow at any
+    # sample scale, and the quotient keeps its bits
+    k = math.frexp(top)[1]
     r = np.empty_like(phi)
     # Block starts are multiples of _ROW_BLOCK (the last block is clipped at n),
     # so BLAS forms each row bit for bit as in the full matrix product.
     for lo in range(window[0] - window[0] % _ROW_BLOCK, window[-1] + 1, _ROW_BLOCK):
         hi = lo + _ROW_BLOCK
         r[lo:hi] = d[lo:hi] * phi[lo:hi] + _kernel_matrix(p, params, lo=lo, hi=hi) @ wphi
-    value = float(np.linalg.norm(r[window]) / scale)
+    value = float(np.linalg.norm(np.ldexp(r[window], -k)) / np.linalg.norm(np.ldexp(dphi, -k)))
     if not math.isfinite(value):
         raise OverflowError(f"residual left double range: {value}")
     return value

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import k0
+from .specfun import _libm, k0
 
 SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
@@ -73,14 +73,18 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(_dots(v, v))
 
 
-def _min_separations(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    # min_separation of each row; raises for the first row on a degenerate set or
-    # whose squared distances leave double range (|s1|^2 = inf gave psi xi2 = 0)
+def _separations(s1: np.ndarray, s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # min_separation of each row, and whether each row's four distances are finite
     with np.errstate(over="ignore", invalid="ignore"):
         distances = _norms(np.concatenate([s1, s2, s1 - 2.0 * s2, s2 - 2.0 * s1])).reshape(4, -1)
         distances[2:] /= SQRT5
-    finite = distances.max(axis=0) < math.inf  # false for inf and NaN
-    separation = distances.min(axis=0)
+    return distances.min(axis=0), distances.max(axis=0) < math.inf  # false for inf and NaN
+
+
+def _min_separations(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    # min_separation of each row; raises for the first row on a degenerate set or
+    # whose squared distances leave double range (|s1|^2 = inf gave psi xi2 = 0)
+    separation, finite = _separations(s1, s2)
     if finite.all() and separation.all():
         return separation
     if not finite[np.flatnonzero(~finite | (separation == 0.0))[0]]:
@@ -91,8 +95,8 @@ def _min_separations(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
 
 def _pair_term(xi: np.ndarray) -> np.ndarray:
     # (pi/2 - arctan xi)(1 + xi^2)/xi, written with atan(1/xi) to stay accurate for
-    # large xi (the term tends to 1 there); libm's atan, whose bits np.arctan lacks
-    return np.array([math.atan(v) for v in (1.0 / xi).tolist()]) * (1.0 + xi * xi) / xi
+    # large xi (the term tends to 1 there)
+    return _libm(math.atan, 1.0 / xi) * (1.0 + xi * xi) / xi
 
 
 def thomas_psi(pt: ThomasPoint) -> float:

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tribos import cli, oracle, stm
+from tribos import cli, oracle, stm, thomas
 from tribos.cli import RunConfig, main, run
 
 
@@ -234,6 +235,13 @@ _CSV_BODY_SHA256 = {
         "46d296ee11c07f0e7bcfabfcb203d404e3b0b1bd449262c64bcc364c11b9ca48",
     ("oracle", "--s", "0.5,1", "--x", "1"):
         "9ab6fe8902a9eff1a4d7de8f98fab8e772e73c2ad94abf2ad3de05ed16eafbc9",
+    # as the one-integral-at-a-time recursion wrote them: the benchmark's
+    # oracle parameters, and x whose nodes lie beyond 700, where m_log_kernel
+    # and the half-line regularization kernel switch form
+    ("oracle", "--s", "0.1,0.25,0.5,0.75,1,1.5,2,2.5,3,4,5,7.5,10", "--x", "0.25,0.5,1,2,3"):
+        "fec28e9460765bd629f2ae9d1138f70751994e12c9a218f81c08d0d72100e8ab",
+    ("oracle", "--s", "1", "--x", "320,640"):
+        "ef308988e27f6d67835582b62c56a87f686324fb2f4bfb6eb743b67c0b1188df",
     ("ladder", "--n=-3..3", "--beta", "0.3"):
         "e640e40afaef26f8668d8c9b752cc047f553dcc0f70f06ffc77dec24f26ded48",
 }
@@ -274,6 +282,60 @@ def test_thomas_command_rows(tmp_path):
     for r in rows:
         assert float(r[7]) <= 1e-4  # pde residual
         assert float(r[8]) == pytest.approx(float(r[9]), rel=0.01)  # bc vs reference
+
+
+def _thomas_draws_one_at_a_time(rng, h):
+    # the sampler as it drew two 3-vectors and built one ThomasPoint per
+    # candidate: the reference for the block sampler's points and miss limit
+    misses = 0
+    while misses < cli._THOMAS_MAX_MISSES:
+        s1 = rng.uniform(-2.0, 2.0, size=3)
+        s2 = rng.uniform(-2.0, 2.0, size=3)
+        misses += 1
+        try:
+            pt = thomas.ThomasPoint(s1=s1, s2=s2, eta=1.0)
+        except ValueError:
+            continue
+        if pt.min_separation() > 12.0 * h:
+            misses = 0
+            yield s1, s2
+
+
+# (h, miss limit): from every draw accepted to none; at 0.18, 0.2 and 0.22
+# the limit ends the run after a few accepted points, with runs of misses
+# across block boundaries
+@pytest.mark.parametrize("h, max_misses", [(1e-3, 10000), (0.1, 40), (0.18, 40), (0.2, 40),
+                                           (0.22, 300), (0.3, 10000)])
+def test_thomas_block_sampler_draws_as_the_point_sampler(h, max_misses, monkeypatch):
+    monkeypatch.setattr(cli, "_THOMAS_MAX_MISSES", max_misses)
+    for seed in (1, 2, 3):
+        expected = itertools.islice(_thomas_draws_one_at_a_time(np.random.default_rng(seed), h),
+                                    600)
+        got = itertools.islice(cli._thomas_draws(np.random.default_rng(seed), h), 600)
+        assert ([np.concatenate(pt).tolist() for pt in got]
+                == [np.concatenate(pt).tolist() for pt in expected])
+
+
+def test_thomas_block_sampler_gives_up_at_the_same_miss(monkeypatch):
+    # the longest run of misses before one of the first 30 accepted draws at
+    # h = 0.2, as the miss limit and one above it: the runs end just before
+    # that draw, and go past it
+    h, rng, gaps, misses = 0.2, np.random.default_rng(5), [], 0
+    while len(gaps) < 30:
+        s1, s2 = rng.uniform(-2.0, 2.0, size=3), rng.uniform(-2.0, 2.0, size=3)
+        if thomas.ThomasPoint(s1=s1, s2=s2, eta=1.0).min_separation() > 12.0 * h:
+            gaps.append(misses)
+            misses = 0
+        else:
+            misses += 1
+    longest = max(gaps)
+    for limit, accepted in ((longest, gaps.index(longest)), (longest + 1, 30)):
+        monkeypatch.setattr(cli, "_THOMAS_MAX_MISSES", limit)
+        got = list(itertools.islice(cli._thomas_draws(np.random.default_rng(5), h), 30))
+        expected = list(itertools.islice(
+            _thomas_draws_one_at_a_time(np.random.default_rng(5), h), 30))
+        assert len(got) == accepted
+        assert np.array_equal(np.array(got), np.array(expected))
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 9: the sampler's 12 h distance cut does "

@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -103,10 +104,9 @@ def test_coulomb_kernel_integrable_singularity():
     pts = (_graded_breakpoints(0.0, 1.0, toward=1.0)
            + _graded_breakpoints(1.0, 2.0, toward=1.0)[1:] + [10.0, 60.0])
 
-    def integrand(q):
-        return coulomb_kernel(1.0, q, 1.0) * math.exp(-q) if q != 1.0 else 0.0
-
-    assert integrate(integrand, pts) == pytest.approx(ref, abs=1e-8)
+    # Kronrod nodes are interior, so no node is the breakpoint q = 1
+    value = integrate(lambda q, k: coulomb_kernel(1.0, q, 1.0) * np.exp(-q), [pts])[0]
+    assert value == pytest.approx(ref, abs=1e-8)
 
 
 def test_coulomb_row_integral_closed_form():
@@ -268,6 +268,24 @@ def test_residual_rejects_non_finite_samples(s0, bad):
     values[-1] = bad  # outside the evaluation window, but every column counts
     with pytest.raises(ValueError):
         residual(grid, values, ModelParams(mu=1.0), eval_lo=1e-4, eval_hi=1e3)
+
+
+def test_residual_is_scale_free(s0):
+    # a relative residual: samples scaled by 1e-300 ... 1e300 give the unscaled
+    # value, silently.  Unscaled norms overflowed from 1e155 on (a false 0.0,
+    # then warnings and OverflowError) and underflowed below 1e-150 (0.0)
+    grid = build_grid(1e-6, 1e10, 2000)
+    values = xi_mu(grid.nodes, 1.0, s0)
+    params = ModelParams(mu=1.0)
+    base = residual(grid, values, params, eval_lo=1e-4, eval_hi=1e3)
+    assert base == pytest.approx(2.1924e-8, rel=1e-4)
+    for exponent in (-300, -250, -200, -150, -100, -50, 50, 100, 150, 155, 160, 200, 250, 300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = residual(grid, values * 10.0 ** exponent, params, eval_lo=1e-4, eval_hi=1e3)
+        # measured: within 2.1e-9 relative; at 1e-300, 2.5e-5, where the
+        # samples themselves lose bits to subnormals
+        assert scaled == pytest.approx(base, rel=1e-4 if exponent == -300 else 1e-8), exponent
 
 
 def test_scan_validation():
