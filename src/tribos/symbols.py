@@ -18,6 +18,7 @@ position-space strength delta (delta = 2 pi^2 gamma).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -126,8 +127,10 @@ def find_s0(tol: float = 1e-12) -> EfimovConstant:
     return EfimovConstant(s0=s0, residual=residual, tol=tol)
 
 
+@functools.lru_cache(maxsize=None)
 def default_s0() -> float:
-    """The s0 used wherever no other is given: find_s0 at tol 1e-14."""
+    """The s0 used wherever no other is given: find_s0 at tol 1e-14, found
+    once per process."""
     return find_s0(1e-14).s0
 
 
@@ -144,6 +147,11 @@ def certify_positivity(delta: float, s_max: float, n: int) -> SymbolScan:
     empty bracket list together with min_value > 0; a negative minimum for
     smaller delta is a valid report, not an error.
     """
+    return _scan(delta, s_max, n)[2]
+
+
+def _scan(delta: float, s_max: float, n: int) -> tuple[np.ndarray, np.ndarray, SymbolScan]:
+    """certify_positivity's samples s, the symbol at them, and its report."""
     if not (math.isfinite(delta) and 0.0 < s_max < math.inf):
         raise ValueError(f"need a finite delta and 0 < s_max < inf, got {delta}, {s_max}")
     if n < 2:
@@ -153,5 +161,5 @@ def certify_positivity(delta: float, s_max: float, n: int) -> SymbolScan:
     i = int(np.argmin(v))
     # signs, not values: a product of values can overflow or underflow
     lo = np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0.0)
-    return SymbolScan(min_value=float(v[i]), argmin=float(s[i]),
-                      sign_changes=list(zip(s[lo].tolist(), s[lo + 1].tolist())))
+    return s, v, SymbolScan(min_value=float(v[i]), argmin=float(s[i]),
+                            sign_changes=list(zip(s[lo].tolist(), s[lo + 1].tolist())))

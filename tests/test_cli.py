@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from tribos import cli, oracle, stm, thomas
+from tribos import cli, oracle, stm, symbols, thomas
 from tribos.cli import RunConfig, main, run
 
 
@@ -207,6 +208,69 @@ def test_emit_csv_formats_across_row_blocks():
         cli.emit_csv(RunConfig(command="ladder"), 1.0, dict(zip("abc", columns)))
     lines = out.getvalue().splitlines()[-n:]
     assert lines == [_reference_csv_row(r) for r in zip(*columns)]
+
+
+def _cell_texts(words):
+    # the cells of the fields a cell kernel built, each "," and its text
+    return words.tobytes().translate(None, cli._PAD).split(b",")[1:]
+
+
+def _assert_float_cells_are_17g(values):
+    x = np.asarray(values, dtype=np.float64)
+    assert _cell_texts(cli._float_cells(x)) == [b"%.17g" % v for v in x.tolist()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(arrays(np.float64, st.integers(1, 40), elements=st.floats()))
+def test_float_cells_are_17g(x):
+    _assert_float_cells_are_17g(x)
+
+
+def test_float_cells_at_the_edges():
+    powers = np.array([float(f"1e{e}") for e in range(-307, 309)])
+    # k = -5, -4, 16, 17: the edges of fixed notation, with the largest
+    # doubles below 10^k, whose 17 digits may round up to 10^k
+    edges = [float(f"{m}e{e}") for e in (-5, -4, -3, 15, 16, 17, 18)
+             for m in ("1", "9.9999999999999999", "9.99999999999999995", "9.9999999999999995")]
+    # exact ties at the 18th digit, 1234567890123456.75 among them
+    ints = 10**15 + 7919 * np.arange(200)
+    ties = np.concatenate([ints + 0.25, ints + 0.75, ints // 10 + 0.125, ints // 10 + 0.875])
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+               sys.float_info.max, -sys.float_info.max, sys.float_info.min,
+               2.225073858507201e-308, 1e-290, 1e290, 1234567890123456.75]
+    values = np.concatenate([powers, edges, ties, -ties, special])
+    with np.errstate(over="ignore"):  # past the largest double
+        neighbours = [np.nextafter(values, 0.0), np.nextafter(values, math.inf)]
+    _assert_float_cells_are_17g(np.concatenate([values, -values, *neighbours]))
+
+
+def test_float_cells_of_random_bit_patterns():
+    bits = np.random.default_rng(29).integers(0, 2**64, size=10**6, dtype=np.uint64)
+    _assert_float_cells_are_17g(bits.view(np.float64))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                   np.uint8, np.uint16, np.uint32, np.uint64])
+def test_int_cells_are_d(dtype):
+    info = np.iinfo(dtype)
+    v = np.concatenate([np.array([info.min, info.max, 0, 1], dtype=dtype),
+                        np.random.default_rng(5).integers(info.min, info.max, 2000, dtype=dtype,
+                                                          endpoint=True)])
+    assert _cell_texts(cli._int_cells(v)) == [b"%d" % x for x in v.tolist()]
+
+
+def test_benchmark_symbol_table_is_its_values_in_17g():
+    # the symbol command of the benchmark's verify_suite, row by row as the
+    # per-value formatting wrote it.  Its values come from numpy's vectorized
+    # exp and tanh, whose bits depend on the SIMD level numpy dispatches to,
+    # so the body is checked against the values rather than pinned by a hash.
+    code, text = _main_output(["symbol", "--delta", "0.79", "--s-max", "200", "--n", "100000"])
+    assert code == 0
+    s = symbols.symbol_samples(200.0, 100000)
+    columns = s, symbols.eval_g(s), symbols.eval_reg_symbol(s, 0.79)
+    body = [line for line in text.splitlines() if not line.startswith("#")]
+    assert body == ["s,g,reg_symbol,sign_change_bracket"] + [
+        "%.17g,%.17g,%.17g,0" % row for row in zip(*(c.tolist() for c in columns))]
 
 
 @pytest.mark.parametrize("rows", [(1, 0), (2, 1), (2, 2, 3)])

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tribos import symbols
 from tribos.specfun import sinh_ratio, tanh_over_s
 from tribos.symbols import (SQRT3, certify_positivity, delta0, delta_bound,
                             delta_to_gamma, eval_g, eval_reg_symbol, find_s0,
@@ -184,6 +185,18 @@ def test_array_calls_match_scalar_calls(f):
     assert type(f(np.float64(2.0))) is float
     assert np.array_equal(values, scalars)
     assert np.array_equal(f(s.reshape(-1, 7)), values.reshape(-1, 7))
+
+
+def test_default_s0_is_find_s0_at_1e_14():
+    assert symbols.default_s0() == find_s0(1e-14).s0 == symbols.default_s0()
+
+
+def test_scan_reports_the_symbol_at_the_samples():
+    # the samples, values and report the symbol command tabulates
+    s, values, scan = symbols._scan(0.7, 50.0, 5000)
+    assert np.array_equal(s, symbols.symbol_samples(50.0, 5000))
+    assert np.array_equal(values, eval_reg_symbol(s, 0.7))
+    assert scan == certify_positivity(0.7, 50.0, 5000)
 
 
 def test_certify_positivity_validation():
