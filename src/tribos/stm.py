@@ -1029,7 +1029,7 @@ def residual(grid: RadialGrid, values, params: ModelParams, eval_lo: float,
     return value
 
 
-def closed_form_residual(mu: float, n: int = 2000, s0: float | None = None) -> float:
+def closed_form_residual(mu: float, n: int = 2000) -> float:
     """Residual of the closed-form charge density on the canonical wide grid.
 
     The grid spans n/125 decades starting two decades below the evaluation
@@ -1049,7 +1049,7 @@ def closed_form_residual(mu: float, n: int = 2000, s0: float | None = None) -> f
         raise OverflowError(f"{span} leaves double range")
     grid = build_grid(p_min, p_max, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = xi_mu(grid.nodes, mu, default_s0() if s0 is None else s0)
+        values = xi_mu(grid.nodes, mu, default_s0())
     if not np.isfinite(values).all():
         raise OverflowError(f"the closed-form density leaves double range on {span}")
     return residual(grid, values, params, eval_lo=1e-4 * root, eval_hi=1e3 * root)

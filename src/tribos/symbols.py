@@ -27,6 +27,7 @@ import numpy as np
 from .specfun import sinh_ratio, tanh_over_s
 
 SQRT3 = math.sqrt(3.0)
+S0_TOL = 1e-14  # the residual |g(s0)| that default_s0 searches to
 
 
 @dataclass(frozen=True)
@@ -129,9 +130,8 @@ def find_s0(tol: float = 1e-12) -> EfimovConstant:
 
 @functools.lru_cache(maxsize=None)
 def default_s0() -> float:
-    """The s0 used wherever no other is given: find_s0 at tol 1e-14, found
-    once per process."""
-    return find_s0(1e-14).s0
+    """The package's one s0: find_s0 at S0_TOL, found once per process."""
+    return find_s0(S0_TOL).s0
 
 
 def symbol_samples(s_max: float, n: int) -> np.ndarray:

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from tribos import stm
-from tribos.symbols import find_s0
+from tribos.symbols import default_s0
 
 
 @pytest.fixture(scope="session")
 def s0() -> float:
-    return find_s0(1e-14).s0
+    return default_s0()
 
 
 @pytest.fixture

@@ -46,16 +46,16 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(command="symbol")  # delta is required
     cfg = RunConfig(command="s0")
-    assert cfg.parameters == {"tol": 1e-12}
+    assert cfg.parameters == {}
     assert json.loads(cfg.canonical())["format"] == "json"
 
 
 def test_s0_json_output(tmp_path):
     out = tmp_path / "s0.json"
-    assert main(["s0", "--tol", "1e-12", "--out", str(out)]) == 0
+    assert main(["s0", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert 1.000 < doc["result"]["s0"] < 1.010
-    assert doc["result"]["residual"] <= 1e-12
+    assert doc["result"]["residual"] <= doc["result"]["tol"] == symbols.S0_TOL
     assert doc["meta"]["tool"].startswith("tribos ")
     # json floats round-trip at 17 significant digits
     assert doc["result"]["s0"] == doc["meta"]["s0"]
@@ -98,9 +98,7 @@ def test_csv_floats_round_trip(tmp_path):
     assert main(["ladder", "--beta", "0.3", "--n", "0..1", "--out", str(out)]) == 0
     _, rows = read_rows(out)
     from tribos.ladder import mu_n
-    from tribos.symbols import find_s0
-    s0 = find_s0(1e-12).s0
-    assert float(rows[0][1]) == mu_n(0.3, 0, s0)  # exact 17-digit round trip
+    assert float(rows[0][1]) == mu_n(0.3, 0, symbols.default_s0())  # exact 17-digit round trip
 
 
 def test_scan_above_threshold_has_empty_crossings(tmp_path):
@@ -306,8 +304,9 @@ _CSV_BODY_SHA256 = {
         "fec28e9460765bd629f2ae9d1138f70751994e12c9a218f81c08d0d72100e8ab",
     ("oracle", "--s", "1", "--x", "320,640"):
         "ef308988e27f6d67835582b62c56a87f686324fb2f4bfb6eb743b67c0b1188df",
+    # pinned at default_s0 = 1.006237825102782: every cell but n follows s0's last bit
     ("ladder", "--n=-3..3", "--beta", "0.3"):
-        "e640e40afaef26f8668d8c9b752cc047f553dcc0f70f06ffc77dec24f26ded48",
+        "b13e6a792e7b90585707e636f03eb038542f0015381de951e6eba706cd4e2695",
 }
 
 
@@ -336,6 +335,44 @@ def test_residual_takes_no_delta(tmp_path, capsys):
     path.write_text(json.dumps({"delta": 0.0}))
     assert main(["residual", "--config", str(path)]) == 2
     assert "unknown parameter 'delta'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["s0", "ladder", "oracle"])
+def test_tol_is_not_a_parameter(command, tmp_path, capsys):
+    # s0 and ladder use the run's one s0, default_s0; an oracle transform row
+    # passes within 10 times the tolerance the integrator meets, a constant
+    assert main([command, "--tol", "1e-9"]) == 2
+    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"tol": 1e-9}))
+    assert main([command, "--config", str(path)]) == 2
+    assert "unknown parameter 'tol'" in capsys.readouterr().err
+
+
+_CHEAP = {
+    "s0": ["s0"],
+    "delta0": ["delta0"],
+    "ladder": ["ladder", "--n=0..1"],
+    "symbol": ["symbol", "--delta", "1", "--s-max", "10", "--n", "11"],
+    "scan": ["scan", "--delta", "1", "--grid", "40", "--n-mu", "3"],
+    "residual": ["residual", "--n", "400"],
+    "thomas": ["thomas", "--n-points", "2"],
+    "oracle": ["oracle", "--s", "1", "--x", "1"],
+}
+
+
+def test_every_output_carries_the_one_s0():
+    assert set(_CHEAP) == set(cli._COMMANDS)
+    for command, argv in _CHEAP.items():
+        code, text = _main_output(argv)
+        assert code == 0, command
+        if cli._COMMANDS[command][1] == "json":
+            doc = json.loads(text)
+            values = [doc["meta"]["s0"]] + ([doc["result"]["s0"]] if command == "s0" else [])
+        else:
+            values = [float(line[len("# s0: "):]) for line in text.splitlines()
+                      if line.startswith("# s0: ")]
+        assert values and all(v == symbols.default_s0() for v in values), command
 
 
 def test_thomas_command_rows(tmp_path):
@@ -589,7 +626,6 @@ def test_scan_with_crossings_byte_identical(tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["scan", "--delta", "nan"],
     ["scan", "--delta", "1", "--p-max", "inf"],
-    ["oracle", "--tol", "nan"],
     ["oracle", "--s", "nan,1"],
     ["ladder", "--n=0..2000"],
     ["ladder", "--n=-2000..0"],
@@ -694,17 +730,15 @@ _FLOATS = st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "1e-
                                      "-1e-300", "5e-324", "1e300", "-1e308"]),
                     st.floats(-50.0, 50.0).map(repr))
 _ARGV = st.one_of(
-    st.builds(lambda tol: ["s0", f"--tol={tol}"], _FLOATS),
+    st.just(["s0"]),
     st.just(["delta0"]),
-    st.builds(lambda beta, lo, hi, tol: ["ladder", f"--beta={beta}", f"--n={lo}..{hi}",
-                                         f"--tol={tol}"],
-              _FLOATS, st.integers(-150, 150), st.integers(-150, 150), _FLOATS),
+    st.builds(lambda beta, lo, hi: ["ladder", f"--beta={beta}", f"--n={lo}..{hi}"],
+              _FLOATS, st.integers(-150, 150), st.integers(-150, 150)),
     st.builds(lambda delta, s_max, n: ["symbol", f"--delta={delta}", f"--s-max={s_max}",
                                        f"--n={n}"],
               _FLOATS, _FLOATS, st.integers(-2, 5000)),
-    st.builds(lambda s, x, tol: ["oracle", "--s=" + ",".join(s), "--x=" + ",".join(x),
-                                 f"--tol={tol}"],
-              st.lists(_FLOATS, max_size=2), st.lists(_FLOATS, max_size=2), _FLOATS),
+    st.builds(lambda s, x: ["oracle", "--s=" + ",".join(s), "--x=" + ",".join(x)],
+              st.lists(_FLOATS, max_size=2), st.lists(_FLOATS, max_size=2)),
     st.builds(lambda delta, lo, hi, n_mu, grid, p_min, p_max: [
         "scan", f"--delta={delta}", f"--mu-lo={lo}", f"--mu-hi={hi}", f"--n-mu={n_mu}",
         f"--grid={grid}", f"--p-min={p_min}", f"--p-max={p_max}"],
