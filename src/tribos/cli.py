@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -27,14 +26,7 @@ from . import __version__
 from . import ladder as ladder_mod
 from . import oracle as oracle_mod
 from . import stm, symbols, thomas
-from .specfun import k0
 
-# The Thomas sampler gives up after this many rejected draws in a row.  No
-# point is farther than 2 sqrt(3) from a coincidence set, so h >= sqrt(3)/6
-# rejects every draw; an h accepting one draw in 100 gives up with
-# probability 0.99^10000 < 1e-43.
-_THOMAS_MAX_MISSES = 10000
-_THOMAS_BLOCK = 256  # Thomas points per array pass: memory bounded at any --n-points
 _CSV_BLOCK = 4096  # CSV rows formatted by one array pass: bounds its working memory
 
 @dataclass(frozen=True)
@@ -368,66 +360,10 @@ def _run_residual(config: RunConfig, s0: float) -> None:
     emit_json(config, s0, {"mu": p["mu"], "n": p["n"], "residual": value})
 
 
-def _thomas_draws(rng: np.random.Generator, h: float):
-    """The draws (s1, s2) farther than 12 h from the degenerate sets, in order.
-
-    Candidates are drawn _THOMAS_BLOCK at a time, as rows of six uniform
-    doubles (the doubles of two 3-vector draws per candidate, in order), and
-    tested in one array pass; a candidate that ThomasPoint would reject is a
-    miss.  Ends after _THOMAS_MAX_MISSES misses in a row."""
-    misses = 0  # consecutive rejected draws
-    while True:
-        block = rng.uniform(-2.0, 2.0, size=(_THOMAS_BLOCK, 6))
-        s1, s2 = block[:, :3], block[:, 3:]
-        separation, finite = thomas._separations(s1, s2)
-        last = -1
-        for i in np.flatnonzero(finite & (separation != 0.0) & (separation > 12.0 * h)).tolist():
-            misses += i - last - 1
-            if misses >= _THOMAS_MAX_MISSES:
-                return
-            misses, last = 0, i
-            yield s1[i], s2[i]
-        misses += _THOMAS_BLOCK - 1 - last
-        if misses >= _THOMAS_MAX_MISSES:
-            return
-
-
-def _thomas_rows(s1: np.ndarray, s2: np.ndarray, eta: float, h: float, eps: float) -> np.ndarray:
-    """The table rows of sampled points (s1, s2)."""
-    try:
-        residual = thomas.pde_residuals(s1, s2, eta, h)
-        estimate = thomas.boundary_coefficients(s2, eta, eps)
-    except ValueError:  # the first failing point's error, its PDE check first
-        for i in range(len(s1)):
-            thomas.pde_residuals(s1[i:i + 1], s2[i:i + 1], eta, h)
-            thomas.boundary_coefficients(s2[i:i + 1], eta, eps)
-        raise
-    r2 = thomas._norms(s2)
-    reference = (math.pi / thomas.SQRT3) * k0(eta * r2) / r2
-    return np.column_stack([s1, s2, thomas.psi(s1, s2, eta), residual, estimate, reference])
-
-
 def _run_thomas(config: RunConfig, s0: float) -> None:
     p = config.parameters
-    eta, h, n_points = p["eta"], p["h"], p["n_points"]
-    if not eta > 0.0:
-        raise ValueError("eta must be positive")
-    if not n_points > 0:
-        raise ValueError("n_points must be positive")
-    draws = _thomas_draws(np.random.default_rng(p["seed"]), h)
-    blocks = []
-    for start in range(0, n_points, _THOMAS_BLOCK):
-        size = min(_THOMAS_BLOCK, n_points - start)
-        block = list(itertools.islice(draws, size))
-        if block:
-            blocks.append(_thomas_rows(*map(np.array, zip(*block)), eta, h, p["eps"]))
-        if len(block) < size:
-            raise ValueError(
-                f"h = {h} too large: {_THOMAS_MAX_MISSES} draws in a row found no point "
-                f"of [-2, 2]^3 x [-2, 2]^3 farther than 12 h from a coincidence set")
-    emit_csv(config, s0, dict(zip(["s1x", "s1y", "s1z", "s2x", "s2y", "s2z", "psi",
-                                   "pde_residual", "bc_estimate", "bc_reference"],
-                                  np.concatenate(blocks).T)))
+    emit_csv(config, s0, thomas.table(np.random.default_rng(p["seed"]), p["n_points"],
+                                      p["eta"], p["h"], p["eps"]))
 
 
 def _run_oracle(config: RunConfig, s0: float) -> None:

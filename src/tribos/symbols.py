@@ -96,7 +96,7 @@ def delta_bound() -> float:
     return (2.0 / math.pi) * (4.0 * math.pi / (3.0 * SQRT3) - 1.0)
 
 
-def find_s0(tol: float = 1e-12) -> EfimovConstant:
+def find_s0(tol: float = S0_TOL) -> EfimovConstant:
     """Locate the Efimov constant s0 by deterministic bisection on g.
 
     The bisection starts from the first sign change of g on the steps

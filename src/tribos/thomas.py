@@ -36,6 +36,12 @@ from .specfun import _libm, k0
 
 SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
+# The sampler gives up after this many rejected draws in a row.  No point is
+# farther than 2 sqrt(3) from a coincidence set, so h >= sqrt(3)/6 rejects
+# every draw; an h accepting one draw in 100 gives up with probability
+# 0.99^10000 < 1e-43.
+_MAX_MISSES = 10000
+_BLOCK = 256  # candidates per draw and rows per array pass: memory bounded at any n_points
 
 
 @dataclass(frozen=True)
@@ -190,7 +196,72 @@ def boundary_coefficients(s2: np.ndarray, eta: float, eps: float) -> np.ndarray:
     (m, 3) array s2; an error is the first failing row's."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
+    if eps * eps == 0.0:  # |s1| = sqrt(eps^2) would read 0, a point on the plane s1 = 0
+        raise ValueError(f"eps = {eps} too small: eps^2 underflows to 0")
     axes = eps * np.kron(np.eye(3, dtype=int), [[1], [-1]])  # s1 = +-eps on each axis
     s1, s2 = np.tile(axes, (len(s2), 1)), np.repeat(s2, 6, axis=0)
     _min_separations(s1, s2)
     return sum(eps * psi(s1, s2, eta).reshape(-1, 6).T) / 6.0  # the six in order
+
+
+def _draws(rng: np.random.Generator, h: float, n: int) -> np.ndarray:
+    """The first n draws (s1, s2) farther than 12 h from the degenerate sets,
+    as the rows (s1, s2) of a (k, 6) array, k < n if _MAX_MISSES draws in a
+    row miss first.
+
+    Candidates are drawn _BLOCK at a time, as rows of six uniform doubles on
+    [-2, 2] (the doubles of two 3-vector draws per candidate, in order), and
+    tested in one array pass; a candidate that ThomasPoint would reject is a
+    miss."""
+    rows, misses = [], 0  # misses: the rejected draws in a row before the block
+    while n > 0 and misses < _MAX_MISSES:
+        block = rng.uniform(-2.0, 2.0, size=(_BLOCK, 6))
+        separation, finite = _separations(block[:, :3], block[:, 3:])
+        hits = np.flatnonzero(finite & (separation != 0.0) & (separation > 12.0 * h))[:n]
+        runs = np.diff(hits, prepend=-1 - misses) - 1  # the misses in a row before each hit
+        hits = hits[np.logical_and.accumulate(runs < _MAX_MISSES)]
+        rows.append(block[hits])
+        n -= hits.size
+        # after a cut the block's misses since the last hit kept span the cut run,
+        # so the loop ends
+        misses = _BLOCK - 1 - hits[-1] if hits.size else misses + _BLOCK
+    return np.concatenate(rows)
+
+
+def table(rng: np.random.Generator, n_points: int, eta: float, h: float,
+          eps: float) -> dict[str, np.ndarray]:
+    """The Thomas table: n_points points (s1, s2) drawn from rng uniformly on
+    [-2, 2]^3 x [-2, 2]^3, keeping those farther than 12 h from the
+    degenerate sets, each with psi, pde_residual at step h,
+    boundary_coefficient of its s2 at eps and that coefficient's limit
+    (pi/sqrt(3)) K0(eta |s2|) / |s2|, as {column name: values}.
+
+    Rows are evaluated _BLOCK at a time.  An error is the first failing
+    row's, its PDE check before its boundary check; after the rows drawn, a
+    ValueError says h is too large if the sampler gave up before n_points."""
+    if not eta > 0.0:
+        raise ValueError("eta must be positive")
+    if not n_points > 0:
+        raise ValueError("n_points must be positive")
+    draws = _draws(rng, h, n_points)
+    blocks = []
+    for lo in range(0, len(draws), _BLOCK):
+        rows = draws[lo:lo + _BLOCK]
+        s1, s2 = rows[:, :3], rows[:, 3:]
+        try:
+            residual = pde_residuals(s1, s2, eta, h)
+            estimate = boundary_coefficients(s2, eta, eps)
+        except ValueError:  # the first failing row's error, its PDE check first
+            for i in range(len(rows)):
+                pde_residuals(s1[i:i + 1], s2[i:i + 1], eta, h)
+                boundary_coefficients(s2[i:i + 1], eta, eps)
+            raise
+        r2 = _norms(s2)
+        reference = (math.pi / SQRT3) * k0(eta * r2) / r2
+        blocks.append(np.column_stack([rows, psi(s1, s2, eta), residual, estimate, reference]))
+    if len(draws) < n_points:
+        raise ValueError(
+            f"h = {h} too large: {_MAX_MISSES} draws in a row found no point "
+            f"of [-2, 2]^3 x [-2, 2]^3 farther than 12 h from a coincidence set")
+    return dict(zip(["s1x", "s1y", "s1z", "s2x", "s2y", "s2z", "psi", "pde_residual",
+                     "bc_estimate", "bc_reference"], np.concatenate(blocks).T))

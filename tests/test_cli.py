@@ -20,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 
 from tribos import cli, oracle, stm, symbols, thomas
 from tribos.cli import RunConfig, main, run
+from tribos.specfun import k0
 
 
 def read_meta(path):
@@ -389,7 +390,7 @@ def _thomas_draws_one_at_a_time(rng, h):
     # the sampler as it drew two 3-vectors and built one ThomasPoint per
     # candidate: the reference for the block sampler's points and miss limit
     misses = 0
-    while misses < cli._THOMAS_MAX_MISSES:
+    while misses < thomas._MAX_MISSES:
         s1 = rng.uniform(-2.0, 2.0, size=3)
         s2 = rng.uniform(-2.0, 2.0, size=3)
         misses += 1
@@ -408,13 +409,12 @@ def _thomas_draws_one_at_a_time(rng, h):
 @pytest.mark.parametrize("h, max_misses", [(1e-3, 10000), (0.1, 40), (0.18, 40), (0.2, 40),
                                            (0.22, 300), (0.3, 10000)])
 def test_thomas_block_sampler_draws_as_the_point_sampler(h, max_misses, monkeypatch):
-    monkeypatch.setattr(cli, "_THOMAS_MAX_MISSES", max_misses)
+    monkeypatch.setattr(thomas, "_MAX_MISSES", max_misses)
     for seed in (1, 2, 3):
         expected = itertools.islice(_thomas_draws_one_at_a_time(np.random.default_rng(seed), h),
                                     600)
-        got = itertools.islice(cli._thomas_draws(np.random.default_rng(seed), h), 600)
-        assert ([np.concatenate(pt).tolist() for pt in got]
-                == [np.concatenate(pt).tolist() for pt in expected])
+        got = thomas._draws(np.random.default_rng(seed), h, 600)
+        assert got.tolist() == [np.concatenate(pt).tolist() for pt in expected]
 
 
 def test_thomas_block_sampler_gives_up_at_the_same_miss(monkeypatch):
@@ -431,12 +431,35 @@ def test_thomas_block_sampler_gives_up_at_the_same_miss(monkeypatch):
             misses += 1
     longest = max(gaps)
     for limit, accepted in ((longest, gaps.index(longest)), (longest + 1, 30)):
-        monkeypatch.setattr(cli, "_THOMAS_MAX_MISSES", limit)
-        got = list(itertools.islice(cli._thomas_draws(np.random.default_rng(5), h), 30))
+        monkeypatch.setattr(thomas, "_MAX_MISSES", limit)
+        got = thomas._draws(np.random.default_rng(5), h, 30)
         expected = list(itertools.islice(
             _thomas_draws_one_at_a_time(np.random.default_rng(5), h), 30))
         assert len(got) == accepted
-        assert np.array_equal(np.array(got), np.array(expected))
+        assert np.array_equal(got, np.reshape(expected, (-1, 6)))
+
+
+# (h, miss limit): 257 rows cross the seam of the 256-row passes; at h = 0.2
+# the limit ends each run after 64, 57 and 79 rows
+@pytest.mark.parametrize("h, max_misses", [(1e-3, 10000), (0.2, 150)])
+def test_thomas_table_rows_are_the_one_point_functions(h, max_misses, monkeypatch):
+    monkeypatch.setattr(thomas, "_MAX_MISSES", max_misses)
+    eta, eps = 1.0, 1e-3
+    for seed in (1, 2, 3):
+        expected = []
+        for s1, s2 in itertools.islice(
+                _thomas_draws_one_at_a_time(np.random.default_rng(seed), h), 257):
+            pt, r = thomas.ThomasPoint(s1=s1, s2=s2, eta=eta), np.linalg.norm(s2)
+            expected.append([*s1, *s2, thomas.thomas_psi(pt), thomas.pde_residual(pt, h),
+                             thomas.boundary_coefficient(s2, eta, eps),
+                             (math.pi / math.sqrt(3.0)) * k0(eta * r) / r])
+        if len(expected) < 257:
+            with pytest.raises(ValueError, match=f"h = {h} too large: {max_misses} draws"):
+                thomas.table(np.random.default_rng(seed), 257, eta, h, eps)
+        got = thomas.table(np.random.default_rng(seed), len(expected), eta, h, eps)
+        assert list(got) == ["s1x", "s1y", "s1z", "s2x", "s2y", "s2z", "psi", "pde_residual",
+                             "bc_estimate", "bc_reference"]
+        assert np.array(list(got.values())).T.tolist() == expected
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 9: the sampler's 12 h distance cut does "
@@ -700,6 +723,14 @@ def test_thomas_at_a_huge_eta_exits_2_naming_it(eta, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: psi = 0 underflows the normal doubles")
     assert f"eta = {float(eta):.17g} too large" in err
+
+
+def test_thomas_at_an_eps_whose_square_underflows_exits_2_naming_it(capsys):
+    # below about 1.6e-162 eps^2 underflows to 0, so |s1| read 0 and the error
+    # said the boundary point lay on a coincidence set; 2e-162 still runs
+    assert main(["thomas", "--n-points", "2", "--eps", "1e-170"]) == 2
+    assert capsys.readouterr().err == "error: eps = 1e-170 too small: eps^2 underflows to 0\n"
+    assert _main_output(["thomas", "--n-points", "2", "--eps", "2e-162"])[0] == 0
 
 
 def test_scan_output_independent_of_thread_variables(tmp_path):

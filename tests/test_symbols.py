@@ -189,6 +189,7 @@ def test_array_calls_match_scalar_calls(f):
 
 def test_default_s0_is_find_s0_at_1e_14():
     assert symbols.default_s0() == find_s0(1e-14).s0 == symbols.default_s0()
+    assert find_s0().s0 == symbols.default_s0()  # the library's default is the commands' s0
 
 
 def test_scan_reports_the_symbol_at_the_samples():
