@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,14 +87,24 @@ def _meta_lines(config: RunConfig, s0: float) -> list[str]:
 
 
 def _write_atomic(path: str | None, text: str) -> None:
+    """Write text as one chunk of _write_chunks.  bench/layers.py counts the
+    bytes written through this name, so it keeps taking a str."""
+    _write_chunks(path, (text.encode("utf-8"),))
+
+
+def _write_chunks(path: str | None, chunks: Iterable[bytes]) -> None:
+    """Write chunks of UTF-8 text, each ending at a line end, as they come:
+    to stdout, or into a temporary file renamed onto path after the last."""
     if path is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk.decode("utf-8", "surrogatepass"))
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tribos-")
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -265,7 +276,8 @@ def emit_csv(config: RunConfig, s0: float, table: dict[str, object],
     """Write the metadata header, a "# note" line per note, then the table
     {column name: values}.  Every cell has the bytes _fmt gives its value:
     float64 and integer array columns are formatted by array passes of
-    _CSV_BLOCK rows, other columns value by value."""
+    _CSV_BLOCK rows, other columns value by value.  Each block is written
+    as soon as it is built, so the writer holds one block, not the table."""
     columns = list(table.values())
     n = len(columns[0]) if columns else 0
     if any(len(values) != n for values in columns):
@@ -274,15 +286,18 @@ def emit_csv(config: RunConfig, s0: float, table: dict[str, object],
                _int_cells if isinstance(v, np.ndarray) and v.dtype.kind in "iu" else
                _text_cells for v in columns]
     lines = _meta_lines(config, s0) + [f"# {note}" for note in notes] + [",".join(table)]
-    text = ["\n".join(lines) + "\n"]
-    for lo in range(0, n, _CSV_BLOCK):
-        hi = min(lo + _CSV_BLOCK, n)
-        fields = [kernel(values[lo:hi]) for kernel, values in zip(kernels, columns)]
-        fields.append(np.full((hi - lo, 1), 0xFFFFFF0A, _U32))  # the row's "\n"
-        block = np.concatenate(fields, axis=1)
-        block.view(np.uint8)[:, 0] = 0xFF  # the first cell's ","
-        text.append(block.tobytes().translate(None, _PAD).decode("utf-8", "surrogatepass"))
-    _write_atomic(config.output_path, "".join(text))
+
+    def chunks():
+        yield ("\n".join(lines) + "\n").encode("utf-8")
+        for lo in range(0, n, _CSV_BLOCK):
+            hi = min(lo + _CSV_BLOCK, n)
+            fields = [kernel(values[lo:hi]) for kernel, values in zip(kernels, columns)]
+            fields.append(np.full((hi - lo, 1), 0xFFFFFF0A, _U32))  # the row's "\n"
+            block = np.concatenate(fields, axis=1)
+            block.view(np.uint8)[:, 0] = 0xFF  # the first cell's ","
+            yield block.tobytes().translate(None, _PAD)
+
+    _write_chunks(config.output_path, chunks())
 
 
 def emit_json(config: RunConfig, s0: float, doc: dict) -> None:
@@ -300,7 +315,10 @@ def emit_json(config: RunConfig, s0: float, doc: dict) -> None:
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"n must be a range lo..hi of integers, got {text!r}") from None
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -336,6 +354,8 @@ def _run_ladder(config: RunConfig, s0: float) -> None:
 def _run_symbol(config: RunConfig, s0: float) -> None:
     p = config.parameters
     s, reg_symbol, scan = symbols._scan(p["delta"], p["s_max"], p["n"])
+    if not np.isfinite(reg_symbol).all():  # eval_reg_symbol's inf beyond double range
+        raise OverflowError(f"reg_symbol leaves double range at delta = {_fmt(p['delta'])}")
     bracket = np.zeros(s.size, dtype=int)
     bracket[np.searchsorted(s, [lo for lo, _ in scan.sign_changes])] = 1
     emit_csv(config, s0, {"s": s, "g": symbols.eval_g(s), "reg_symbol": reg_symbol,

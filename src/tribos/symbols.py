@@ -156,6 +156,9 @@ def _scan(delta: float, s_max: float, n: int) -> tuple[np.ndarray, np.ndarray, S
         raise ValueError(f"need a finite delta and 0 < s_max < inf, got {delta}, {s_max}")
     if n < 2:
         raise ValueError("n must be at least 2")
+    if s_max / (n - 1) == 0.0:
+        raise ValueError(f"the sample step s_max/(n - 1) underflows to 0 at s_max = {s_max!r}, "
+                         f"n = {n}")
     s = symbol_samples(s_max, n)
     v = eval_reg_symbol(s, delta)
     i = int(np.argmin(v))

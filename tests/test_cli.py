@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -287,6 +288,56 @@ def test_emit_csv_rejects_rows_off_the_schema(rows, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_emit_csv_memory_is_one_block(tmp_path):
+    # the writer holds one block of rows, not the table: its traced peak
+    # measured 2.2 MB at 3e5 rows (a 13.7 MB file) and at 1e6 rows alike;
+    # holding the decoded blocks, their join and its encoding took 41 MB at 3e5
+    n = 3 * 10**5
+    rng = np.random.default_rng(34)
+    table = {"a": rng.normal(size=n), "b": rng.normal(size=n) * 1e-7,
+             "c": rng.integers(0, 2, size=n)}
+    path = tmp_path / "table.csv"
+    config = RunConfig(command="ladder", output_path=str(path))
+    cli.emit_csv(config, 1.0, {k: v[:10] for k, v in table.items()})  # the cell tables
+    tracemalloc.start()
+    try:
+        cli.emit_csv(config, 1.0, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
+    assert path.stat().st_size > 4 * peak
+
+
+def test_a_failure_mid_table_writes_no_file(tmp_path, monkeypatch, capsys):
+    # the second block's int cells raise: --out leaves no file, and an existing
+    # target keeps its bytes; stdout has the rows written before the failure
+    int_cells, calls = cli._int_cells, []
+
+    def fail_on_the_second_block(v):
+        calls.append(len(v))
+        if len(calls) == 2:
+            raise OverflowError("second block")
+        return int_cells(v)
+
+    monkeypatch.setattr(cli, "_int_cells", fail_on_the_second_block)
+    argv = ["symbol", "--delta", "0.79", "--s-max", "200", "--n", "10000"]
+    target = tmp_path / "symbol.csv"
+    assert main([*argv, "--out", str(target)]) == 3
+    assert calls == [4096, 4096]
+    assert list(tmp_path.iterdir()) == []
+    target.write_bytes(b"old")
+    calls.clear()
+    assert main([*argv, "--out", str(target)]) == 3
+    assert list(tmp_path.iterdir()) == [target] and target.read_bytes() == b"old"
+    calls.clear()
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert err == "error: second block\n" * 3
+    body = [line for line in out.splitlines() if not line.startswith("#")]
+    assert len(body) == 1 + 4096 and out.endswith("\n")
+
+
 # SHA-256 of the CSV body (the lines after the "#" header), as the
 # row-at-a-time formatting and the point-at-a-time Thomas loop wrote it.
 # s below 1e-6 keeps the symbol in its Taylor branches, plain arithmetic
@@ -360,6 +411,16 @@ _CHEAP = {
     "thomas": ["thomas", "--n-points", "2"],
     "oracle": ["oracle", "--s", "1", "--x", "1"],
 }
+
+
+@pytest.mark.parametrize("argv", [*_CHEAP.values(), ["symbol", "--delta", "0.79", "--s-max",
+                                                      "200", "--n", "10000"]], ids=" ".join)
+def test_stdout_and_out_get_the_same_bytes(argv, tmp_path):
+    # the 10000-row symbol table crosses two seams of 4096 rows
+    path = tmp_path / "out"
+    assert main([*argv, "--out", str(path)]) == 0
+    code, text = _main_output(argv)
+    assert code == 0 and text.encode("utf-8") == path.read_bytes()
 
 
 def test_every_output_carries_the_one_s0():
@@ -723,6 +784,34 @@ def test_thomas_at_a_huge_eta_exits_2_naming_it(eta, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: psi = 0 underflows the normal doubles")
     assert f"eta = {float(eta):.17g} too large" in err
+
+
+@pytest.mark.parametrize("delta", ["9.9112017035097915e307", "1e308", "-1e308"])
+def test_symbol_beyond_double_range_exits_3_naming_delta(delta, capsys):
+    # eval_reg_symbol keeps its inf there, which the table printed at s = 0 with
+    # exit 0; the double below the first such delta still runs
+    assert main(["symbol", f"--delta={delta}", "--n", "3"]) == 3
+    assert capsys.readouterr() == (
+        "", f"error: reg_symbol leaves double range at delta = {float(delta):.17g}\n")
+    assert _main_output(["symbol", "--delta=9.91120170350979e307", "--n", "3"])[0] == 0
+
+
+def test_symbol_scan_whose_step_underflows_exits_2(capsys):
+    # s_max/(n - 1) = 0 put every sample at s = 0, reported as a scan of [0, s_max]
+    assert main(["symbol", "--delta", "0.79", "--s-max", "5e-324", "--n", "5"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the sample step s_max/(n - 1) underflows to 0 at s_max = 5e-324, n = 5\n")
+    with pytest.raises(ValueError, match="underflows to 0"):
+        symbols.certify_positivity(0.79, 5e-324, 5)
+    code, text = _main_output(["symbol", "--delta", "0.79", "--s-max", "1e-320", "--n", "3"])
+    assert code == 0 and [line.split(",")[0] for line in text.splitlines()[-3:]] == [
+        "0", "4.999944335913415e-321", "9.9998886718268301e-321"]
+
+
+@pytest.mark.parametrize("n", ["5", "1..x", "", "1..2..3"])
+def test_ladder_range_message(n, capsys):
+    assert main(["ladder", f"--n={n}"]) == 2
+    assert capsys.readouterr().err == f"error: n must be a range lo..hi of integers, got {n!r}\n"
 
 
 def test_thomas_at_an_eps_whose_square_underflows_exits_2_naming_it(capsys):
