@@ -24,9 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from . import ladder as ladder_mod
-from . import oracle as oracle_mod
-from . import stm, symbols, thomas
+from . import ladder, oracle, stm, symbols, thomas
 
 _CSV_BLOCK = 4096  # CSV rows formatted by one array pass: bounds its working memory
 
@@ -105,6 +103,8 @@ def _write_chunks(path: str | None, chunks: Iterable[bytes]) -> None:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
+        os.umask(umask := os.umask(0o022))  # reads the umask
+        os.chmod(tmp, 0o666 & ~umask)  # not mkstemp's 0600: open()'s mode for a new file
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -344,22 +344,17 @@ def _run_delta0(config: RunConfig, s0: float) -> None:
 def _run_ladder(config: RunConfig, s0: float) -> None:
     p = config.parameters
     n_lo, n_hi = _parse_range(p["n"])
-    n, mu, energy = zip(*ladder_mod.build_ladder(p["beta"], n_lo, n_hi, s0))
+    n, mu, energy = zip(*ladder.build_ladder(p["beta"], n_lo, n_hi, s0))
     ratio = [math.exp(2.0 * math.pi / s0)] * len(n)
-    residual = [ladder_mod.quantization_residual(m, p["beta"], s0) for m in mu]
+    residual = [ladder.quantization_residual(m, p["beta"], s0) for m in mu]
     emit_csv(config, s0, {"n": n, "mu": mu, "energy": energy, "ratio": ratio,
                           "quantization_residual": residual})
 
 
 def _run_symbol(config: RunConfig, s0: float) -> None:
     p = config.parameters
-    s, reg_symbol, scan = symbols._scan(p["delta"], p["s_max"], p["n"])
-    if not np.isfinite(reg_symbol).all():  # eval_reg_symbol's inf beyond double range
-        raise OverflowError(f"reg_symbol leaves double range at delta = {_fmt(p['delta'])}")
-    bracket = np.zeros(s.size, dtype=int)
-    bracket[np.searchsorted(s, [lo for lo, _ in scan.sign_changes])] = 1
-    emit_csv(config, s0, {"s": s, "g": symbols.eval_g(s), "reg_symbol": reg_symbol,
-                          "sign_change_bracket": bracket},
+    columns, scan = symbols.table(p["delta"], p["s_max"], p["n"])
+    emit_csv(config, s0, columns,
              notes=(f"scan: min_value={_fmt(scan.min_value)} argmin={_fmt(scan.argmin)} "
                     f"n_sign_changes={len(scan.sign_changes)}",))
 
@@ -388,32 +383,7 @@ def _run_thomas(config: RunConfig, s0: float) -> None:
 
 def _run_oracle(config: RunConfig, s0: float) -> None:
     p = config.parameters
-    tol = oracle_mod._ABS_TOL  # what the integrator meets per integral
-    rows = []
-    for name, check in oracle_mod.check_transforms(_parse_floats(p["s"])):
-        rows.append((f"transform_{name}", check.s, check.numeric, check.analytic,
-                     check.abs_err, "pass" if check.abs_err <= 10.0 * tol else "fail"))
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for _ in range(100):
-        x, y = rng.uniform(-5.0, 5.0, size=2)
-        plus, minus = oracle_mod.factorization_check(float(x), float(y))
-        scale = max(1.0, math.cosh(x + y) * math.cosh(x - y))
-        worst = max(worst, plus / scale, minus / scale)
-    rows.append(("factorization", 0.0, worst, 0.0, worst,
-                 "pass" if worst <= 1e-10 else "fail"))
-    xs = _parse_floats(p["x"])
-    odd = oracle_mod.odd_extension_check(lambda y: np.sin(s0 * y), xs).tolist()
-    balance = oracle_mod.convolution_balance(s0, xs).tolist()
-    for x, err, bal in zip(xs, odd, balance):
-        # vacuous: the mirror terms cannot reach the tolerance, so no error could fail the row
-        vacuous = oracle_mod.mirror_bound(x) <= 1e-6
-        rows.append(("odd_extension", x, err, 0.0, err,
-                     "fail" if not err <= 1e-6 else "vacuous" if vacuous else "pass"))
-        rows.append(("balance_at_s0", x, bal, 0.0, abs(bal),
-                     "pass" if abs(bal) <= 1e-6 else "fail"))
-    emit_csv(config, s0, dict(zip(["check", "param", "numeric", "analytic", "abs_err", "status"],
-                                  zip(*rows))))
+    emit_csv(config, s0, oracle.table(_parse_floats(p["s"]), _parse_floats(p["x"]), s0))
 
 
 # command -> (runner, output format, {parameter: (type, default)}); a None

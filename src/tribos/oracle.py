@@ -345,3 +345,31 @@ def convolution_balance(s: float, x):
                      [pts] * flat.size, budget=40000)
     out = (np.sin(s * flat) - 4.0 / (SQRT3 * math.pi) * conv).reshape(x_arr.shape)
     return out if out.ndim else float(out)
+
+
+def table(s_values, x_values, s0: float) -> dict[str, tuple]:
+    """{column name: values}, a row per check that passes within a bound: both
+    transforms at each s (10 _ABS_TOL), the worst scaled factorization residual
+    of 100 default_rng(2024) draws (1e-10), and at each x odd_extension_check of
+    sin(s0 y) (1e-6; "vacuous" if mirror_bound is too) and the balance at s0 (1e-6)."""
+    rows = [(f"transform_{name}", check.s, check.numeric, check.analytic, check.abs_err,
+             "pass" if check.abs_err <= 10.0 * _ABS_TOL else "fail")
+            for name, check in check_transforms(s_values)]
+    rng, worst = np.random.default_rng(2024), 0.0
+    for _ in range(100):
+        x, y = rng.uniform(-5.0, 5.0, size=2)
+        plus, minus = factorization_check(float(x), float(y))
+        scale = max(1.0, math.cosh(x + y) * math.cosh(x - y))
+        worst = max(worst, plus / scale, minus / scale)
+    rows.append(("factorization", 0.0, worst, 0.0, worst,
+                 "pass" if worst <= 1e-10 else "fail"))
+    odd = odd_extension_check(lambda y: np.sin(s0 * y), x_values).tolist()
+    balance = convolution_balance(s0, x_values).tolist()
+    for x, err, bal in zip(x_values, odd, balance):
+        # vacuous: the mirror terms cannot reach the tolerance, so no error could fail the row
+        vacuous = mirror_bound(x) <= 1e-6
+        rows.append(("odd_extension", x, err, 0.0, err,
+                     "fail" if not err <= 1e-6 else "vacuous" if vacuous else "pass"))
+        rows.append(("balance_at_s0", x, bal, 0.0, abs(bal),
+                     "pass" if abs(bal) <= 1e-6 else "fail"))
+    return dict(zip(["check", "param", "numeric", "analytic", "abs_err", "status"], zip(*rows)))

@@ -62,9 +62,13 @@ def eval_reg_symbol(s: float, delta: float) -> float:
     threshold behaviour at delta0 is decided exactly.  Values beyond double
     range come out infinite, without a warning.
     """
+    return _reg_symbol(s, delta, sinh_ratio(s))
+
+
+def _reg_symbol(s, delta: float, ratio):  # eval_reg_symbol at ratio = sinh_ratio(s)
     with np.errstate(over="ignore"):
         regularization = delta * tanh_over_s(s) if delta else 0.0  # exactly 0 at delta = 0
-        return 1.0 + (2.0 / SQRT3) * (regularization - 4.0 * sinh_ratio(s))
+        return 1.0 + (2.0 / SQRT3) * (regularization - 4.0 * ratio)
 
 
 def delta0() -> float:
@@ -147,11 +151,13 @@ def certify_positivity(delta: float, s_max: float, n: int) -> SymbolScan:
     empty bracket list together with min_value > 0; a negative minimum for
     smaller delta is a valid report, not an error.
     """
-    return _scan(delta, s_max, n)[2]
+    return table(delta, s_max, n)[1]
 
 
-def _scan(delta: float, s_max: float, n: int) -> tuple[np.ndarray, np.ndarray, SymbolScan]:
-    """certify_positivity's samples s, the symbol at them, and its report."""
+def table(delta: float, s_max: float, n: int) -> tuple[dict[str, np.ndarray], SymbolScan]:
+    """{column name: values} of s = symbol_samples(s_max, n), g and reg_symbol (the bits of
+    eval_g and eval_reg_symbol, from one sinh_ratio pass) and sign_change_bracket (1 on the
+    first sample of each sign change); certify_positivity's report; OverflowError at an inf."""
     if not (math.isfinite(delta) and 0.0 < s_max < math.inf):
         raise ValueError(f"need a finite delta and 0 < s_max < inf, got {delta}, {s_max}")
     if n < 2:
@@ -160,9 +166,14 @@ def _scan(delta: float, s_max: float, n: int) -> tuple[np.ndarray, np.ndarray, S
         raise ValueError(f"the sample step s_max/(n - 1) underflows to 0 at s_max = {s_max!r}, "
                          f"n = {n}")
     s = symbol_samples(s_max, n)
-    v = eval_reg_symbol(s, delta)
+    ratio = sinh_ratio(s)
+    v = _reg_symbol(s, delta, ratio)
+    if not np.isfinite(v).all():  # eval_reg_symbol's inf beyond double range
+        raise OverflowError(f"reg_symbol leaves double range at delta = {delta:.17g}")
     i = int(np.argmin(v))
     # signs, not values: a product of values can overflow or underflow
     lo = np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0.0)
-    return s, v, SymbolScan(min_value=float(v[i]), argmin=float(s[i]),
-                            sign_changes=list(zip(s[lo].tolist(), s[lo + 1].tolist())))
+    return ({"s": s, "g": _reg_symbol(s, 0.0, ratio), "reg_symbol": v,
+             "sign_change_bracket": np.bincount(lo, minlength=n)},
+            SymbolScan(min_value=float(v[i]), argmin=float(s[i]),
+                       sign_changes=list(zip(s[lo].tolist(), s[lo + 1].tolist()))))

@@ -196,8 +196,8 @@ def boundary_coefficients(s2: np.ndarray, eta: float, eps: float) -> np.ndarray:
     (m, 3) array s2; an error is the first failing row's."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    if eps * eps == 0.0:  # |s1| = sqrt(eps^2) would read 0, a point on the plane s1 = 0
-        raise ValueError(f"eps = {eps} too small: eps^2 underflows to 0")
+    if eps * eps < sys.float_info.min:  # |s1| = sqrt(eps^2) would lose bits, or read 0
+        raise ValueError(f"eps = {eps} too small: eps^2 underflows the normal doubles")
     axes = eps * np.kron(np.eye(3, dtype=int), [[1], [-1]])  # s1 = +-eps on each axis
     s1, s2 = np.tile(axes, (len(s2), 1)), np.repeat(s2, 6, axis=0)
     _min_separations(s1, s2)

@@ -309,6 +309,28 @@ def test_emit_csv_memory_is_one_block(tmp_path):
     assert path.stat().st_size > 4 * peak
 
 
+def test_out_file_gets_the_mode_of_a_new_file(tmp_path):
+    # mkstemp creates its file 0600, which the rename kept: --out was owner-only
+    umask = os.umask(0o022)
+    try:
+        (tmp_path / "plain").open("w").close()
+        for argv in (_CHEAP["s0"], _CHEAP["symbol"]):
+            assert main([*argv, "--out", str(tmp_path / argv[0])]) == 0
+    finally:
+        os.umask(umask)
+    mode = (tmp_path / "plain").stat().st_mode
+    assert [(tmp_path / name).stat().st_mode for name in ("s0", "symbol")] == [mode, mode]
+
+
+def test_symbol_command_evaluates_sinh_ratio_once(monkeypatch):
+    # g and reg_symbol share one pass; the bisection of default_s0 runs first
+    symbols.default_s0()
+    calls, sinh_ratio = [], symbols.sinh_ratio
+    monkeypatch.setattr(symbols, "sinh_ratio", lambda s: calls.append(np.size(s)) or sinh_ratio(s))
+    assert _main_output(["symbol", "--delta", "0.79", "--n", "1000"])[0] == 0
+    assert calls == [1000]
+
+
 def test_a_failure_mid_table_writes_no_file(tmp_path, monkeypatch, capsys):
     # the second block's int cells raise: --out leaves no file, and an existing
     # target keeps its bytes; stdout has the rows written before the failure
@@ -543,6 +565,16 @@ def test_oracle_command_all_pass(tmp_path):
     _, rows = read_rows(out)
     assert len(rows) >= 4
     assert all(r[-1] == "pass" for r in rows)
+
+
+def test_oracle_table_is_the_command_table():
+    # 14.51 gives a vacuous odd_extension row
+    code, text = _main_output(["oracle", "--s", "1", "--x", "1,14.51"])
+    columns = oracle.table([1.0], [1.0, 14.51], symbols.default_s0())
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    assert code == 0 and lines[0] == ",".join(columns)
+    assert lines[1:] == [",".join(map(cli._fmt, row)) for row in zip(*columns.values())]
+    assert columns["status"][-2:] == ("vacuous", "pass")
 
 
 def test_config_file_and_unknown_key(tmp_path):
@@ -815,11 +847,16 @@ def test_ladder_range_message(n, capsys):
 
 
 def test_thomas_at_an_eps_whose_square_underflows_exits_2_naming_it(capsys):
-    # below about 1.6e-162 eps^2 underflows to 0, so |s1| read 0 and the error
-    # said the boundary point lay on a coincidence set; 2e-162 still runs
-    assert main(["thomas", "--n-points", "2", "--eps", "1e-170"]) == 2
-    assert capsys.readouterr().err == "error: eps = 1e-170 too small: eps^2 underflows to 0\n"
-    assert _main_output(["thomas", "--n-points", "2", "--eps", "2e-162"])[0] == 0
+    # below sqrt(float_info.min), about 1.5e-154, eps^2 is subnormal or 0: |s1|
+    # lost bits (at 2e-162 bc_estimate read 0.58855 against its limit 0.65410,
+    # with exit 0) or read 0, and the error said the point lay on a coincidence set
+    for eps in ("1e-170", "2e-162", "1e-158"):
+        assert main(["thomas", "--n-points", "2", "--eps", eps]) == 2
+        assert capsys.readouterr().err == (
+            f"error: eps = {float(eps)} too small: eps^2 underflows the normal doubles\n")
+    code, text = _main_output(["thomas", "--n-points", "2", "--eps", "1.5e-154"])
+    rows = [line.split(",") for line in text.splitlines()[-2:]]
+    assert code == 0 and all(float(r[-2]) == pytest.approx(float(r[-1]), rel=1e-6) for r in rows)
 
 
 def test_scan_output_independent_of_thread_variables(tmp_path):

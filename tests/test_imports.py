@@ -18,8 +18,6 @@ _SRC = Path(__file__).resolve().parents[1] / "src" / "tribos"
 _PRIVATE_READS = {
     ("oracle", "specfun._libm"): "its kernels keep libm's bits, which numpy's ufuncs lack",
     ("thomas", "specfun._libm"): "psi's pair term keeps libm's atan bits, as oracle's kernels do",
-    ("cli", "symbols._scan"): "the symbol table is certify_positivity's samples and report",
-    ("cli", "oracle._ABS_TOL"): "a transform row's verdict is 10 times the integrator's tolerance",
 }
 
 

@@ -192,12 +192,25 @@ def test_default_s0_is_find_s0_at_1e_14():
     assert find_s0().s0 == symbols.default_s0()  # the library's default is the commands' s0
 
 
-def test_scan_reports_the_symbol_at_the_samples():
-    # the samples, values and report the symbol command tabulates
-    s, values, scan = symbols._scan(0.7, 50.0, 5000)
+@pytest.mark.parametrize("delta", [0.0, 0.7, 1.0])
+def test_table_reports_the_symbol_at_the_samples(delta):
+    # the columns and report the symbol command prints, from one sinh_ratio pass
+    columns, scan = symbols.table(delta, 50.0, 5000)
+    s = columns["s"]
+    assert list(columns) == ["s", "g", "reg_symbol", "sign_change_bracket"]
     assert np.array_equal(s, symbols.symbol_samples(50.0, 5000))
-    assert np.array_equal(values, eval_reg_symbol(s, 0.7))
-    assert scan == certify_positivity(0.7, 50.0, 5000)
+    assert columns["g"].tobytes() == eval_g(s).tobytes()
+    assert columns["reg_symbol"].tobytes() == eval_reg_symbol(s, delta).tobytes()
+    assert scan == certify_positivity(delta, 50.0, 5000)
+    brackets = s[columns["sign_change_bracket"] == 1].tolist()
+    assert brackets == [lo for lo, _ in scan.sign_changes] and len(brackets) == (delta < 1.0)
+
+
+@pytest.mark.parametrize("delta", [1e308, -1e308])
+def test_table_raises_where_the_symbol_leaves_double_range(delta):
+    with pytest.raises(OverflowError) as exc:
+        symbols.table(delta, 50.0, 3)
+    assert str(exc.value) == f"reg_symbol leaves double range at delta = {delta:.17g}"
 
 
 def test_certify_positivity_validation():
