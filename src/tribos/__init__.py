@@ -15,7 +15,7 @@ from .oracle import (QuadratureBudgetError, TransformCheck, check_transforms,
                      m_transform_analytic, odd_extension_check)
 from .specfun import k0, sinh_ratio, tanh_over_s
 from .stm import (ModelParams, RadialGrid, SpectralScan, assemble, build_grid,
-                  closed_form_residual, coulomb_kernel, coulomb_row_integral, residual,
+                  closed_form_residual, coulomb_kernel, residual,
                   scan_bound_states, scan_spectrum, smallest_eigenvalue, tms_kernel)
 from .symbols import (EfimovConstant, SymbolScan, certify_positivity, default_s0, delta0,
                       delta_bound, delta_to_gamma, eval_g, eval_reg_symbol, find_s0,

@@ -6,10 +6,10 @@ unregularized radial equation reads
     sqrt(3 p^2/4 + mu) phi(p) - (2/pi) int_0^inf log[(p^2+q^2+pq+mu)/(p^2+q^2-pq+mu)] phi(q) dq = 0
 
 and the delta/|y| regularization adds (delta/pi) int log[(p+q)/|p-q|] phi(q) dq.
-Quadrature lives on a log-spaced grid; the log singularity of the Coulomb-type
-kernel is handled by singularity subtraction with the row integral evaluated
-in closed form.  Bound states of the cutoff problem appear as zero crossings
-of eigenvalues of the discretized operator as the spectral parameter mu sweeps.
+Quadrature lives on Gauss-Legendre panels uniform in log p; on the panels
+next to the log singularity of the Coulomb-type kernel, product integration.
+Bound states of the cutoff problem appear as zero crossings of eigenvalues
+of the discretized operator as the spectral parameter mu sweeps.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ _LANCZOS_TOL = 1e-12
 # reduction takes 48-65 ms (16: 74-85 ms), a banded Cholesky 0.5 ms (64: 1.0 ms).
 _BAND = 32
 # Order of _block_ritz's leading block.  At n = 1000 on [1e-4, 1e4] it meets
-# the tolerance from delta0 + 1e-6 to delta = 100 (r/tol <= 0.91; 128 misses
-# it from delta = 5 on).  Its eigh takes 3.5 ms on one thread (128: 1.7 ms),
+# the tolerance from delta0 + 1e-6 to delta = 200 (r/tol <= 0.033; 128 would
+# too, at <= 0.21).  Its eigh takes 3.5 ms on one thread (128: 1.7 ms),
 # which a miss wastes against 55-85 ms of band solve.
 _BLOCK = 192
 _DELTA0 = delta0()
@@ -61,13 +61,28 @@ _U = np.finfo(float).eps / 2.0  # unit roundoff
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Quadrature nodes and weights of build_grid, log-spaced."""
+    """build_grid's log-spaced nodes and weights, its panels' node counts and half-width H."""
 
     nodes: np.ndarray
     weights: np.ndarray
+    panels: tuple[int, ...]
+    half_width: float
 
     def __len__(self) -> int:
         return self.nodes.size
+
+    @functools.cached_property
+    def _near(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """assemble's near entries over delta/pi: flat indices of M_ij and of M_ji,
+        i <= j on one panel or adjacent ones, and sqrt(w_i w_j) E_ij of _near_block."""
+        sw, n, starts = np.sqrt(self.weights), self.nodes.size, np.cumsum((0,) + self.panels)
+        index, values = [], []
+        for a, b in [(a, b) for a in range(len(self.panels)) for b in (a, a + 1)][:-1]:
+            block = _near_block(self.panels[a], self.panels[b], b - a)
+            i, j = np.triu_indices(len(block)) if a == b else np.indices(block.shape).reshape(2, -1)
+            values.append(sw[i + starts[a]] * sw[j + starts[b]] * block[i, j])
+            index.append(((i + starts[a]) * n + j + starts[b], (j + starts[b]) * n + i + starts[a]))
+        return (*np.concatenate(index, axis=1), np.concatenate(values))
 
 
 @dataclass(frozen=True)
@@ -156,7 +171,7 @@ def _single_threaded_blas():
 def _panel_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     """m-point Gauss-Legendre nodes and weights on [-1, 1], read-only because
     every grid shares them.  Panel sizes stay within 8..23 nodes (see
-    build_grid), so the cache stays small."""
+    build_grid), beside _relative_correction's 400, so the cache stays small."""
     x, w = np.polynomial.legendre.leggauss(m)
     x.flags.writeable = False
     w.flags.writeable = False
@@ -181,7 +196,34 @@ def build_grid(p_min: float, p_max: float, n: int) -> RadialGrid:
         t = half * x + 0.5 * (edges[i + 1] + edges[i])
         ps.append(np.exp(t))
         ws.append(half * gw * np.exp(t))
-    return RadialGrid(nodes=np.concatenate(ps), weights=np.concatenate(ws))
+    return RadialGrid(np.concatenate(ps), np.concatenate(ws), tuple(sizes), 0.5 * (b - a) / k)
+
+
+def _relative_correction(m: int, k: int, offset: int) -> np.ndarray:
+    """e_ij = (product-integration weight of -log|x - y|) / (Gauss-Legendre weight) - 1,
+    node i of an m-node panel against node j of the k-node panel offset panels on:
+    log|tau_i - t_j| - sum_l (l + 1/2) P_l(t_j) m_l(tau_i), t the nodes, tau = t - 2 offset,
+    m_l(tau) = int_{-1}^1 log|tau - t| P_l(t) dt, log 0 := 0 (assemble adds log(2/H)).
+    For |tau| < 1, m_l = 2 (Q_{l+1} - Q_{l-1})/(2l + 1), Q_{-1} = -log(1 - tau^2)/2,
+    Q_0 = atanh tau, Q_1 = tau Q_0 - 1 and Legendre's recurrence; else a 400-point rule."""
+    tau, t = _panel_rule(m)[0] - 2.0 * offset, _panel_rule(k)[0]
+    legendre = np.polynomial.legendre.legvander
+    if offset:
+        s, g = _panel_rule(400)
+        moments = np.log(np.abs(tau[:, None] - s)) @ (g[:, None] * legendre(s, k - 1))
+    else:  # q[l] is Q_{l-1}
+        q = [-0.5 * np.log1p(-tau * tau), np.arctanh(tau), tau * np.arctanh(tau) - 1.0]
+        for l in range(1, k):
+            q.append(((2 * l + 1) * tau * q[l + 1] - l * q[l]) / (l + 1))
+        moments = np.column_stack([2.0 * (q[l + 2] - q[l]) / (2 * l + 1) for l in range(k)])
+    distance = np.abs(tau[:, None] - t) + (tau[:, None] == t)  # 1 where the nodes coincide
+    return np.log(distance) - moments @ (legendre(t, k - 1) * (np.arange(k) + 0.5)).T
+
+
+@functools.lru_cache(maxsize=None)
+def _near_block(m: int, k: int, offset: int) -> np.ndarray:
+    """(e_ij + e_ji)/2 of _relative_correction, with its quadratic form; only _near reads it."""
+    return 0.5 * (_relative_correction(m, k, offset) + _relative_correction(k, m, -offset).T)
 
 
 def _tms_log(p, q, mu: float, out: np.ndarray, pq: np.ndarray, spare: np.ndarray) -> None:
@@ -249,62 +291,20 @@ def coulomb_kernel(p, q, delta: float):
     return float(out[0]) if p.ndim == q.ndim == 0 else out
 
 
-def _xlogx(x: np.ndarray) -> np.ndarray:
-    # x log x with the continuous extension 0 at x = 0.
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(x > 0.0, x * np.log(x), 0.0)
-
-
-def coulomb_row_integral(p, a: float, b: float, delta: float):
-    """Closed form of int_a^b coulomb_kernel(p, q, delta) dq for p in [a, b]; its
-    upper end in log1p form (its two b log b terms lost 1e-7 absolute at b = 1e8)."""
-    p = np.asarray(p, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):  # log1p(-1) at p = b
-        upper = (2.0 * p * math.log(b) + (b + p) * np.log1p(p / b)
-                 - np.where(p < b, (b - p) * np.log1p(-p / b), 0.0))
-    out = (delta / math.pi) * (upper - _xlogx(p + a) - _xlogx(p - a))
-    return out if out.ndim else float(out)
-
-
-def _coulomb_rows(out: np.ndarray, spare: np.ndarray, p: np.ndarray, delta: float, lo: int,
-                  first: int = 0, w: np.ndarray | None = None) -> np.ndarray | None:
-    """Build coulomb_kernel rows lo:lo + len(out) against the nodes from first
-    (<= lo) on, in out, with the singular diagonal (node j = lo + i in row i)
-    zeroed; spare is scratch as for _kernel_rows.  Given w (and first = 0),
-    returns the rows' singularity-subtraction term c - C @ w, c the
-    closed-form row integral of coulomb_kernel and C these rows."""
-    rows = p[lo:lo + out.shape[0]]
-    _coulomb_log(rows[:, None], p[first:], delta, out, spare)
-    np.fill_diagonal(out[:, lo - first:], 0.0)
-    if w is None:
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN; callers check finiteness
-        return coulomb_row_integral(rows, p[0], p[-1], delta) - out @ w
-
-
-def _coulomb_part(p: np.ndarray, w: np.ndarray, delta: float) -> np.ndarray:
-    """assemble's mu-independent subtraction term c - C @ w (see _coulomb_rows),
-    built _ROW_BLOCK rows at a time."""
-    c, spare = np.empty((2, min(_ROW_BLOCK, p.size), p.size))
-    return np.concatenate([_coulomb_rows(c[:p.size - lo], spare[:p.size - lo], p, delta, lo, w=w)
-                           for lo in range(0, p.size, _ROW_BLOCK)])
-
-
 def _kernel_rows(out: np.ndarray, pq: np.ndarray, spare: np.ndarray, p: np.ndarray,
                  params: ModelParams, lo: int) -> np.ndarray:
     """Build assemble's kernel rows lo:lo + len(out) against the nodes from lo on, in out.
 
-    out gets tms_kernel plus, for delta != 0, the Coulomb rows of
-    _coulomb_rows, built in pq.  pq and spare are scratch of out's shape;
-    spare is written once and read once per kernel, so it may be a strided
-    view (a ufunc costs several times as much on one).  Returns the TMS
-    kernel on that diagonal.
+    out gets tms_kernel plus, for delta != 0, coulomb_kernel zeroed on its
+    singular diagonal (built in pq).  pq and spare are scratch of out's shape;
+    spare is written once and read once per kernel, so it may be a strided view
+    (a ufunc costs several times as much on one).  Returns the diagonal's TMS kernel.
     """
     _tms_log(p[lo:lo + out.shape[0], None], p[lo:], params.mu, out, pq, spare)
     diag_kernel = out.diagonal().copy()
     if params.delta != 0.0:
-        _coulomb_rows(pq, spare, p, params.delta, lo, lo)
+        _coulomb_log(p[lo:lo + out.shape[0], None], p[lo:], params.delta, pq, spare)
+        np.fill_diagonal(pq, 0.0)
         out += pq
     return diag_kernel
 
@@ -319,25 +319,20 @@ def _kernel_matrix(p: np.ndarray, params: ModelParams, lo: int = 0,
     return K
 
 
-def assemble(grid: RadialGrid, params: ModelParams,
-             subtraction: np.ndarray | None = None) -> np.ndarray:
+def assemble(grid: RadialGrid, params: ModelParams) -> np.ndarray:
     """The symmetric n x n Nystrom matrix of the radial operator on phi(p) = p xihat(p).
 
-    The diagonal term is sqrt(3 p^2/4 + mu).  The TMS kernel is quadratured
-    directly, the Coulomb kernel by singularity subtraction,
-
-        int C(p,q) phi(q) dq = int C(p,q) [phi(q) - phi(p)] dq + phi(p) int C(p,q) dq,
-
-    whose diagonal term, _coulomb_part(p, w, params.delta), is built unless
-    subtraction gives it.  Similarity by sqrt(weights) makes the matrix
-    exactly symmetric.  It is built in place, _ROW_BLOCK rows at a time from
-    the diagonal on, in two (_ROW_BLOCK, n) scratch blocks, and each block is
-    mirrored, so every kernel entry is evaluated once.
+    The diagonal term is sqrt(3 p^2/4 + mu).  The kernels take the grid's
+    weights, but the -log|log p - log q| part of the Coulomb kernel takes
+    product-integration weights on a node's own panel and its two neighbours
+    (grid._near), and so converges at the panel rule's order.  Similarity by
+    sqrt(weights) makes the matrix exactly symmetric.  It is built in place,
+    _ROW_BLOCK rows at a time from the diagonal on, in two (_ROW_BLOCK, n)
+    scratch blocks, and each block is mirrored, so every kernel entry is
+    evaluated once; the near-panel entries are added last.
     """
     p, w = grid.nodes, grid.weights
     n = p.size
-    if subtraction is None:
-        subtraction = _coulomb_part(p, w, params.delta) if params.delta != 0.0 else np.zeros(n)
     M = np.empty((n, n))
     scratch = np.empty((2, min(_ROW_BLOCK, n) * n))
     sw = np.sqrt(w)
@@ -349,7 +344,15 @@ def assemble(grid: RadialGrid, params: ModelParams,
         np.multiply(sw[lo:hi, None], sw[lo:], out=pq)  # sw_i sw_j: exactly symmetric
         np.multiply(kernel, pq, out=M[lo:hi, lo:])
         M[hi:, lo:hi] = M[lo:hi, hi:].T
-    np.fill_diagonal(M, _diagonal_term(p, params.mu) + w * diag_kernel + subtraction)
+    del scratch, kernel, pq  # the near-panel entries' temporaries take its place
+    coincident = params.delta / math.pi * math.log(2.0 / grid.half_width)  # 0 at delta = 0
+    np.fill_diagonal(M, _diagonal_term(p, params.mu) + w * (diag_kernel + coincident))
+    if params.delta != 0.0:
+        upper, lower, near = grid._near
+        flat = M.reshape(-1)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN; callers check finiteness
+            np.add.at(flat, upper, (params.delta / math.pi) * near)
+        flat[lower] = flat[upper]
     return M
 
 
@@ -651,7 +654,7 @@ def _assembly_error(norm: float, d: np.ndarray, weights: float) -> float:
     """eps >= ||fl(M) - M||_2 for an assembled matrix fl(M), given norm =
     fl(||fl(M)||_F), its diagonal term d and the weight sum.  M is assemble's
     matrix in exact arithmetic on the stored nodes, weights and mu, with the
-    computed Coulomb entries and subtraction (mu-independent: the same bits
+    computed Coulomb and near-panel entries (mu-independent: the same bits
     in every matrix of a scan).  With np.log within 4 ulp: s = p^2 + q^2 + mu
     and s + pq carry 3u and 4u, s - pq >= s/2 8u, their quotient in (1, 3]
     14u, its log under 24u absolute, the TMS entry (times 2/pi) under 17u;
@@ -660,8 +663,7 @@ def _assembly_error(norm: float, d: np.ndarray, weights: float) -> float:
     u (1.01 d_i + 0.71 w_i + |fl(M)_ii|).  So |fl(M) - M| <= u (6 |fl(M)| +
     19 s s^T + 4 diag(d)), s_i = sqrt(w_i), whose Frobenius norm eps =
     8u (norm + ||d|| + 3 sum w) exceeds, with room for roundings.  eps
-    excludes the rounding of the subtraction term, which M takes as
-    computed: coulomb_row_integral has to keep that small."""
+    excludes the rounding of grid._near, whose entries M takes as computed."""
     return 8.0 * _U * (norm + float(np.linalg.norm(d)) + 3.0 * weights)
 
 
@@ -898,10 +900,8 @@ def scan_spectrum(grid: RadialGrid, delta: float, mu_lo: float, mu_hi: float,
     p = grid.nodes
     thomas, weights = delta < _DELTA0, math.fsum(grid.weights)
     with _single_threaded_blas():
-        subtraction = _coulomb_part(p, grid.weights, delta) if delta != 0.0 else None
-
         def build(mu: float) -> np.ndarray:
-            return assemble(grid, ModelParams(mu=mu, delta=delta), subtraction)
+            return assemble(grid, ModelParams(mu=mu, delta=delta))
 
         start = np.ones(p.size) if thomas else None
         if thomas:  # becomes the middle point's Ritz vector (ones if Lanczos gives up)

@@ -695,12 +695,12 @@ def _band_path_csv(monkeypatch, capsys, args):
 
 
 def test_scan_whose_block_residual_misses_the_tolerance_takes_the_band(monkeypatch, capsys):
-    # p in [1e-2, 1e2]: the ground state spreads past the leading block at
+    # p in [1e-1, 1e1]: the ground state spreads past the leading block at
     # every point; no certificate runs and the CSV is the band path's
     calls = []
     monkeypatch.setattr(stm, "_certified_lower_bound", lambda *args: calls.append(1))
     csv, band = _band_path_csv(monkeypatch, capsys, [
-        "scan", "--delta", "1", "--p-min", "1e-2", "--p-max", "1e2", "--grid", "300",
+        "scan", "--delta", "1", "--p-min", "1e-1", "--p-max", "1e1", "--grid", "300",
         "--n-mu", "13"])
     assert csv == band and not calls
 

@@ -12,7 +12,7 @@ import pytest
 from tribos import stm
 from tribos.ladder import quantization_residual, xi_mu
 from tribos.stm import (ModelParams, assemble, build_grid, closed_form_residual,
-                        coulomb_kernel, coulomb_row_integral, residual,
+                        coulomb_kernel, residual,
                         scan_bound_states, scan_spectrum, smallest_eigenvalue,
                         tms_kernel)
 
@@ -109,31 +109,45 @@ def test_coulomb_kernel_integrable_singularity():
     assert value == pytest.approx(ref, abs=1e-8)
 
 
-def test_coulomb_row_integral_closed_form():
-    with mp.workdps(30):
-        for p in (0.013, 1.0, 37.0):
-            ref = float(mp.quad(lambda q: (1.3 / mp.pi) * mp.log((p + q) / abs(p - q)),
-                                [0.01, p, 80.0] if 0.01 < p < 80.0 else [0.01, 80.0]))
-            val = coulomb_row_integral(p, 0.01, 80.0, 1.3)
-            assert val == pytest.approx(ref, rel=1e-12)
-    # endpoint nodes hit the x log x -> 0 continuation
-    assert math.isfinite(float(coulomb_row_integral(0.01, 0.01, 80.0, 1.3)))
+def _near_corrections(grid, i):
+    # row i of the product rule's relative corrections e_ij (zero beyond the
+    # neighbour panels), log(2/H) included on the diagonal
+    starts = np.cumsum((0,) + grid.panels)
+    a = int(np.searchsorted(starts, i, side="right")) - 1
+    row = np.zeros(len(grid))
+    for b in range(max(a - 1, 0), min(a + 2, len(grid.panels))):
+        row[starts[b]:starts[b + 1]] = stm._relative_correction(
+            grid.panels[a], grid.panels[b], b - a)[i - starts[a]]
+    row[i] += math.log(2.0 / grid.half_width)
+    return row
 
 
-def test_coulomb_row_integral_is_accurate_far_below_the_upper_end():
-    # on [1e-8, 1e8] the two b log b sized terms of the upper end cancelled
-    # to 1e-7 absolute, 60 % of the integral at p = 1e-8; the closed form
-    # here in 40 digits
-    a, b = 1e-8, 1e8
-    ratios = [10.0 ** -k for k in range(16, 0, -1)] + [0.5, 1.0 - 2.0**-40, 1.0]
-    p = np.array([max(a, r * b) for r in ratios])
-    value = coulomb_row_integral(p, a, b, 1.0)
-    with mp.workdps(40):
-        xlogx = lambda x: x * mp.log(x) if x > 0 else mp.mpf(0)  # noqa: E731
-        for p_i, v in zip(p.tolist(), value.tolist()):
-            P = mp.mpf(p_i)
-            ref = (xlogx(P + b) - xlogx(P + a) - xlogx(b - P) - xlogx(P - a)) / mp.pi
-            assert v == pytest.approx(float(ref), rel=1e-14)
+def test_coulomb_row_against_mpmath():
+    # Row i of the product rule, sum_j w_j [C(p_i, q_j) + (delta/pi) e_ij] f(q_j),
+    # on 16 decades at n = 512, against int_a^b C(p_i, q) f(q) dq for a
+    # log-normal f centred on p_i, at p_i/b from 1e-16 to 1: measured within
+    # 1.9e-14 relative (4.1e-14 at n = 384, 2.1e-11 at 256).  The
+    # singularity subtraction it replaced, whose closed-form row integral
+    # also ran from the first node to the last instead of from a to b, read
+    # 3.6e-3 inside and 5.0e-2 at the ends.  (assemble holds these rows
+    # symmetrized, which keeps their quadratic form.)
+    a, b, delta = 1e-8, 1e8, 1.3
+    grid = build_grid(a, b, 512)
+    p, w = grid.nodes, grid.weights
+    for k in range(16, -1, -1):
+        i = int(np.argmin(np.abs(np.log(p * 10.0 ** k / b))))
+        others = np.arange(len(p)) != i
+        row = np.zeros(len(p))
+        row[others] = coulomb_kernel(p[i], p[others], delta)
+        row += (delta / math.pi) * _near_corrections(grid, i)
+        value = float(np.dot(w * row, np.exp(-np.log(p / p[i]) ** 2)))
+        with mp.workdps(30):
+            P = mp.mpf(p[i])
+            ref = mp.quad(lambda q: delta / mp.pi * mp.log((P + q) / abs(P - q))
+                          * mp.exp(-mp.log(q / P) ** 2),
+                          sorted({a, b, P} | {P * 10.0 ** j for j in range(-16, 17)
+                                              if a < p[i] * 10.0 ** j < b}))
+        assert value == pytest.approx(float(ref), rel=4e-14, abs=0.0), k
 
 
 def test_scan_above_threshold_on_a_wide_window_has_no_bound_state():
@@ -321,13 +335,11 @@ def test_scan_empty_above_threshold():
     assert np.all(result.smallest > 0.0)
 
 
-@pytest.mark.xfail(strict=True, reason="open defect: on the default window from n = 560 on, "
-                   "the Coulomb part has negative eigenvalues on the top nodes, so "
-                   "`scan --delta 2500` finds a bound state at every mu")
 def test_coulomb_part_on_the_default_grid_has_no_negative_eigenvalue():
     # M(delta = 1) - M(delta = 0) discretizes the positive kernel of delta/|y|.
-    # At n = 1000 its lowest eigenvalue is -3.52, on the nodes near p = 1e4:
-    # scans read a false bound state from delta = 2500 (2000 still reads 0)
+    # At n = 1000 its lowest eigenvalue is 1.97e-7; the singularity
+    # subtraction gave -3.52, on the nodes near p = 1e4, and scans read a
+    # false bound state from delta = 2500
     grid = build_grid(1e-4, 1e4, 1000)
     coulomb = assemble(grid, ModelParams(mu=1.0, delta=1.0)) - assemble(grid, ModelParams(mu=1.0))
     assert np.linalg.eigvalsh(coulomb)[0] >= 0.0
@@ -355,13 +367,11 @@ def _regularized_s0(delta):
     return float(mp.findroot(symbol, (0.1, 1.0), solver="anderson"))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the first-order quadrature of the "
-                   "Coulomb kernel shifts the Efimov exponent at delta > 0")
 @pytest.mark.parametrize("delta", [0.3, 0.6])
 def test_crossing_ratios_follow_the_regularized_efimov_exponent(delta):
     # Successive crossings, leaving out the pair nearest p_max, over
-    # exp(2 pi / s0(delta)): 0.98783 at delta = 0.3 (four ratios) and 0.92123
-    # at delta = 0.6 (one) today; product integration gave 1 to 1.2e-6
+    # exp(2 pi / s0(delta)): within 1.24e-6 of 1 at delta = 0.3 and 1.8e-9 at
+    # 0.6; the singularity subtraction gave 0.98783 and 0.92123
     crossings = scan_bound_states(build_grid(1e-8, 1e4, 320), delta, 1e-14, 1e6, 41)
     target = math.exp(2.0 * math.pi / _regularized_s0(delta))
     ratios = [b / a / target for a, b in zip(crossings, crossings[1:])][:-1]
@@ -440,7 +450,7 @@ def test_build_grid_caches_panel_rule(monkeypatch):
 _LADDER_GRID = (1e-4, 1e4, 250)
 # delta = 1: the ground state spreads past the leading block, whose residual
 # misses the tolerance at every mu in [1e-3, 1e3]
-_FALLBACK_GRID = (1e-2, 1e2, 300)
+_FALLBACK_GRID = (1e-1, 1e1, 300)
 
 
 def _bisect_crossing(grid, lo, hi, level, refine_rel):
@@ -659,47 +669,54 @@ def test_level_value_keeps_its_sign_when_it_underflows():
     assert stm._level_value(3, 2, -math.inf) < 0.0
 
 
+def _near_matrix(grid):
+    # the n x n symmetrized product-integration corrections (e_ij + e_ji)/2
+    # from the panel blocks of _relative_correction, and the mask of the
+    # panel pairs they cover
+    starts = np.cumsum((0,) + grid.panels)
+    near, mask = np.zeros((2, len(grid), len(grid)))
+    for a, m in enumerate(grid.panels):
+        for b in range(max(a - 1, 0), min(a + 2, len(grid.panels))):
+            k, block = grid.panels[b], np.s_[starts[a]:starts[a + 1], starts[b]:starts[b + 1]]
+            near[block] = 0.5 * (stm._relative_correction(m, k, b - a)
+                                 + stm._relative_correction(k, m, a - b).T)
+            mask[block] = 1.0
+    return near, mask.astype(bool)
+
+
 def _reference_assembly(grid, params):
     # the out-of-place formulas, the reference for the in-place kernel build
+    # and for the near-panel entries added to it
     p, w = grid.nodes, grid.weights
     P, Q = p[:, None], p[None, :]
     s = P * P + Q * Q + params.mu
     K = -(2.0 / math.pi) * np.log((s + P * Q) / (s - P * Q))
     diag_kernel = np.diag(K).copy()
-    diag_extra = np.zeros_like(p)
     if params.delta != 0.0:
         with np.errstate(divide="ignore"):
             C = (params.delta / math.pi) * np.log((P + Q) / np.abs(P - Q))
         np.fill_diagonal(C, 0.0)
-        diag_extra = coulomb_row_integral(p, p[0], p[-1], params.delta) - C @ w
         K = K + C
     sw = np.sqrt(w)
     M = np.outer(sw, sw) * K
     d = np.sqrt(0.75 * p * p + params.mu)
-    np.fill_diagonal(M, d + w * diag_kernel + diag_extra)
+    coincident = params.delta / math.pi * math.log(2.0 / grid.half_width)
+    np.fill_diagonal(M, d + w * (diag_kernel + coincident))
+    if params.delta != 0.0:
+        near, mask = _near_matrix(grid)
+        M[mask] += (params.delta / math.pi) * (np.outer(sw, sw) * near)[mask]
     return M
 
 
-def _assert_assembly_matches_reference(n, delta):
-    grid = build_grid(1e-4, 1e4, n)
-    subtraction = stm._coulomb_part(grid.nodes, grid.weights, delta) if delta else None
-    for mu in (1e-3, 0.7, 1e3):
-        params = ModelParams(mu=mu, delta=delta)
-        built = assemble(grid, params)
-        assert np.array_equal(built, _reference_assembly(grid, params))
-        assert np.array_equal(assemble(grid, params, subtraction), built)
-
-
-@pytest.mark.parametrize("delta", [0.0, 0.37, 1.0])
-def test_assemble_with_precomputed_coulomb_part_is_bit_identical(delta):
-    _assert_assembly_matches_reference(300, delta)
-
-
-# n below the row block, and between one and two blocks without being a multiple of it
-@pytest.mark.parametrize("n", [26, 61])
+# n below the row block, between one and two blocks without being a
+# multiple of it, and several blocks and panels
+@pytest.mark.parametrize("n", [26, 61, 300])
 @pytest.mark.parametrize("delta", [0.0, 0.37, 1.0])
 def test_assemble_is_bit_identical_across_row_blocks(n, delta):
-    _assert_assembly_matches_reference(n, delta)
+    grid = build_grid(1e-4, 1e4, n)
+    for mu in (1e-3, 0.7, 1e3):
+        params = ModelParams(mu=mu, delta=delta)
+        assert np.array_equal(assemble(grid, params), _reference_assembly(grid, params))
 
 
 def _peak_bytes(fn):
@@ -716,11 +733,8 @@ def _peak_bytes(fn):
 def test_assemble_holds_no_second_matrix(delta):
     n = 1000
     grid = build_grid(1e-4, 1e4, n)
-    subtraction = stm._coulomb_part(grid.nodes, grid.weights, delta) if delta else None
     params = ModelParams(mu=0.7, delta=delta)
-    assemble(grid, params, subtraction)  # warm caches outside the measurement
-    assert _peak_bytes(lambda: assemble(grid, params, subtraction)) < 1.1 * n * n * 8
-    # building the subtraction term takes no Coulomb matrix either
+    assemble(grid, params)  # warm caches outside the measurement
     assert _peak_bytes(lambda: assemble(grid, params)) < 1.1 * n * n * 8
 
 
@@ -881,8 +895,8 @@ def test_give_up_points_with_bound_states_count_by_inertia(monkeypatch):
     assert gave_up == [True] * 6 and len(pairs) == 5 and triangles == [b"U"] * 5
     assert list(scan.negative_counts) == [2, 1, 1, 1, 0]
     assert sum(pair is None for pair in pairs) == 4
-    # the full eigen-solve's crossings, to the refinement's width
-    assert scan.crossings == pytest.approx([0.001902233385910089, 2071.0201302956775],
+    # the crossings of an eigvalsh bisection to 1e-13, to the refinement's width
+    assert scan.crossings == pytest.approx([0.0016289026030433397, 1916.4981185473384],
                                            rel=2.0 * stm._REFINE_REL)
     for mu, smallest in zip(scan.mus, scan.smallest):
         _assert_near_eigvalsh(smallest, assemble(grid, ModelParams(mu=float(mu), delta=0.6)))
@@ -1285,9 +1299,7 @@ def test_matrix_increases_with_mu(delta, window, n):
     # Its smallest eigenvalue is about (mu2 - mu1) / (2 max d): 5.8e-6 on
     # [1e-2, 1e2] and 5.8e-8 on [1e-4, 1e4].
     grid = build_grid(*window, n)
-    subtraction = stm._coulomb_part(grid.nodes, grid.weights, delta) if delta else None
-    lower, upper = (assemble(grid, ModelParams(mu=mu, delta=delta), subtraction)
-                    for mu in (1.0, 1.001))
+    lower, upper = (assemble(grid, ModelParams(mu=mu, delta=delta)) for mu in (1.0, 1.001))
     difference = upper - lower
     smallest = np.linalg.eigvalsh(difference)[0]
     assert 0.5e-3 / (2.0 * math.sqrt(0.75) * window[1]) < smallest
@@ -1300,24 +1312,28 @@ def test_matrix_increases_with_mu(delta, window, n):
 
 def _long_double_assembly(grid, params):
     # _reference_assembly's formulas in long double on the same nodes,
-    # weights and mu, with the Coulomb entries and the subtraction term in
-    # double, as assemble computes them
+    # weights and mu, with the Coulomb entries and the near-panel entries
+    # in double, as assemble computes them
     ld = np.longdouble
     p, w = grid.nodes, grid.weights
     P, Q = p[:, None].astype(ld), p[None, :].astype(ld)
     s = P * P + Q * Q + ld(params.mu)
     K = -(2.0 / (4.0 * np.arctan(ld(1.0)))) * np.log((s + P * Q) / (s - P * Q))
     diag_kernel = np.diag(K).copy()
-    extra = np.zeros(p.size)
     if params.delta != 0.0:
         with np.errstate(divide="ignore"):
             C = (params.delta / math.pi) * np.log((p[:, None] + p) / np.abs(p[:, None] - p))
         np.fill_diagonal(C, 0.0)
         K = K + C
-        extra = stm._coulomb_part(p, w, params.delta)
     sw = np.sqrt(w.astype(ld))
     M = sw[:, None] * sw * K
-    np.fill_diagonal(M, np.sqrt(0.75 * P[:, 0] ** 2 + ld(params.mu)) + w * diag_kernel + extra)
+    pi = 4.0 * np.arctan(ld(1.0))
+    diag_kernel += ld(params.delta) / pi * np.log(2.0 / ld(grid.half_width))
+    np.fill_diagonal(M, np.sqrt(0.75 * P[:, 0] ** 2 + ld(params.mu)) + w * diag_kernel)
+    if params.delta != 0.0:
+        upper, lower, near = grid._near
+        M.reshape(-1)[upper] += ld(params.delta) / pi * near
+        M.reshape(-1)[lower] = M.reshape(-1)[upper]
     return M
 
 
